@@ -11,7 +11,6 @@ import (
 	"github.com/avfi/avfi/internal/agent"
 	"github.com/avfi/avfi/internal/autopilot"
 	"github.com/avfi/avfi/internal/fault/imagefault"
-	"github.com/avfi/avfi/internal/nn"
 	"github.com/avfi/avfi/internal/physics"
 	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/render"
@@ -81,6 +80,11 @@ func BenchmarkAgentForward(b *testing.B) {
 	for i := range img.Pix {
 		img.Pix[i] = r.Float64()
 	}
+	// One call first: the activation layers size their workspaces on it.
+	if _, err := a.Act(img, 5, world.TurnFollow); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Act(img, 5, world.TurnFollow); err != nil {
@@ -181,39 +185,6 @@ func BenchmarkImageFaultWaterDrop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.InjectImage(img, i, r)
-	}
-}
-
-func BenchmarkTensorMatMul(b *testing.B) {
-	r := rng.New(5)
-	x := tensor.New(64, 128)
-	y := tensor.New(128, 64)
-	for i := range x.Data() {
-		x.Data()[i] = r.Float64()
-	}
-	for i := range y.Data() {
-		y.Data()[i] = r.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMul(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNNConvForward(b *testing.B) {
-	r := rng.New(6)
-	conv := nn.NewConv2D(3, 48, 64, 8, 3, 2, 1).InitHe(r)
-	img := tensor.New(3, 48, 64)
-	for i := range img.Data() {
-		img.Data()[i] = r.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.Forward(img); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

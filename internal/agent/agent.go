@@ -93,8 +93,25 @@ type Agent struct {
 	trunk *nn.Network
 	meas  *nn.Network
 	heads map[world.TurnKind]*nn.Network
-	// headIn is the concatenated feature+measurement width.
-	headIn int
+
+	// Input workspaces, owned per agent and never shared by Clone: the
+	// normalized frame, the normalized speed, and the concatenated
+	// feature+measurement vector the heads read.
+	in, speedIn, z *tensor.Tensor
+	// Training's gradient workspaces, created by the first Train: the loss
+	// gradient at the prediction and the two halves of the concat gradient.
+	dPred, df, dm *tensor.Tensor
+}
+
+// newWorkspace sizes the input buffers of an agent with the given config.
+func (a *Agent) newWorkspace() {
+	featOut := a.cfg.FeatDim
+	if a.cfg.UseRNN {
+		featOut = a.cfg.RNNHidden
+	}
+	a.in = tensor.New(render.Channels, a.cfg.ImageH, a.cfg.ImageW)
+	a.speedIn = tensor.New(1)
+	a.z = tensor.New(featOut + a.cfg.MeasDim)
 }
 
 // New builds an agent with freshly initialized weights.
@@ -130,11 +147,9 @@ func New(cfg Config) (*Agent, error) {
 		nn.NewTanh(),
 	)
 
-	featOut := cfg.FeatDim
-	if cfg.UseRNN {
-		featOut = cfg.RNNHidden
-	}
-	headIn := featOut + cfg.MeasDim
+	a := &Agent{cfg: cfg, trunk: trunk, meas: meas}
+	a.newWorkspace()
+	headIn := a.z.Len()
 	heads := make(map[world.TurnKind]*nn.Network, len(commands))
 	for _, cmd := range commands {
 		heads[cmd] = nn.NewNetwork(
@@ -143,7 +158,8 @@ func New(cfg Config) (*Agent, error) {
 			nn.NewDense(cfg.HeadHidden, 2).InitXavier(r.Split("head-out-"+cmd.String())),
 		)
 	}
-	return &Agent{cfg: cfg, trunk: trunk, meas: meas, heads: heads, headIn: headIn}, nil
+	a.heads = heads
+	return a, nil
 }
 
 // Config returns the agent's configuration.
@@ -156,13 +172,9 @@ func (a *Agent) Clone() *Agent {
 	for k, h := range a.heads {
 		heads[k] = h.Clone()
 	}
-	return &Agent{
-		cfg:    a.cfg,
-		trunk:  a.trunk.Clone(),
-		meas:   a.meas.Clone(),
-		heads:  heads,
-		headIn: a.headIn,
-	}
+	cp := &Agent{cfg: a.cfg, trunk: a.trunk.Clone(), meas: a.meas.Clone(), heads: heads}
+	cp.newWorkspace()
+	return cp
 }
 
 // Reset clears recurrent state at episode boundaries.
@@ -174,32 +186,36 @@ func (a *Agent) Reset() {
 	}
 }
 
-// forward runs the full network for one frame, returning the prediction
-// vector (steer, targetSpeedNorm) and the intermediates needed by training.
-func (a *Agent) forward(img *tensor.Tensor, speed float64, cmd world.TurnKind) (pred, feat, measOut *tensor.Tensor, err error) {
-	norm := img.Clone()
-	for i, v := range norm.Data() {
-		norm.Data()[i] = v - 0.5
+// forward runs the full network for one frame, pix being its (3, H, W)
+// channel-major pixels in [0, 1], and returns the prediction (steer,
+// targetSpeedNorm): the head's output workspace, valid until the next
+// forward.
+func (a *Agent) forward(pix []float64, speed float64, cmd world.TurnKind) ([]float64, error) {
+	in := a.in.Data()
+	if len(pix) != len(in) {
+		return nil, fmt.Errorf("agent: frame of %d values, want %v", len(pix), a.in.Shape())
 	}
-	feat, err = a.trunk.Forward(norm)
+	for i, v := range pix {
+		in[i] = v - 0.5
+	}
+	feat, err := a.trunk.Forward(a.in)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("agent: trunk: %w", err)
+		return nil, fmt.Errorf("agent: trunk: %w", err)
 	}
-	speedIn := tensor.MustFromSlice([]float64{speed / speedNorm}, 1)
-	measOut, err = a.meas.Forward(speedIn)
+	a.speedIn.Data()[0] = speed / speedNorm
+	measOut, err := a.meas.Forward(a.speedIn)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("agent: meas: %w", err)
+		return nil, fmt.Errorf("agent: meas: %w", err)
 	}
-	z := tensor.New(a.headIn)
-	copy(z.Data(), feat.Data())
-	copy(z.Data()[feat.Len():], measOut.Data())
+	z := a.z.Data()
+	copy(z, feat.Data())
+	copy(z[feat.Len():], measOut.Data())
 
-	head := a.head(cmd)
-	pred, err = head.Forward(z)
+	pred, err := a.head(cmd).Forward(a.z)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("agent: head %v: %w", cmd, err)
+		return nil, fmt.Errorf("agent: head %v: %w", cmd, err)
 	}
-	return pred, feat, measOut, nil
+	return pred.Data(), nil
 }
 
 // head maps a command to its branch, defaulting unknown commands to Follow
@@ -219,12 +235,15 @@ const speedControlGain = 0.6
 // consequence of injected weight faults) degrade to zeroed commands rather
 // than panicking — the physical actuator layer clamps again regardless.
 func (a *Agent) Act(img *render.Image, speed float64, cmd world.TurnKind) (physics.Control, error) {
-	pred, _, _, err := a.forward(img.ToTensor(), speed, cmd)
+	if img.W != a.cfg.ImageW || img.H != a.cfg.ImageH {
+		return physics.Control{}, fmt.Errorf("agent: image %dx%d, want %dx%d", img.W, img.H, a.cfg.ImageW, a.cfg.ImageH)
+	}
+	pred, err := a.forward(img.Pix, speed, cmd)
 	if err != nil {
 		return physics.Control{}, err
 	}
-	steer := pred.At(0)
-	targetSpeed := geom.Clamp(pred.At(1)*speedNorm, 0, 9)
+	steer := pred[0]
+	targetSpeed := geom.Clamp(pred[1]*speedNorm, 0, 9)
 
 	errV := targetSpeed - speed
 	ctl := physics.Control{Steer: steer}

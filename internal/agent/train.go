@@ -134,40 +134,50 @@ func trainingOrder(data []Sample, balance bool) []int {
 	return order
 }
 
+// forwardSample runs one training sample through the network from a clean
+// recurrent state (single-frame training) and returns its weighted loss with
+// the two prediction errors.
+func (a *Agent) forwardSample(s Sample, tc TrainConfig) (loss, dSteer, dSpeed float64, err error) {
+	if !s.Image.SameShape(a.in) {
+		return 0, 0, 0, fmt.Errorf("agent: sample image %v, want %v", s.Image.Shape(), a.in.Shape())
+	}
+	a.Reset()
+	pred, err := a.forward(s.Image.Data(), s.Speed, s.Command)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	dSteer = pred[0] - s.Steer
+	dSpeed = pred[1] - s.TargetSpeed/speedNorm
+	return tc.SteerWeight*dSteer*dSteer + tc.SpeedWeight*dSpeed*dSpeed, dSteer, dSpeed, nil
+}
+
 // accumulate runs one sample forward/backward, adding gradients.
 func (a *Agent) accumulate(s Sample, tc TrainConfig) (float64, error) {
-	a.Reset() // single-frame training: recurrent state starts clean
-	pred, feat, measOut, err := a.forward(s.Image, s.Speed, s.Command)
+	loss, dSteer, dSpeed, err := a.forwardSample(s, tc)
 	if err != nil {
 		return 0, err
 	}
-	tgtSteer := s.Steer
-	tgtSpeed := s.TargetSpeed / speedNorm
+	if a.dPred == nil {
+		a.dPred = tensor.New(2)
+		a.df = tensor.New(a.z.Len() - a.cfg.MeasDim)
+		a.dm = tensor.New(a.cfg.MeasDim)
+	}
+	a.dPred.Data()[0] = 2 * tc.SteerWeight * dSteer
+	a.dPred.Data()[1] = 2 * tc.SpeedWeight * dSpeed
 
-	dSteer := pred.At(0) - tgtSteer
-	dSpeed := pred.At(1) - tgtSpeed
-	loss := tc.SteerWeight*dSteer*dSteer + tc.SpeedWeight*dSpeed*dSpeed
-
-	grad := tensor.MustFromSlice([]float64{
-		2 * tc.SteerWeight * dSteer,
-		2 * tc.SpeedWeight * dSpeed,
-	}, 2)
-
-	head := a.head(s.Command)
-	dz, err := head.Backward(grad)
+	dz, err := a.head(s.Command).Backward(a.dPred)
 	if err != nil {
 		return 0, err
 	}
 	// Split the concat gradient back into trunk and measurement parts.
-	df := tensor.New(feat.Len())
-	copy(df.Data(), dz.Data()[:feat.Len()])
-	dm := tensor.New(measOut.Len())
-	copy(dm.Data(), dz.Data()[feat.Len():])
+	nf := a.df.Len()
+	copy(a.df.Data(), dz.Data()[:nf])
+	copy(a.dm.Data(), dz.Data()[nf:])
 
-	if _, err := a.trunk.Backward(df); err != nil {
+	if _, err := a.trunk.Backward(a.df); err != nil {
 		return 0, err
 	}
-	if _, err := a.meas.Backward(dm); err != nil {
+	if _, err := a.meas.Backward(a.dm); err != nil {
 		return 0, err
 	}
 	return loss, nil
@@ -205,14 +215,11 @@ func (a *Agent) EvalLoss(data []Sample, tc TrainConfig) (float64, error) {
 	}
 	var total float64
 	for _, s := range data {
-		a.Reset()
-		pred, _, _, err := a.forward(s.Image, s.Speed, s.Command)
+		loss, _, _, err := a.forwardSample(s, tc)
 		if err != nil {
 			return 0, err
 		}
-		dSteer := pred.At(0) - s.Steer
-		dSpeed := pred.At(1) - s.TargetSpeed/speedNorm
-		total += tc.SteerWeight*dSteer*dSteer + tc.SpeedWeight*dSpeed*dSpeed
+		total += loss
 	}
 	return total / float64(len(data)), nil
 }

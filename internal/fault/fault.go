@@ -74,7 +74,9 @@ func (w Window) Active(frame int) bool {
 type InputInjector interface {
 	// Name identifies the injector in campaign reports (e.g. "gaussian").
 	Name() string
-	// InjectImage corrupts the camera frame in place.
+	// InjectImage corrupts the camera frame in place. img is the driver's
+	// reused frame buffer, overwritten by the next frame: an injector that
+	// needs pixels later must copy them, never retain img or img.Pix.
 	InjectImage(img *render.Image, frame int, r *rng.Stream)
 	// InjectMeasurements corrupts scalar sensor readings, returning the
 	// possibly-modified values.

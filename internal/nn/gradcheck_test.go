@@ -179,6 +179,7 @@ func TestInputGradientDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dx = dx.Clone() // a layer workspace; the evaluations below reuse the network
 
 	const h = 1e-5
 	for i := range x.Data() {

@@ -11,7 +11,6 @@ import (
 // Compile-time interface checks.
 var (
 	_ Layer = (*Dense)(nil)
-	_ Layer = (*Conv2D)(nil)
 	_ Layer = (*MaxPool2D)(nil)
 	_ Layer = (*Flatten)(nil)
 	_ Layer = (*ReLU)(nil)
@@ -20,11 +19,83 @@ var (
 	_ Layer = (*Dropout)(nil)
 )
 
+// sized returns buf if it already has like's shape, else a new zero tensor
+// of that shape: how the layers without a fixed geometry keep a workspace.
+func sized(buf, like *tensor.Tensor) *tensor.Tensor {
+	if buf != nil && buf.SameShape(like) {
+		return buf
+	}
+	return tensor.New(like.Shape()...)
+}
+
+// vecMat sets y = x·W for a row vector x and W shaped (len(x), len(y)):
+// every y[j] is summed from +0 over ascending k as y[j] += x[k]*W[k][j], and
+// a zero x[k] skips its row, so it never meets a weight corrupted to Inf or
+// NaN. The row loop is unrolled by four (each y[j] is still its own sum): it
+// is the trunk projection, a fifth of the agent's forward pass.
+func vecMat(y, x, w []float64) {
+	for j := range y {
+		y[j] = 0
+	}
+	for k, a := range x {
+		if a == 0 {
+			continue
+		}
+		row := w[k*len(y):][:len(y)]
+		j := 0
+		for ; j+4 <= len(row); j += 4 {
+			r, o := row[j:j+4:j+4], y[j:j+4:j+4]
+			o[0] += a * r[0]
+			o[1] += a * r[1]
+			o[2] += a * r[2]
+			o[3] += a * r[3]
+		}
+		for ; j < len(row); j++ {
+			y[j] += a * row[j]
+		}
+	}
+}
+
+// addOuter accumulates the outer product of x and g into gw, shaped
+// (len(x), len(g)): the weight gradient of vecMat. Zero x[k] rows are skipped.
+func addOuter(gw, x, g []float64) {
+	for k, a := range x {
+		if a == 0 {
+			continue
+		}
+		row := gw[k*len(g):][:len(g)]
+		for j, gv := range g {
+			row[j] += a * gv
+		}
+	}
+}
+
+// matVec sets dx = W·g for W shaped (len(dx), len(g)): the input gradient of
+// vecMat, each element summed from +0 over ascending j.
+func matVec(dx, w, g []float64) {
+	for k := range dx {
+		var sum float64
+		for j, wv := range w[k*len(g):][:len(g)] {
+			sum += g[j] * wv
+		}
+		dx[k] = sum
+	}
+}
+
+// addTo accumulates src into dst elementwise.
+func addTo(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
 // Dense is a fully connected layer: y = xW + b with W shaped (in, out).
 type Dense struct {
 	in, out int
 	w, b    *Param
-	lastX   *tensor.Tensor
+	y       *tensor.Tensor // output workspace
+	lastX   *tensor.Tensor // last input, by reference
+	dx      *tensor.Tensor // input gradient, created by the first Backward
 }
 
 // NewDense constructs a Dense layer with zero weights; call InitHe or
@@ -35,6 +106,7 @@ func NewDense(in, out int) *Dense {
 		out: out,
 		w:   newParam("weight", in, out),
 		b:   newParam("bias", out),
+		y:   tensor.New(out),
 	}
 }
 
@@ -56,24 +128,15 @@ func (d *Dense) InitXavier(r *rng.Stream) *Dense {
 	return d
 }
 
-// Forward implements Layer. Input must be a vector of length in.
+// Forward implements Layer. Input must hold in values, in any shape.
 func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Len() != d.in {
 		return nil, fmt.Errorf("dense: input %v, want %d values", x.Shape(), d.in)
 	}
-	row, err := x.Reshape(1, d.in)
-	if err != nil {
-		return nil, err
-	}
-	d.lastX = x.Clone()
-	y, err := tensor.MatMul(row, d.w.Value)
-	if err != nil {
-		return nil, err
-	}
-	if err := y.AddRowVec(d.b.Value); err != nil {
-		return nil, err
-	}
-	return y.Reshape(d.out)
+	d.lastX = x
+	vecMat(d.y.Data(), x.Data(), d.w.Value.Data())
+	addTo(d.y.Data(), d.b.Value.Data())
+	return d.y, nil
 }
 
 // Backward implements Layer.
@@ -84,36 +147,13 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if d.lastX == nil {
 		return nil, fmt.Errorf("dense: Backward before Forward")
 	}
-	g, err := grad.Reshape(1, d.out)
-	if err != nil {
-		return nil, err
+	if d.dx == nil {
+		d.dx = tensor.New(d.in)
 	}
-	xRow, err := d.lastX.Reshape(1, d.in)
-	if err != nil {
-		return nil, err
-	}
-	// dW = x^T g  (in,1)x(1,out)
-	dw, err := tensor.MatMulTransA(xRow, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.w.Grad.AddInPlace(dw); err != nil {
-		return nil, err
-	}
-	// db = g
-	dbFlat, err := g.Reshape(d.out)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.b.Grad.AddInPlace(dbFlat); err != nil {
-		return nil, err
-	}
-	// dx = g W^T  (1,out)x(out,in)
-	dx, err := tensor.MatMulTransB(g, d.w.Value)
-	if err != nil {
-		return nil, err
-	}
-	return dx.Reshape(d.in)
+	addOuter(d.w.Grad.Data(), d.lastX.Data(), grad.Data())
+	addTo(d.b.Grad.Data(), grad.Data())
+	matVec(d.dx.Data(), d.w.Value.Data(), grad.Data())
+	return d.dx, nil
 }
 
 // Params implements Layer.
@@ -129,142 +169,16 @@ func (d *Dense) Spec() LayerSpec {
 }
 
 func (d *Dense) clone() Layer {
-	return &Dense{in: d.in, out: d.out, w: cloneParam(d.w), b: cloneParam(d.b)}
-}
-
-// Conv2D is a 2D convolution over (C, H, W) inputs, implemented as
-// im2col + matmul. Filters are stored as a (C*KH*KW, OutC) matrix; bias is
-// (OutC,). Output is (OutC, OH, OW).
-type Conv2D struct {
-	inC, inH, inW        int
-	outC, k, stride, pad int
-	outH, outW           int
-	w, b                 *Param
-	lastCols             *tensor.Tensor
-}
-
-// NewConv2D constructs a convolution for a fixed input geometry. Square
-// kernels only — the agent's perception stack doesn't need rectangular ones.
-func NewConv2D(inC, inH, inW, outC, k, stride, pad int) *Conv2D {
-	oh, ow := tensor.Conv2DShape(inH, inW, k, k, stride, pad)
-	return &Conv2D{
-		inC: inC, inH: inH, inW: inW,
-		outC: outC, k: k, stride: stride, pad: pad,
-		outH: oh, outW: ow,
-		w: newParam("filter", inC*k*k, outC),
-		b: newParam("bias", outC),
-	}
-}
-
-// InitHe applies He-normal initialization scaled by fan-in.
-func (c *Conv2D) InitHe(r *rng.Stream) *Conv2D {
-	fanIn := float64(c.inC * c.k * c.k)
-	std := math.Sqrt(2 / fanIn)
-	for i := range c.w.Value.Data() {
-		c.w.Value.Data()[i] = r.NormScaled(0, std)
-	}
-	return c
-}
-
-// OutShape returns the (C, H, W) of this layer's output.
-func (c *Conv2D) OutShape() (int, int, int) { return c.outC, c.outH, c.outW }
-
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Dims() != 3 || x.Dim(0) != c.inC || x.Dim(1) != c.inH || x.Dim(2) != c.inW {
-		return nil, fmt.Errorf("conv2d: input %v, want (%d,%d,%d)", x.Shape(), c.inC, c.inH, c.inW)
-	}
-	cols, err := tensor.Im2Col(x, c.k, c.k, c.stride, c.pad)
-	if err != nil {
-		return nil, err
-	}
-	c.lastCols = cols
-	out2d, err := tensor.MatMul(cols, c.w.Value) // (OH*OW, OutC)
-	if err != nil {
-		return nil, err
-	}
-	if err := out2d.AddRowVec(c.b.Value); err != nil {
-		return nil, err
-	}
-	// Rearrange (OH*OW, OutC) -> (OutC, OH, OW).
-	out := tensor.New(c.outC, c.outH, c.outW)
-	n := c.outH * c.outW
-	for p := 0; p < n; p++ {
-		for oc := 0; oc < c.outC; oc++ {
-			out.Data()[oc*n+p] = out2d.Data()[p*c.outC+oc]
-		}
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if grad.Dims() != 3 || grad.Dim(0) != c.outC || grad.Dim(1) != c.outH || grad.Dim(2) != c.outW {
-		return nil, fmt.Errorf("conv2d: grad %v, want (%d,%d,%d)", grad.Shape(), c.outC, c.outH, c.outW)
-	}
-	if c.lastCols == nil {
-		return nil, fmt.Errorf("conv2d: Backward before Forward")
-	}
-	// Rearrange (OutC, OH, OW) -> (OH*OW, OutC).
-	n := c.outH * c.outW
-	g2d := tensor.New(n, c.outC)
-	for p := 0; p < n; p++ {
-		for oc := 0; oc < c.outC; oc++ {
-			g2d.Data()[p*c.outC+oc] = grad.Data()[oc*n+p]
-		}
-	}
-	// dW = cols^T g2d
-	dw, err := tensor.MatMulTransA(c.lastCols, g2d)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.w.Grad.AddInPlace(dw); err != nil {
-		return nil, err
-	}
-	// db = column sums of g2d
-	db, err := tensor.SumRows(g2d)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.b.Grad.AddInPlace(db); err != nil {
-		return nil, err
-	}
-	// dCols = g2d W^T; dX = col2im(dCols)
-	dcols, err := tensor.MatMulTransB(g2d, c.w.Value)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.Col2Im(dcols, c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad)
-}
-
-// Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
-
-// Spec implements Layer.
-func (c *Conv2D) Spec() LayerSpec {
-	return LayerSpec{
-		Kind: "conv2d",
-		Ints: map[string]int{
-			"inC": c.inC, "inH": c.inH, "inW": c.inW,
-			"outC": c.outC, "k": c.k, "stride": c.stride, "pad": c.pad,
-		},
-		Tensors: map[string]*tensor.Tensor{"filter": c.w.Value.Clone(), "bias": c.b.Value.Clone()},
-	}
-}
-
-func (c *Conv2D) clone() Layer {
-	cp := *c
-	cp.w = cloneParam(c.w)
-	cp.b = cloneParam(c.b)
-	cp.lastCols = nil
-	return &cp
+	return &Dense{in: d.in, out: d.out, w: cloneParam(d.w), b: cloneParam(d.b), y: tensor.New(d.out)}
 }
 
 // MaxPool2D downsamples (C, H, W) by a square window.
 type MaxPool2D struct {
-	size          int
-	inC, inH, inW int
-	lastArgmax    []int
+	size   int
+	y      *tensor.Tensor
+	argmax []int
+	lastX  *tensor.Tensor
+	dx     *tensor.Tensor
 }
 
 // NewMaxPool2D constructs a pooling layer with the given window size.
@@ -275,21 +189,27 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Dims() != 3 {
 		return nil, fmt.Errorf("maxpool: input %v, want (C,H,W)", x.Shape())
 	}
-	m.inC, m.inH, m.inW = x.Dim(0), x.Dim(1), x.Dim(2)
-	out, argmax, err := tensor.MaxPool2D(x, m.size)
-	if err != nil {
+	if c, oh, ow := x.Dim(0), x.Dim(1)/m.size, x.Dim(2)/m.size; m.y == nil || m.y.Dim(0) != c || m.y.Dim(1) != oh || m.y.Dim(2) != ow {
+		m.y = tensor.New(c, oh, ow)
+		m.argmax = make([]int, m.y.Len())
+	}
+	if err := tensor.MaxPool2DInto(m.y, m.argmax, x, m.size); err != nil {
 		return nil, err
 	}
-	m.lastArgmax = argmax
-	return out, nil
+	m.lastX = x
+	return m.y, nil
 }
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if m.lastArgmax == nil {
+	if m.lastX == nil {
 		return nil, fmt.Errorf("maxpool: Backward before Forward")
 	}
-	return tensor.MaxPool2DBackward(grad, m.lastArgmax, m.inC, m.inH, m.inW)
+	m.dx = sized(m.dx, m.lastX)
+	if err := tensor.MaxPool2DBackwardInto(m.dx, grad, m.argmax); err != nil {
+		return nil, err
+	}
+	return m.dx, nil
 }
 
 // Params implements Layer.
@@ -302,9 +222,9 @@ func (m *MaxPool2D) Spec() LayerSpec {
 
 func (m *MaxPool2D) clone() Layer { return &MaxPool2D{size: m.size} }
 
-// Flatten reshapes any input to a vector.
+// Flatten copies any input into a vector.
 type Flatten struct {
-	lastShape []int
+	y, lastX, dx *tensor.Tensor
 }
 
 // NewFlatten constructs a Flatten layer.
@@ -312,16 +232,25 @@ func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	f.lastShape = x.Shape()
-	return x.Reshape(x.Len())
+	if f.y == nil || f.y.Len() != x.Len() {
+		f.y = tensor.New(x.Len())
+	}
+	f.lastX = x
+	copy(f.y.Data(), x.Data())
+	return f.y, nil
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if f.lastShape == nil {
+	if f.lastX == nil {
 		return nil, fmt.Errorf("flatten: Backward before Forward")
 	}
-	return grad.Reshape(f.lastShape...)
+	if grad.Len() != f.lastX.Len() {
+		return nil, fmt.Errorf("flatten: grad %v for input %v", grad.Shape(), f.lastX.Shape())
+	}
+	f.dx = sized(f.dx, f.lastX)
+	copy(f.dx.Data(), grad.Data())
+	return f.dx, nil
 }
 
 // Params implements Layer.
@@ -332,37 +261,63 @@ func (f *Flatten) Spec() LayerSpec { return LayerSpec{Kind: "flatten"} }
 
 func (f *Flatten) clone() Layer { return &Flatten{} }
 
-// ReLU is max(0, x) elementwise.
-type ReLU struct {
-	lastX *tensor.Tensor
+// elementwise holds the workspaces of an activation layer.
+type elementwise struct {
+	y, lastX, dx *tensor.Tensor
 }
+
+// forward sizes the output to x and records x for Backward.
+func (e *elementwise) forward(x *tensor.Tensor) (y, in []float64) {
+	e.y = sized(e.y, x)
+	e.lastX = x
+	return e.y.Data(), x.Data()
+}
+
+// backward sizes the input gradient, or fails if grad cannot be this layer's.
+func (e *elementwise) backward(kind string, grad *tensor.Tensor) (dx, g []float64, err error) {
+	if e.lastX == nil {
+		return nil, nil, fmt.Errorf("%s: Backward before Forward", kind)
+	}
+	if grad.Len() != e.lastX.Len() {
+		return nil, nil, fmt.Errorf("%s: grad %v for input %v", kind, grad.Shape(), e.lastX.Shape())
+	}
+	e.dx = sized(e.dx, e.lastX)
+	return e.dx.Data(), grad.Data(), nil
+}
+
+// ReLU is max(0, x) elementwise.
+type ReLU struct{ elementwise }
 
 // NewReLU constructs a ReLU activation.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	l.lastX = x.Clone()
-	return x.Clone().Apply(func(v float64) float64 {
+	y, in := l.forward(x)
+	for i, v := range in {
 		if v > 0 {
-			return v
+			y[i] = v
+		} else {
+			y[i] = 0
 		}
-		return 0
-	}), nil
+	}
+	return l.y, nil
 }
 
 // Backward implements Layer.
 func (l *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if l.lastX == nil {
-		return nil, fmt.Errorf("relu: Backward before Forward")
+	dx, g, err := l.backward("relu", grad)
+	if err != nil {
+		return nil, err
 	}
-	out := grad.Clone()
 	for i, v := range l.lastX.Data() {
 		if v <= 0 {
-			out.Data()[i] = 0
+			dx[i] = 0
+		} else {
+			dx[i] = g[i]
 		}
 	}
-	return out, nil
+	return l.dx, nil
 }
 
 // Params implements Layer.
@@ -374,30 +329,30 @@ func (l *ReLU) Spec() LayerSpec { return LayerSpec{Kind: "relu"} }
 func (l *ReLU) clone() Layer { return &ReLU{} }
 
 // Tanh is tanh(x) elementwise.
-type Tanh struct {
-	lastY *tensor.Tensor
-}
+type Tanh struct{ elementwise }
 
 // NewTanh constructs a Tanh activation.
 func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward implements Layer.
 func (l *Tanh) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y := x.Clone().Apply(math.Tanh)
-	l.lastY = y.Clone()
-	return y, nil
+	y, in := l.forward(x)
+	for i, v := range in {
+		y[i] = math.Tanh(v)
+	}
+	return l.y, nil
 }
 
 // Backward implements Layer.
 func (l *Tanh) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if l.lastY == nil {
-		return nil, fmt.Errorf("tanh: Backward before Forward")
+	dx, g, err := l.backward("tanh", grad)
+	if err != nil {
+		return nil, err
 	}
-	out := grad.Clone()
-	for i, y := range l.lastY.Data() {
-		out.Data()[i] *= 1 - y*y
+	for i, y := range l.y.Data() {
+		dx[i] = g[i] * (1 - y*y)
 	}
-	return out, nil
+	return l.dx, nil
 }
 
 // Params implements Layer.
@@ -409,30 +364,30 @@ func (l *Tanh) Spec() LayerSpec { return LayerSpec{Kind: "tanh"} }
 func (l *Tanh) clone() Layer { return &Tanh{} }
 
 // Sigmoid is 1/(1+e^-x) elementwise.
-type Sigmoid struct {
-	lastY *tensor.Tensor
-}
+type Sigmoid struct{ elementwise }
 
 // NewSigmoid constructs a Sigmoid activation.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Forward implements Layer.
 func (l *Sigmoid) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y := x.Clone().Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	l.lastY = y.Clone()
-	return y, nil
+	y, in := l.forward(x)
+	for i, v := range in {
+		y[i] = 1 / (1 + math.Exp(-v))
+	}
+	return l.y, nil
 }
 
 // Backward implements Layer.
 func (l *Sigmoid) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if l.lastY == nil {
-		return nil, fmt.Errorf("sigmoid: Backward before Forward")
+	dx, g, err := l.backward("sigmoid", grad)
+	if err != nil {
+		return nil, err
 	}
-	out := grad.Clone()
-	for i, y := range l.lastY.Data() {
-		out.Data()[i] *= y * (1 - y)
+	for i, y := range l.y.Data() {
+		dx[i] = g[i] * (y * (1 - y))
 	}
-	return out, nil
+	return l.dx, nil
 }
 
 // Params implements Layer.
@@ -444,13 +399,19 @@ func (l *Sigmoid) Spec() LayerSpec { return LayerSpec{Kind: "sigmoid"} }
 func (l *Sigmoid) clone() Layer { return &Sigmoid{} }
 
 // Dropout randomly zeroes a fraction p of activations during training and
-// scales the survivors by 1/(1-p) (inverted dropout); it is the identity at
-// inference.
+// scales the survivors by 1/(1-p) (inverted dropout). At inference it is the
+// identity and returns its input itself, so what it returns then lives only
+// as long as that input does.
 type Dropout struct {
-	p        float64
-	r        *rng.Stream
-	active   bool
-	lastMask []float64
+	p      float64
+	r      *rng.Stream
+	active bool
+	// y and mask are the training-mode workspaces; masked records whether
+	// the last Forward dropped anything.
+	y      *tensor.Tensor
+	mask   []float64
+	masked bool
+	dx     *tensor.Tensor
 }
 
 // NewDropout constructs a Dropout layer with drop probability p, drawing
@@ -461,38 +422,42 @@ func NewDropout(p float64, r *rng.Stream) *Dropout {
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if !d.active || d.p <= 0 {
-		d.lastMask = nil
+	d.masked = d.active && d.p > 0
+	if !d.masked {
 		return x, nil
 	}
 	keep := 1 - d.p
-	out := x.Clone()
-	d.lastMask = make([]float64, x.Len())
-	for i := range out.Data() {
+	d.y = sized(d.y, x)
+	if len(d.mask) != x.Len() {
+		d.mask = make([]float64, x.Len())
+	}
+	y := d.y.Data()
+	for i, v := range x.Data() {
 		if d.r.Float64() < d.p {
-			out.Data()[i] = 0
-			d.lastMask[i] = 0
+			y[i] = 0
+			d.mask[i] = 0
 		} else {
-			out.Data()[i] /= keep
-			d.lastMask[i] = 1 / keep
+			y[i] = v / keep
+			d.mask[i] = 1 / keep
 		}
 	}
-	return out, nil
+	return d.y, nil
 }
 
 // Backward implements Layer.
 func (d *Dropout) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if d.lastMask == nil {
+	if !d.masked {
 		return grad, nil
 	}
-	if len(d.lastMask) != grad.Len() {
-		return nil, fmt.Errorf("dropout: grad %v vs mask %d", grad.Shape(), len(d.lastMask))
+	if len(d.mask) != grad.Len() {
+		return nil, fmt.Errorf("dropout: grad %v vs mask %d", grad.Shape(), len(d.mask))
 	}
-	out := grad.Clone()
-	for i := range out.Data() {
-		out.Data()[i] *= d.lastMask[i]
+	d.dx = sized(d.dx, grad)
+	dx := d.dx.Data()
+	for i, g := range grad.Data() {
+		dx[i] = g * d.mask[i]
 	}
-	return out, nil
+	return d.dx, nil
 }
 
 // Params implements Layer.
@@ -503,4 +468,15 @@ func (d *Dropout) Spec() LayerSpec {
 	return LayerSpec{Kind: "dropout", Floats: map[string]float64{"p": d.p}}
 }
 
-func (d *Dropout) clone() Layer { return &Dropout{p: d.p, r: d.r} }
+// clone gives the copy its own mask stream, derived from a snapshot of the
+// original's without advancing it: cloning a shared network concurrently
+// stays read-only, and two clones training side by side never race on (or
+// draw each other's values from) one stream.
+func (d *Dropout) clone() Layer {
+	cp := &Dropout{p: d.p}
+	if d.r != nil {
+		snapshot := *d.r
+		cp.r = snapshot.Split("dropout-clone")
+	}
+	return cp
+}

@@ -10,9 +10,30 @@
 // as the paper describes ("adding noise into the parameters of the machine
 // learning model").
 //
-// Layers process one sample at a time and cache activations for backward;
-// a Network is therefore not safe for concurrent use. Campaign code clones
-// one network per episode goroutine.
+// # Workspaces: who owns which tensor, and for how long
+//
+// Layers process one sample at a time and allocate nothing per call. Every
+// layer owns the tensor its Forward returns (and the one its Backward
+// returns) and overwrites it on its next Forward (Backward): a result is
+// valid until that layer runs again, so a caller that keeps one across
+// calls must Clone it. In the other direction a layer keeps its last input
+// by reference, not by copy, until Backward has used it; the caller must
+// leave that tensor alone in between, which holds by construction inside a
+// Network, where each input is the previous layer's workspace. Workspaces
+// of a fixed geometry (Conv2D, Dense, RNNCell) are sized at construction,
+// the rest on first use or when the input shape changes, and whatever only
+// Backward needs is created by the first Backward, so a network that only
+// ever infers (one clone per campaign episode) never pays for it.
+//
+// A Network is therefore not safe for concurrent use. Clone gives every
+// layer fresh workspaces, never shared ones: campaign code clones one
+// network per episode goroutine.
+//
+// What a layer must never keep is anything derived from its weights: no
+// packed, transposed or otherwise cached copy. The fault injectors rewrite
+// Param.Value in place through VisitParams between two Forward calls, and a
+// cached copy would turn every weight fault into a silent no-op. Forward
+// reads the weights where they are, every time.
 package nn
 
 import (
@@ -35,20 +56,26 @@ type Param struct {
 // zeroGrad clears the gradient accumulator.
 func (p *Param) zeroGrad() { p.Grad.Zero() }
 
-// Layer is one stage of a feed-forward network.
+// Layer is one stage of a feed-forward network. See the package comment for
+// the ownership rules its two passes follow.
 type Layer interface {
-	// Forward consumes the input and returns the output, caching whatever
-	// backward needs.
+	// Forward computes the output into a tensor the layer owns and returns
+	// it: valid until this layer's next Forward, never to be written by the
+	// caller. The layer retains x itself (not a copy) for Backward. The one
+	// layer with nothing to compute, Dropout at inference, returns x.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
-	// Backward consumes dLoss/dOutput and returns dLoss/dInput,
-	// accumulating parameter gradients.
+	// Backward consumes dLoss/dOutput for the last Forward and returns
+	// dLoss/dInput in a tensor the layer owns, valid until this layer's
+	// next Backward, accumulating parameter gradients into Param.Grad. It
+	// retains nothing of grad.
 	Backward(grad *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
 	// Spec returns a serializable description of the layer including its
 	// weights.
 	Spec() LayerSpec
-	// clone returns a deep copy sharing no state.
+	// clone returns a deep copy sharing no state: its own parameters,
+	// fresh workspaces, its own random stream.
 	clone() Layer
 }
 
@@ -136,7 +163,8 @@ func (n *Network) VisitParams(fn func(layer int, name string, value *tensor.Tens
 	}
 }
 
-// Clone returns a deep copy of the network: independent weights and caches.
+// Clone returns a deep copy of the network: independent weights and
+// workspaces.
 // Campaign episodes run on clones so that per-episode weight faults never
 // leak across episodes.
 func (n *Network) Clone() *Network {

@@ -327,6 +327,7 @@ func TestRNNStateEvolvesAndResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	y1 = y1.Clone() // the cell's output buffer is overwritten by the next Forward
 	y2, err := cell.Forward(x.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +340,9 @@ func TestRNNStateEvolvesAndResets(t *testing.T) {
 	}
 	if same {
 		t.Error("RNN output identical across steps; state not evolving")
+	}
+	if &y2.Data()[0] == &cell.State().Data()[0] {
+		t.Error("RNN output aliases the hidden state")
 	}
 
 	cell.ResetState()

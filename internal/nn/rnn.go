@@ -22,8 +22,12 @@ type RNNCell struct {
 	inSize, hiddenSize int
 	wx, wh, b          *Param
 	state              *tensor.Tensor
-	lastX, lastH       *tensor.Tensor
-	lastOut            *tensor.Tensor
+	// y is the output workspace, a buffer apart from state: a caller holding
+	// the output never sees ResetState. hPart is the recurrent half of the
+	// pre-activation, lastH the state the last Forward started from.
+	y, hPart, lastH *tensor.Tensor
+	lastX           *tensor.Tensor // last input, by reference
+	dPre, dx        *tensor.Tensor // created by the first Backward
 }
 
 // NewRNNCell constructs a cell with zeroed weights and state.
@@ -35,6 +39,9 @@ func NewRNNCell(inSize, hiddenSize int) *RNNCell {
 		wh:         newParam("wh", hiddenSize, hiddenSize),
 		b:          newParam("bias", hiddenSize),
 		state:      tensor.New(hiddenSize),
+		y:          tensor.New(hiddenSize),
+		hPart:      tensor.New(hiddenSize),
+		lastH:      tensor.New(hiddenSize),
 	}
 }
 
@@ -62,94 +69,41 @@ func (c *RNNCell) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Len() != c.inSize {
 		return nil, fmt.Errorf("rnn: input %v, want %d values", x.Shape(), c.inSize)
 	}
-	c.lastX = x.Clone()
-	c.lastH = c.state.Clone()
-
-	xRow, err := x.Reshape(1, c.inSize)
-	if err != nil {
-		return nil, err
+	c.lastX = x
+	copy(c.lastH.Data(), c.state.Data())
+	y, hPart, b := c.y.Data(), c.hPart.Data(), c.b.Value.Data()
+	vecMat(y, x.Data(), c.wx.Value.Data())
+	vecMat(hPart, c.lastH.Data(), c.wh.Value.Data())
+	for j := range y {
+		y[j] = math.Tanh(y[j] + hPart[j] + b[j])
 	}
-	hRow, err := c.state.Reshape(1, c.hiddenSize)
-	if err != nil {
-		return nil, err
-	}
-	xPart, err := tensor.MatMul(xRow, c.wx.Value)
-	if err != nil {
-		return nil, err
-	}
-	hPart, err := tensor.MatMul(hRow, c.wh.Value)
-	if err != nil {
-		return nil, err
-	}
-	if err := xPart.AddInPlace(hPart); err != nil {
-		return nil, err
-	}
-	if err := xPart.AddRowVec(c.b.Value); err != nil {
-		return nil, err
-	}
-	out, err := xPart.Reshape(c.hiddenSize)
-	if err != nil {
-		return nil, err
-	}
-	out.Apply(math.Tanh)
-	c.state = out.Clone()
-	c.lastOut = out.Clone()
-	return out, nil
+	copy(c.state.Data(), y)
+	return c.y, nil
 }
 
 // Backward implements Layer (truncated to one step).
 func (c *RNNCell) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.lastOut == nil {
+	if c.lastX == nil {
 		return nil, fmt.Errorf("rnn: Backward before Forward")
 	}
 	if grad.Len() != c.hiddenSize {
 		return nil, fmt.Errorf("rnn: grad %v, want %d values", grad.Shape(), c.hiddenSize)
 	}
+	if c.dx == nil {
+		c.dPre = tensor.New(c.hiddenSize)
+		c.dx = tensor.New(c.inSize)
+	}
 	// dPre = grad * (1 - out^2)
-	dPre := grad.Clone()
-	for i, y := range c.lastOut.Data() {
-		dPre.Data()[i] *= 1 - y*y
+	dPre := c.dPre.Data()
+	for i, y := range c.y.Data() {
+		dPre[i] = grad.Data()[i] * (1 - y*y)
 	}
-	dPreRow, err := dPre.Reshape(1, c.hiddenSize)
-	if err != nil {
-		return nil, err
-	}
-	xRow, err := c.lastX.Reshape(1, c.inSize)
-	if err != nil {
-		return nil, err
-	}
-	hRow, err := c.lastH.Reshape(1, c.hiddenSize)
-	if err != nil {
-		return nil, err
-	}
-	// dWx = x^T dPre ; dWh = h^T dPre ; db = dPre
-	dwx, err := tensor.MatMulTransA(xRow, dPreRow)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.wx.Grad.AddInPlace(dwx); err != nil {
-		return nil, err
-	}
-	dwh, err := tensor.MatMulTransA(hRow, dPreRow)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.wh.Grad.AddInPlace(dwh); err != nil {
-		return nil, err
-	}
-	dbFlat, err := dPreRow.Reshape(c.hiddenSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.b.Grad.AddInPlace(dbFlat); err != nil {
-		return nil, err
-	}
-	// dx = dPre Wx^T
-	dx, err := tensor.MatMulTransB(dPreRow, c.wx.Value)
-	if err != nil {
-		return nil, err
-	}
-	return dx.Reshape(c.inSize)
+	// dWx = x^T dPre ; dWh = h^T dPre ; db = dPre ; dx = dPre Wx^T
+	addOuter(c.wx.Grad.Data(), c.lastX.Data(), dPre)
+	addOuter(c.wh.Grad.Data(), c.lastH.Data(), dPre)
+	addTo(c.b.Grad.Data(), dPre)
+	matVec(c.dx.Data(), c.wx.Value.Data(), dPre)
+	return c.dx, nil
 }
 
 // Params implements Layer.
@@ -174,5 +128,8 @@ func (c *RNNCell) clone() Layer {
 		wh:         cloneParam(c.wh),
 		b:          cloneParam(c.b),
 		state:      c.state.Clone(),
+		y:          tensor.New(c.hiddenSize),
+		hPart:      tensor.New(c.hiddenSize),
+		lastH:      tensor.New(c.hiddenSize),
 	}
 }

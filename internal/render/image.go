@@ -108,14 +108,29 @@ func (im *Image) AppendBytes(dst []byte) []byte {
 	return dst
 }
 
-// ImageFromBytes reconstructs an image from ToBytes output.
-func ImageFromBytes(w, h int, data []byte) (*Image, error) {
-	if len(data) != Channels*w*h {
-		return nil, fmt.Errorf("render: %d bytes for %dx%d image, want %d", len(data), w, h, Channels*w*h)
+// SetBytes overwrites the image with the w×h frame in data (ToBytes
+// output), reusing Pix when it is large enough: the allocation-free form of
+// ImageFromBytes for frame loops that keep one image. On error the image is
+// unchanged.
+func (im *Image) SetBytes(w, h int, data []byte) error {
+	if w < 0 || h < 0 || len(data) != Channels*w*h {
+		return fmt.Errorf("render: %d bytes for %dx%d image, want %d", len(data), w, h, Channels*w*h)
 	}
-	im := NewImage(w, h)
+	if cap(im.Pix) < len(data) {
+		im.Pix = make([]float64, len(data))
+	}
+	im.W, im.H, im.Pix = w, h, im.Pix[:len(data)]
 	for i, b := range data {
 		im.Pix[i] = float64(b) / 255
+	}
+	return nil
+}
+
+// ImageFromBytes reconstructs an image from ToBytes output.
+func ImageFromBytes(w, h int, data []byte) (*Image, error) {
+	im := &Image{}
+	if err := im.SetBytes(w, h, data); err != nil {
+		return nil, err
 	}
 	return im, nil
 }

@@ -130,9 +130,10 @@ type FaultedDriver struct {
 	// Rand supplies the episode's fault-injection randomness.
 	Rand *rng.Stream
 
-	// lidarScratch is the reused per-frame copy of the scan handed to
-	// lidar injectors, so the frame's own payload stays pristine without
-	// allocating on every Drive call.
+	// img and lidarScratch are the reused per-frame decode of the camera
+	// payload and copy of the scan handed to the injectors, so the frame's
+	// own payload stays pristine without allocating on every Drive call.
+	img          render.Image
 	lidarScratch []float64
 }
 
@@ -164,8 +165,8 @@ func (d *FaultedDriver) Reset() {
 // Drive implements Driver: decode sensors, apply input faults, run the
 // network, apply output and timing faults.
 func (d *FaultedDriver) Drive(frame *proto.SensorFrame) (physics.Control, error) {
-	img, err := render.ImageFromBytes(int(frame.ImageW), int(frame.ImageH), frame.Pixels)
-	if err != nil {
+	img := &d.img
+	if err := img.SetBytes(int(frame.ImageW), int(frame.ImageH), frame.Pixels); err != nil {
 		return physics.Control{}, err
 	}
 	speed := frame.Speed

@@ -10,91 +10,22 @@ func Conv2DShape(h, w, kh, kw, stride, pad int) (oh, ow int) {
 	return oh, ow
 }
 
-// Im2Col unrolls an input image tensor of shape (C, H, W) into a matrix of
-// shape (OH*OW, C*KH*KW) whose rows are flattened receptive fields, so that
-// convolution becomes a single matmul with the (C*KH*KW, OutC) filter
-// matrix. Out-of-bounds (padding) samples read as zero.
-func Im2Col(img *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
+// MaxPool2DInto applies max pooling with a square window and equal stride
+// over a (C, H, W) tensor, writing the pooled values into out, shaped
+// (C, H/size, W/size), and into argmax, one entry per output element, the
+// index into img's flat storage of the maximum that backprop needs.
+func MaxPool2DInto(out *Tensor, argmax []int, img *Tensor, size int) error {
 	if img.Dims() != 3 {
-		return nil, fmt.Errorf("%w: im2col input %v, want (C,H,W)", ErrShape, img.Shape())
-	}
-	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
-	oh, ow := Conv2DShape(h, w, kh, kw, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("%w: im2col output %dx%d for input %v", ErrShape, oh, ow, img.Shape())
-	}
-	cols := New(oh*ow, c*kh*kw)
-	row := 0
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			dst := cols.data[row*c*kh*kw : (row+1)*c*kh*kw]
-			di := 0
-			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - pad
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - pad
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							dst[di] = img.data[base+iy*w+ix]
-						}
-						di++
-					}
-				}
-			}
-			row++
-		}
-	}
-	return cols, nil
-}
-
-// Col2Im scatters a (OH*OW, C*KH*KW) gradient matrix back into an image
-// gradient of shape (C, H, W) — the adjoint of Im2Col. Overlapping
-// receptive fields accumulate.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
-	oh, ow := Conv2DShape(h, w, kh, kw, stride, pad)
-	if cols.Dims() != 2 || cols.Dim(0) != oh*ow || cols.Dim(1) != c*kh*kw {
-		return nil, fmt.Errorf("%w: col2im input %v, want (%d,%d)", ErrShape, cols.Shape(), oh*ow, c*kh*kw)
-	}
-	img := New(c, h, w)
-	row := 0
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			src := cols.data[row*c*kh*kw : (row+1)*c*kh*kw]
-			si := 0
-			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - pad
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - pad
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							img.data[base+iy*w+ix] += src[si]
-						}
-						si++
-					}
-				}
-			}
-			row++
-		}
-	}
-	return img, nil
-}
-
-// MaxPool2D applies max pooling with a square window and equal stride over a
-// (C, H, W) tensor. It returns the pooled tensor and the argmax indices
-// (into the input's flat storage) needed for backprop.
-func MaxPool2D(img *Tensor, size int) (out *Tensor, argmax []int, err error) {
-	if img.Dims() != 3 {
-		return nil, nil, fmt.Errorf("%w: maxpool input %v, want (C,H,W)", ErrShape, img.Shape())
+		return fmt.Errorf("%w: maxpool input %v, want (C,H,W)", ErrShape, img.Shape())
 	}
 	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
 	oh, ow := h/size, w/size
 	if oh == 0 || ow == 0 {
-		return nil, nil, fmt.Errorf("%w: maxpool window %d too large for %v", ErrShape, size, img.Shape())
+		return fmt.Errorf("%w: maxpool window %d too large for %v", ErrShape, size, img.Shape())
 	}
-	out = New(c, oh, ow)
-	argmax = make([]int, c*oh*ow)
+	if out.Dims() != 3 || out.Dim(0) != c || out.Dim(1) != oh || out.Dim(2) != ow || len(argmax) != len(out.data) {
+		return fmt.Errorf("%w: maxpool output %v with %d argmax for input %v", ErrShape, out.Shape(), len(argmax), img.Shape())
+	}
 	oi := 0
 	for ch := 0; ch < c; ch++ {
 		base := ch * h * w
@@ -116,18 +47,18 @@ func MaxPool2D(img *Tensor, size int) (out *Tensor, argmax []int, err error) {
 			}
 		}
 	}
-	return out, argmax, nil
+	return nil
 }
 
-// MaxPool2DBackward scatters the pooled gradient back through the argmax
-// indices into an input-shaped gradient.
-func MaxPool2DBackward(grad *Tensor, argmax []int, c, h, w int) (*Tensor, error) {
+// MaxPool2DBackwardInto scatters the pooled gradient back through the argmax
+// indices into dst, the input-shaped gradient, overwriting it.
+func MaxPool2DBackwardInto(dst, grad *Tensor, argmax []int) error {
 	if grad.Len() != len(argmax) {
-		return nil, fmt.Errorf("%w: pool backward grad %v vs %d argmax", ErrShape, grad.Shape(), len(argmax))
+		return fmt.Errorf("%w: pool backward grad %v vs %d argmax", ErrShape, grad.Shape(), len(argmax))
 	}
-	out := New(c, h, w)
+	dst.Zero()
 	for i, idx := range argmax {
-		out.data[idx] += grad.data[i]
+		dst.data[idx] += grad.data[i]
 	}
-	return out, nil
+	return nil
 }

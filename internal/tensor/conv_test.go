@@ -186,8 +186,8 @@ func TestMaxPool2D(t *testing.T) {
 		9, 1, 2, 3,
 		1, 1, 4, 0,
 	}, 1, 4, 4)
-	out, argmax, err := MaxPool2D(img, 2)
-	if err != nil {
+	out, argmax := New(1, 2, 2), make([]int, 4)
+	if err := MaxPool2DInto(out, argmax, img, 2); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{4, 8, 9, 4}
@@ -198,8 +198,9 @@ func TestMaxPool2D(t *testing.T) {
 	}
 	// Backward: gradient lands at the argmax positions.
 	grad := MustFromSlice([]float64{10, 20, 30, 40}, 1, 2, 2)
-	back, err := MaxPool2DBackward(grad, argmax, 1, 4, 4)
-	if err != nil {
+	back := New(1, 4, 4)
+	back.Fill(7) // stale contents of a reused buffer must not leak through
+	if err := MaxPool2DBackwardInto(back, grad, argmax); err != nil {
 		t.Fatal(err)
 	}
 	if back.At(0, 1, 1) != 10 { // where 4 was
@@ -221,13 +222,16 @@ func TestMaxPool2D(t *testing.T) {
 }
 
 func TestMaxPoolErrors(t *testing.T) {
-	if _, _, err := MaxPool2D(New(4, 4), 2); err == nil {
+	if err := MaxPool2DInto(New(2, 2), make([]int, 4), New(4, 4), 2); err == nil {
 		t.Error("2-d pool input did not error")
 	}
-	if _, _, err := MaxPool2D(New(1, 2, 2), 4); err == nil {
+	if err := MaxPool2DInto(New(1, 1, 1), make([]int, 1), New(1, 2, 2), 4); err == nil {
 		t.Error("oversized pool window did not error")
 	}
-	if _, err := MaxPool2DBackward(New(1, 2, 2), make([]int, 3), 1, 4, 4); err == nil {
+	if err := MaxPool2DInto(New(1, 2, 2), make([]int, 4), New(1, 4, 6), 2); err == nil {
+		t.Error("wrongly sized pool output did not error")
+	}
+	if err := MaxPool2DBackwardInto(New(1, 4, 4), New(1, 2, 2), make([]int, 3)); err == nil {
 		t.Error("mismatched argmax did not error")
 	}
 }

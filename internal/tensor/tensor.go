@@ -1,9 +1,10 @@
 // Package tensor implements the dense numeric arrays underlying the AVFI
 // driving agent's neural network (the stand-in for the paper's
 // imitation-learning CNN). Tensors are row-major float64 with explicit
-// shapes; the package provides exactly the operations the nn package needs:
-// matmul, broadcast bias addition, elementwise maps, im2col-based 2D
-// convolution, and max pooling.
+// shapes. The package is the storage: shape bookkeeping, in-place
+// elementwise updates, finiteness checks, gob encoding and max pooling. The
+// arithmetic of the layers lives in internal/nn, which writes into tensors
+// it owns and allocates nothing per call.
 //
 // The deliberate float64 choice matters for fault injection: the hardware
 // and ML fault models in internal/fault flip bits in these values directly
@@ -86,18 +87,6 @@ func (t *Tensor) Clone() *Tensor {
 	}
 }
 
-// Reshape returns a view with a new shape of equal volume. Storage is shared.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
-		return nil, fmt.Errorf("%w: reshape %v to %v", ErrShape, t.shape, shape)
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}, nil
-}
-
 // At returns the element at the given indices.
 func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
 
@@ -141,156 +130,12 @@ func (t *Tensor) Fill(v float64) {
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
 
-// Apply maps f over every element in place and returns t.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-	return t
-}
-
-// AddInPlace accumulates o into t elementwise.
-func (t *Tensor) AddInPlace(o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("%w: add %v + %v", ErrShape, t.shape, o.shape)
-	}
-	for i := range t.data {
-		t.data[i] += o.data[i]
-	}
-	return nil
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	for i := range t.data {
 		t.data[i] *= s
 	}
 	return t
-}
-
-// Add returns t + o elementwise.
-func Add(t, o *Tensor) (*Tensor, error) {
-	out := t.Clone()
-	if err := out.AddInPlace(o); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Mul returns the elementwise (Hadamard) product.
-func Mul(t, o *Tensor) (*Tensor, error) {
-	if !t.SameShape(o) {
-		return nil, fmt.Errorf("%w: mul %v * %v", ErrShape, t.shape, o.shape)
-	}
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] *= o.data[i]
-	}
-	return out, nil
-}
-
-// MatMul multiplies a (m,k) tensor by a (k,n) tensor.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Dims() != 2 || b.Dims() != 2 || a.shape[1] != b.shape[0] {
-		return nil, fmt.Errorf("%w: matmul %v x %v", ErrShape, a.shape, b.shape)
-	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	out := New(m, n)
-	// ikj loop order for cache-friendly access of b's rows.
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[kk*n : (kk+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MatMulTransB multiplies a (m,k) by the transpose of b (n,k), yielding (m,n).
-// Backprop through Dense layers needs this without materializing transposes.
-func MatMulTransB(a, b *Tensor) (*Tensor, error) {
-	if a.Dims() != 2 || b.Dims() != 2 || a.shape[1] != b.shape[1] {
-		return nil, fmt.Errorf("%w: matmulTB %v x %v^T", ErrShape, a.shape, b.shape)
-	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			var sum float64
-			for kk := 0; kk < k; kk++ {
-				sum += arow[kk] * brow[kk]
-			}
-			orow[j] = sum
-		}
-	}
-	return out, nil
-}
-
-// MatMulTransA multiplies the transpose of a (k,m) by b (k,n), yielding (m,n).
-func MatMulTransA(a, b *Tensor) (*Tensor, error) {
-	if a.Dims() != 2 || b.Dims() != 2 || a.shape[0] != b.shape[0] {
-		return nil, fmt.Errorf("%w: matmulTA %v^T x %v", ErrShape, a.shape, b.shape)
-	}
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	out := New(m, n)
-	for kk := 0; kk < k; kk++ {
-		arow := a.data[kk*m : (kk+1)*m]
-		brow := b.data[kk*n : (kk+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// AddRowVec adds a (n,) bias vector to every row of a (m,n) tensor, in place.
-func (t *Tensor) AddRowVec(bias *Tensor) error {
-	if t.Dims() != 2 || bias.Dims() != 1 || bias.shape[0] != t.shape[1] {
-		return fmt.Errorf("%w: addRowVec %v + %v", ErrShape, t.shape, bias.shape)
-	}
-	m, n := t.shape[0], t.shape[1]
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] += bias.data[j]
-		}
-	}
-	return nil
-}
-
-// SumRows returns the column sums of a (m,n) tensor as an (n,) vector; used
-// for bias gradients.
-func SumRows(t *Tensor) (*Tensor, error) {
-	if t.Dims() != 2 {
-		return nil, fmt.Errorf("%w: sumRows of %v", ErrShape, t.shape)
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n)
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			out.data[j] += row[j]
-		}
-	}
-	return out, nil
 }
 
 // MaxAbs returns the largest absolute element value (0 for empty tensors);

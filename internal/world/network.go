@@ -37,7 +37,9 @@ type Network struct {
 	SidewalkWidth float64
 
 	nodes []Node
-	adj   map[NodeID][]NodeID
+	// adj is indexed by NodeID (ids are dense): InIntersection reads it for
+	// every ground pixel the renderer classifies.
+	adj [][]NodeID
 	// segs caches one geom.Segment per undirected edge for geometric
 	// queries, deduplicated with A < B.
 	segs []edgeSeg
@@ -53,7 +55,6 @@ func NewNetwork(laneWidth, sidewalkWidth float64) *Network {
 	return &Network{
 		LaneWidth:     laneWidth,
 		SidewalkWidth: sidewalkWidth,
-		adj:           make(map[NodeID][]NodeID),
 	}
 }
 
@@ -61,6 +62,7 @@ func NewNetwork(laneWidth, sidewalkWidth float64) *Network {
 func (n *Network) AddNode(pos geom.Vec) NodeID {
 	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, Node{ID: id, Pos: pos})
+	n.adj = append(n.adj, nil)
 	return id
 }
 
