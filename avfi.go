@@ -15,9 +15,8 @@
 //     (bit flips, stuck-at), timing (delay/drop/reorder on the control
 //     path) and machine-learning (weight noise and bit flips);
 //   - a sharded pool of persistent, session-multiplexed simulation
-//     engines: a campaign runs over one server connection per engine
-//     (and, over TCP, one listener each), with concurrent episodes
-//     interleaved as protocol sessions, least-loaded dispatch across
+//     engines: a campaign runs over one server connection per engine,
+//     with concurrent episodes interleaved as protocol sessions, least-loaded dispatch across
 //     engines (CampaignConfig.Pool), bounded retry of transient episode
 //     failures, and replacement of dead backends;
 //   - a streaming results pipeline: episode records flow through
@@ -36,9 +35,9 @@
 //     (the exhaustive baseline), SuccessiveHalving (prunes low-risk cells)
 //     and UCB (bandit-style exploration) — all deterministic given the
 //     campaign seed;
-//   - campaign resume: LoadRecordsJSONL turns a partial JSONL episode log
-//     back into records, and CampaignConfig.Resume seeds a new run with
-//     them, skipping every (cell, mission, repetition) already recorded;
+//   - campaign resume: OpenRecordsPath streams a partial episode log (or
+//     shard directory), and CampaignConfig.ResumeFrom seeds a new run with
+//     it, skipping every (cell, mission, repetition) already recorded;
 //   - a distributed fleet mode: SimWorker serves episodes to remote
 //     campaigns (avfi -serve), PoolConfig.Backends dials a fleet of
 //     workers round-robin with retry and dead-worker replacement, and
@@ -534,13 +533,11 @@ func SniffRecordFormat(prefix []byte) RecordFormat {
 // whose PoolConfig.Backends lists the worker's address produces results
 // bit-identical to an in-process run, provided the worker's world
 // configuration matches the campaign's. The worker announces that
-// configuration's fingerprint in its capability hello, so a mismatched
-// campaign (or CampaignService) rejects the pairing at dial time instead
-// of silently producing divergent results.
+// configuration's fingerprint in its hello, so a mismatched campaign (or
+// CampaignService) rejects the pairing at dial time instead of silently
+// producing divergent results.
 func NewSimWorker(w *World) *SimWorker {
-	wk := simserver.NewWorker(simserver.WorldFactory(w))
-	wk.SetWorldHash(w.Config().Hash())
-	return wk
+	return simserver.NewWorker(simserver.WorldFactory(w), w.Config().Hash())
 }
 
 // ShardLogName names shard i's JSONL record log inside a sharded
@@ -554,7 +551,8 @@ func BinaryShardLogName(i int) string { return campaign.BinaryShardLogName(i) }
 // LoadRecordsDir reads every shard log (records-*.jsonl and
 // records-*.bin, format auto-detected per file) in a sharded record
 // directory, in the canonical campaign order — the directory counterpart
-// of LoadRecordsJSONL for CampaignConfig.Resume.
+// of LoadRecords. To resume a campaign from the directory, stream it with
+// OpenRecordsPath instead.
 func LoadRecordsDir(dir string) ([]EpisodeRecord, error) {
 	return campaign.LoadRecordsDir(dir)
 }
@@ -580,8 +578,8 @@ func MergeRecords(w io.Writer, format RecordFormat, sources ...io.Reader) (int, 
 // streams its records, a directory streams every shard log it holds, one
 // file descriptor and one record of memory at a time. Format is
 // auto-detected per file. Set the stream as CampaignConfig.ResumeFrom to
-// resume a campaign of any size in O(1) memory, and Close it after the
-// run.
+// resume a campaign of any size in O(1) memory — the first Run consumes
+// it — and Close it after the run.
 func OpenRecordsPath(path string) (*RecordStream, error) {
 	return campaign.OpenRecordsPath(path)
 }
@@ -603,9 +601,9 @@ func CompleteBinaryPrefixLen(r io.Reader) (int64, error) {
 
 // LoadRecordsJSONL reads the episode records of a JSONL record sink — the
 // durable log of a partial campaign. A truncated final line (crash
-// mid-write) is tolerated and dropped. Feed the result to
-// CampaignConfig.Resume to continue the campaign without re-running
-// recorded episodes.
+// mid-write) is tolerated and dropped. To continue the campaign without
+// re-running recorded episodes, stream the log with OpenRecordsPath into
+// CampaignConfig.ResumeFrom instead.
 func LoadRecordsJSONL(r io.Reader) ([]EpisodeRecord, error) {
 	return campaign.LoadRecordsJSONL(r)
 }

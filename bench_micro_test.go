@@ -159,10 +159,12 @@ func BenchmarkCodecSensorFrame(b *testing.B) {
 		Frame: 1, ImageW: 64, ImageH: 48, Pixels: img.ToBytes(),
 		Speed: 5, GPSX: 100, GPSY: 200, Command: 1,
 	}
+	var buf []byte
+	var out proto.SensorFrame
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := proto.EncodeSensorFrame(frame)
-		if _, err := proto.DecodeSensorFrame(buf); err != nil {
+		buf = proto.AppendSensorFrame(buf[:0], frame)
+		if err := proto.DecodeSensorFrameInto(buf, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 //	avfi -injectors noinject,gaussian,outputdelay -missions 6 -reps 2
 //	avfi -injectors all -records-csv records.csv -reports-csv reports.csv
 //	avfi -injectors taxonomy,class:comm -matrix -activations 0,30
-//	avfi -agent model.avfi -tcp -seed 7
+//	avfi -agent model.avfi -seed 7
 //	avfi -matrix -weathers clear,rain -densities 0x0,8x4 -aeb both
 //	avfi -engines 4 -retries 2 -stream-records records.jsonl
 //	avfi -matrix -weathers clear,rain,fog -adaptive -policy ucb -budget 256
@@ -37,12 +37,12 @@
 // -activations and -injectors is swept as its own campaign column. All
 // episodes ride a pool of persistent session-multiplexed engines — one
 // connection per engine (-engines, default 1 in-process, one per backend
-// with -backends; and, with -tcp, one listener each) for the entire
-// campaign, with least-loaded dispatch, bounded episode retry (-retries)
-// and replacement of dead backends. Results are identical at any pool size
-// for the same seed. -stream-records streams every episode to a record log
-// as it completes; given a directory (trailing slash, or an existing
-// directory) it shards the stream instead — one log per engine slot,
+// with -backends) for the entire campaign, with least-loaded dispatch,
+// bounded episode retry (-retries) and replacement of dead backends.
+// Results are identical at any pool size for the same seed.
+// -stream-records streams every episode to a record log as it completes;
+// given a directory (trailing slash, or an existing directory) it shards
+// the stream instead — one log per engine slot,
 // written by independent aggregation goroutines, mergeable back into the
 // canonical single log with avfi-records (or MergeRecords). Fresh runs
 // write the compact binary record format by default; -record-format jsonl
@@ -116,7 +116,6 @@ func run(ctx context.Context) error {
 		densities  = flag.String("densities", "0x0", "matrix traffic densities as NPCSxPEDS pairs, e.g. 0x0,8x4")
 		aebMode    = flag.String("aeb", "off", "matrix AEB levels: off|on|both")
 		activation = flag.String("activations", "0", "matrix fault-activation frames, comma-separated")
-		useTCP     = flag.Bool("tcp", false, "run episodes over loopback TCP instead of in-process pipes")
 		seed       = flag.Uint64("seed", 1, "campaign seed (results are a pure function of it)")
 		agentPath  = flag.String("agent", "", "load a trained agent from this file (default: train in-process)")
 		recordsCSV = flag.String("records-csv", "", "write per-episode records CSV here")
@@ -136,7 +135,6 @@ func run(ctx context.Context) error {
 		joinURL    = flag.String("join", "", "with -serve: announce this worker to a campaign service at this base URL (e.g. http://host:8080), retrying until the service is up")
 		svcAddr    = flag.String("service", "", "run as a long-lived campaign service on this address (e.g. :8080): workers announce via POST /workers, campaigns submit via POST /campaigns, all sharing /metrics and /statusz")
 		backends   = flag.String("backends", "", "comma-separated remote worker addresses; the campaign dials these instead of spawning in-process engines")
-		fullFrames = flag.Bool("full-frames", false, "disable delta-encoded sensor frames (diagnostic; results are bit-identical either way)")
 		statusAddr = flag.String("status-addr", "", "serve live observability on this address (e.g. :6060): /metrics, /statusz, /healthz, /debug/pprof — for campaigns and -serve workers alike")
 		verbose    = flag.Bool("v", false, "verbose logging (episode retries, engine lifecycle); default logs warnings only")
 		slowEp     = flag.Duration("slow-episode", 2*time.Minute, "log a warning for episodes slower than this (0 disables)")
@@ -222,9 +220,8 @@ func run(ctx context.Context) error {
 		NumNPCs:        *npcs,
 		NumPedestrians: *peds,
 		Weather:        w,
-		UseTCP:         *useTCP,
 		Parallelism:    *parallel,
-		Pool:           avfi.PoolConfig{Engines: *engines, MaxRetries: *retries, Backends: backendList, FullFrames: *fullFrames},
+		Pool:           avfi.PoolConfig{Engines: *engines, MaxRetries: *retries, Backends: backendList},
 		SlowEpisode:    *slowEp,
 		Seed:           *seed,
 	}

@@ -30,8 +30,8 @@ type AdaptiveConfig struct {
 	// (see internal/adaptive: Uniform, SuccessiveHalving, UCB).
 	Policy adaptive.Policy
 	// Budget is the total number of fresh episodes to run; episodes seeded
-	// via Config.Resume don't count against it. 0, or anything beyond the
-	// campaign's remaining grid, means the full remaining grid.
+	// via Config.ResumeFrom don't count against it. 0, or anything beyond
+	// the campaign's remaining grid, means the full remaining grid.
 	Budget int
 	// RoundSize is how many episodes each plan->observe->reallocate round
 	// dispatches. 0 picks a default: one episode per cell or an eighth of

@@ -1,22 +1,22 @@
 // Package campaign orchestrates AVFI fault-injection campaigns on a
 // sharded pool of persistent, session-multiplexed simulation engines: each
 // engine is one simserver.Server and one simclient.Client sharing a single
-// transport.Conn (and, over TCP, a single listener) for the whole campaign,
-// and a worker pool opens episodes as protocol sessions on the least-loaded
-// engine — episode dispatch is O(1) in connections and throughput shards
-// across PoolConfig.Engines backends, the shape million-episode resilience
-// sweeps need. Finished episodes stream through a results pipeline
-// (incremental per-cell aggregation plus an optional RecordSink), so a
-// campaign can shrink per-episode retention to a small fixed-size
-// statistics digest instead of full records (Config.DiscardRecords).
+// transport.Conn for the whole campaign, and a worker pool opens episodes
+// as protocol sessions on the least-loaded engine — episode dispatch is
+// O(1) in connections and throughput shards across PoolConfig.Engines
+// backends, the shape million-episode resilience sweeps need. Finished
+// episodes stream through a results pipeline (incremental per-cell
+// aggregation plus an optional RecordSink), so a campaign can shrink
+// per-episode retention to a small fixed-size statistics digest instead of
+// full records (Config.DiscardRecords).
 //
 // Scenarios come from either the classic flat grid (injectors x missions x
 // repetitions) or a ScenarioMatrix crossing weather, traffic density, AEB
 // and windowed fault activation with the injector columns. Either way a
 // campaign is a pure function of its configuration: missions, episode seeds
 // and injector randomness all derive from Config.Seed, so every figure in
-// EXPERIMENTS.md regenerates bit-identically — at any pool size, on either
-// transport, with or without streaming.
+// EXPERIMENTS.md regenerates bit-identically — at any pool size, in-process
+// or on remote workers, with or without streaming.
 package campaign
 
 import (
@@ -82,8 +82,6 @@ type Config struct {
 	// EnableAEB installs the independent emergency-braking safety monitor
 	// in every episode's client stack.
 	EnableAEB bool
-	// UseTCP runs episodes over loopback TCP instead of the in-proc pipe.
-	UseTCP bool
 	// Parallelism bounds concurrent episodes (0 = NumCPU).
 	Parallelism int
 	// Pool shards the campaign across persistent engines and bounds
@@ -116,24 +114,20 @@ type Config struct {
 	// ProgressV2, when non-nil, is called at the same points as Progress
 	// (and under the same concurrency contract) with the full per-cell
 	// running aggregate — violation tallies alongside the Welford VPK
-	// statistics. Both hooks may be set; episodes seeded via Resume fire
-	// neither.
+	// statistics. Both hooks may be set; episodes seeded via ResumeFrom
+	// fire neither.
 	ProgressV2 func(CellProgress)
-	// Resume seeds the campaign with episodes recorded by a prior partial
-	// run, already materialized in memory (e.g. via LoadRecordsJSONL).
-	// Their (cell, mission, repetition) slots are not re-dispatched; their
-	// records are folded into reports — and retained, unless
-	// DiscardRecords — but not re-sent to Sink, and adaptive posteriors
-	// start from them. Records for columns or slots outside this
+	// ResumeFrom seeds the campaign with episodes recorded by a prior
+	// partial run. Their (cell, mission, repetition) slots are not
+	// re-dispatched; their records are folded into reports — and retained,
+	// unless DiscardRecords — but not re-sent to Sink, and adaptive
+	// posteriors start from them. Records for columns or slots outside this
 	// campaign's grid are ignored; duplicate slots keep the first record.
-	// Prefer ResumeFrom for large logs.
-	Resume []metrics.EpisodeRecord
-	// ResumeFrom streams resume records instead of materializing them:
-	// same semantics as Resume, but the records are read one at a time
-	// (typically from OpenRecordsPath over a log file or shard directory),
-	// so with DiscardRecords resume memory is O(1) in campaign size — the
-	// skip set tracks only slot keys, never records. Mutually exclusive
-	// with Resume. The runner drains the source before dispatching; the
+	// The records are read one at a time (typically from OpenRecordsPath
+	// over a log file or shard directory), so with DiscardRecords resume
+	// memory is O(1) in campaign size — the skip set tracks only slot keys,
+	// never records. The first Run drains the source before dispatching: a
+	// second Run of the same Runner finds it empty and resumes nothing. The
 	// caller still owns any underlying files (see RecordStream.Close).
 	ResumeFrom RecordSource
 	// SlowEpisode, when positive, is the wall-clock duration above which a
@@ -230,9 +224,6 @@ func (c Config) Validate() error {
 	if c.Sink != nil && len(c.ShardSinks) > 0 {
 		return fmt.Errorf("campaign: Sink and ShardSinks are mutually exclusive")
 	}
-	if len(c.Resume) > 0 && c.ResumeFrom != nil {
-		return fmt.Errorf("campaign: Resume and ResumeFrom are mutually exclusive")
-	}
 	for i, s := range c.ShardSinks {
 		if s == nil {
 			return fmt.Errorf("campaign: shard sink %d is nil", i)
@@ -266,15 +257,15 @@ type EngineStats struct {
 	// Engine is the engine's slot index in the pool (0 for single-engine
 	// campaigns and for the pool aggregate).
 	Engine int
-	// Transport is "pipe", "tcp", or "remote" (a dialed Backends worker).
+	// Transport is "pipe" or "remote" (a dialed Backends worker).
 	Transport string
 	// Backend is the remote worker address serving this engine slot (""
 	// for in-process engines).
 	Backend string `json:",omitempty"`
 	// Episodes is how many sessions the engine ran to completion, counted
 	// at the client end of the connection (the same for in-process and
-	// remote engines): an episode counts when its EpisodeEnd reaches the
-	// client. Sessions aborted by factory failures, overflow drops or a
+	// remote engines): an episode counts when its EpisodeResult reaches
+	// the client. Sessions aborted by factory failures, overflow drops or a
 	// dying connection are excluded, so under retry the pool aggregate
 	// matches the campaign's episode count.
 	Episodes int
@@ -485,21 +476,13 @@ func (r *Runner) runEpisode(eng *engine, j job) (metrics.EpisodeRecord, error) {
 		NumNPCs:        uint16(cell.npcs),
 		NumPedestrians: uint16(cell.peds),
 	}
-	// Full results ride the wire (WantResult), so this path is identical
-	// for in-process and remote engines; the server-side stash is only a
-	// fallback against a backend predating the EpisodeResult message.
-	sid, wres, _, err := eng.client.RunEpisodeResult(open, driver)
+	// The full result rides the wire, so this path is identical for
+	// in-process and remote engines.
+	wres, err := eng.client.RunEpisode(open, driver)
 	if err != nil {
 		return metrics.EpisodeRecord{}, fmt.Errorf("campaign: %s m%d r%d: %w", cell.key, j.mission, j.repetition, err)
 	}
-	var res sim.Result
-	if wres != nil {
-		res = simclient.SimResult(wres)
-	} else if stashed, ok := eng.stashedResult(sid); ok {
-		res = stashed
-	} else {
-		return metrics.EpisodeRecord{}, fmt.Errorf("campaign: %s m%d r%d: session %d: %w", cell.key, j.mission, j.repetition, sid, errNoResult)
-	}
+	res := simclient.SimResult(wres)
 	dur := time.Since(start)
 	telemetry.CampaignEpisodes.Inc()
 	telemetry.EpisodeSeconds.Observe(dur.Seconds())

@@ -152,7 +152,8 @@ func TestCampaignOverTCP(t *testing.T) {
 	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
 	cfg.Missions = 1
 	cfg.Repetitions = 1
-	cfg.UseTCP = true
+	addrs, _ := startTestWorkers(t, 1)
+	cfg.Pool.Backends = addrs
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)

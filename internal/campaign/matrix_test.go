@@ -161,14 +161,15 @@ func TestMatrixCampaignDeterministic(t *testing.T) {
 }
 
 // TestCampaignMultiplexedTCP asserts the engine shape on the TCP path: the
-// whole campaign rides one listener and one connection, with episodes
+// whole campaign rides one connection to one worker, with episodes
 // multiplexed as concurrent sessions.
 func TestCampaignMultiplexedTCP(t *testing.T) {
 	cfg := tinyConfig(t, []InjectorSource{
 		Registry(fault.NoopName),
 		Registry("gaussian"),
 	})
-	cfg.UseTCP = true
+	addrs, _ := startTestWorkers(t, 1)
+	cfg.Pool.Backends = addrs
 	cfg.Parallelism = 4
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -182,7 +183,7 @@ func TestCampaignMultiplexedTCP(t *testing.T) {
 	if len(rs.Records) != wantEpisodes {
 		t.Fatalf("records = %d, want %d", len(rs.Records), wantEpisodes)
 	}
-	if rs.Engine.Transport != "tcp" {
+	if rs.Engine.Transport != "remote" {
 		t.Errorf("transport = %q", rs.Engine.Transport)
 	}
 	if rs.Engine.Episodes != wantEpisodes {

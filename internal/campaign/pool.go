@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/simclient"
 	"github.com/avfi/avfi/internal/simserver"
 	"github.com/avfi/avfi/internal/telemetry"
@@ -25,55 +24,14 @@ type PoolConfig struct {
 	MaxRetries int
 	// Backends, when non-empty, lists remote simulator worker addresses
 	// (see simserver.Worker / avfi -serve): instead of spawning in-process
-	// pipe or loopback-TCP engines, the pool dials these addresses
-	// round-robin, one connection per engine slot. Health checks, bounded
-	// retry and dead-engine replacement carry over unchanged — a replacement
-	// engine dials the next backend in the rotation, so one dead worker
-	// degrades the campaign onto the survivors. Episode results travel over
+	// pipe engines, the pool dials these addresses round-robin, one
+	// connection per engine slot. Health checks, bounded retry and
+	// dead-engine replacement carry over unchanged — a replacement engine
+	// dials the next backend in the rotation, so one dead worker degrades
+	// the campaign onto the survivors. Episode results travel over
 	// the wire (EpisodeResult), so the worker's world configuration is the
 	// only thing that must match the campaign's for bit-identical results.
 	Backends []string
-	// BatchOpens bounds how many concurrent episode opens an engine's
-	// client may coalesce into one OpenEpisodeBatch message — the group
-	// commit that amortizes per-session sends on remote dispatch. 0 (the
-	// default) enables batching with a default bound on dialed Backends
-	// engines only, where a send is a network round-trip worth amortizing;
-	// 1 disables batching everywhere; >= 2 sets the exact bound on every
-	// engine, in-process included. Batching engages only against servers
-	// announcing the capability, so legacy workers transparently get
-	// single opens; it never changes episode results, only message
-	// framing.
-	BatchOpens int
-	// FullFrames keeps every sensor frame a full keyframe by disabling the
-	// delta-frame capability on the pool's engine clients. The default
-	// (false) lets capable servers delta-encode the frame stream — the wire
-	// shrinks, the decoded frames do not: reconstruction is byte-exact, so
-	// campaign results are bit-identical either way (pinned by the
-	// determinism matrix test). A diagnostic escape hatch, not a tuning
-	// knob.
-	FullFrames bool
-}
-
-// defaultBatchOpens is the auto (BatchOpens = 0) coalescing bound for
-// remote engines — deep enough to soak up a worker pool's burst of
-// concurrent opens, small against MaxBatchOpens.
-const defaultBatchOpens = 8
-
-// batchLimit resolves BatchOpens for one engine (remote reports whether
-// the engine dials a Backends worker): the coalescing bound, 1 for
-// batching off.
-func (p PoolConfig) batchLimit(remote bool) int {
-	switch {
-	case p.BatchOpens == 0:
-		if remote {
-			return defaultBatchOpens
-		}
-		return 1
-	case p.BatchOpens < 1:
-		return 1
-	default:
-		return p.BatchOpens
-	}
 }
 
 // PoolSize resolves the number of engine slots this configuration runs
@@ -114,8 +72,8 @@ type PoolStats struct {
 
 // engine is one slot of a campaign's engine pool: a persistent simulation
 // backend — a session client and exactly one connection to its server. For
-// in-process engines the server (and, over TCP, its listener) lives here
-// too; for remote backends (PoolConfig.Backends) the server is a
+// in-process engines the server lives here too, at the far end of a pipe;
+// for remote backends (PoolConfig.Backends) the server is a
 // simserver.Worker in another process and only the dialed connection is
 // ours.
 type engine struct {
@@ -123,7 +81,6 @@ type engine struct {
 	server     *simserver.Server // nil for remote backends
 	client     *simclient.Client
 	serverConn transport.Conn
-	listener   *transport.Listener
 	serveCh    chan error
 	transport  string
 	backend    string // remote worker address ("" for in-process)
@@ -135,7 +92,7 @@ type engine struct {
 
 // startEngine wires one engine slot: a dialed connection to the next remote
 // backend in round-robin rotation when PoolConfig.Backends is set, or an
-// in-process server/client pair over the configured transport otherwise.
+// in-process server/client pair over a pipe otherwise.
 func (r *Runner) startEngine() (*engine, error) {
 	if len(r.cfg.Pool.Backends) > 0 {
 		return r.dialBackend()
@@ -144,47 +101,15 @@ func (r *Runner) startEngine() (*engine, error) {
 	if r.cfg.testFactoryWrap != nil {
 		factory = r.cfg.testFactoryWrap(factory)
 	}
-	eng := &engine{server: simserver.NewServer(factory), serveCh: make(chan error, 1)}
-
-	var clientConn transport.Conn
-	if r.cfg.UseTCP {
-		eng.transport = "tcp"
-		l, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		eng.listener = l
-		acceptCh := make(chan transport.Conn, 1)
-		acceptErr := make(chan error, 1)
-		go func() {
-			c, err := l.Accept()
-			if err != nil {
-				acceptErr <- err
-				return
-			}
-			acceptCh <- c
-		}()
-		clientConn, err = transport.Dial(l.Addr())
-		if err != nil {
-			l.Close()
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		select {
-		case eng.serverConn = <-acceptCh:
-		case err := <-acceptErr:
-			clientConn.Close()
-			l.Close()
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-	} else {
-		eng.transport = "pipe"
-		eng.serverConn, clientConn = transport.Pipe()
+	eng := &engine{
+		server:    simserver.NewServer(factory, r.worldHash),
+		serveCh:   make(chan error, 1),
+		transport: "pipe",
 	}
-
-	go func() { eng.serveCh <- eng.server.Serve(eng.serverConn) }()
+	serverConn, clientConn := transport.Pipe()
+	eng.serverConn = serverConn
+	go func() { eng.serveCh <- eng.server.Serve(serverConn) }()
 	eng.client = simclient.NewClient(clientConn)
-	eng.client.SetBatchOpens(r.cfg.Pool.batchLimit(false))
-	eng.client.SetDeltaFrames(!r.cfg.Pool.FullFrames)
 	return eng, nil
 }
 
@@ -213,31 +138,25 @@ func (e *WorldMismatchError) Error() string {
 		e.Backend, e.Got, e.Want)
 }
 
-// dialWorkerEngine dials one remote worker and verifies its announced
-// world fingerprint against want before any episode is dispatched. A
-// worker announcing a different world is rejected with WorldMismatchError;
-// a worker announcing no hash (legacy, predating world announcement) is
-// paired anyway with a logged warning — the operator keeps responsibility
-// for world identity, exactly the pre-handshake contract.
-func dialWorkerEngine(addr string, batchOpens int, fullFrames bool, want uint64) (*engine, error) {
+// dialWorkerEngine dials one remote worker and verifies the world hash in
+// its hello against want before any episode is dispatched. No hello within
+// backendDialTimeout (simclient.ErrNoHello), a peer of another protocol
+// version (proto.ErrCodec, naming both versions) and a different world
+// (WorldMismatchError) all fail the dial.
+func dialWorkerEngine(addr string, want uint64) (*engine, error) {
 	conn, err := transport.DialTimeout(addr, backendDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: backend %s: %w", addr, err)
 	}
 	client := simclient.NewClient(conn)
-	client.SetBatchOpens(batchOpens)
-	client.SetDeltaFrames(!fullFrames)
-	if client.WaitServerHello(backendDialTimeout) {
-		if got, ok := client.ServerWorldHash(); ok {
-			if got != want {
-				client.Close()
-				return nil, &WorldMismatchError{Backend: addr, Want: want, Got: got}
-			}
-		} else {
-			telemetry.Warnf("campaign: backend %s announced no world hash (legacy worker); pairing without world verification", addr)
-		}
-	} else {
-		telemetry.Warnf("campaign: backend %s sent no capability hello (legacy worker); pairing without world verification", addr)
+	got, err := client.ServerHello(backendDialTimeout)
+	if err != nil {
+		client.Close()
+		return nil, fmt.Errorf("campaign: backend %s: %w", addr, err)
+	}
+	if got != want {
+		client.Close()
+		return nil, &WorldMismatchError{Backend: addr, Want: want, Got: got}
 	}
 	return &engine{
 		transport: "remote",
@@ -253,17 +172,7 @@ func dialWorkerEngine(addr string, batchOpens int, fullFrames bool, want uint64)
 func (r *Runner) dialBackend() (*engine, error) {
 	backends := r.cfg.Pool.Backends
 	addr := backends[int((r.backendSeq.Add(1)-1)%uint64(len(backends)))]
-	return dialWorkerEngine(addr, r.cfg.Pool.batchLimit(true), r.cfg.Pool.FullFrames, r.worldHash)
-}
-
-// stashedResult consults the in-process server's result stash — the
-// fallback for sessions whose result didn't ride the wire. Remote backends
-// have no reachable stash; their episodes must use wire results.
-func (e *engine) stashedResult(sid uint32) (sim.Result, bool) {
-	if e.server == nil {
-		return sim.Result{}, false
-	}
-	return e.server.Result(sid)
+	return dialWorkerEngine(addr, r.worldHash)
 }
 
 // stats snapshots the engine's work so far, always from the client side of
@@ -300,9 +209,6 @@ func (e *engine) close() error {
 	}
 	err := <-e.serveCh
 	e.serverConn.Close()
-	if e.listener != nil {
-		e.listener.Close()
-	}
 	return err
 }
 
@@ -447,10 +353,9 @@ func (p *enginePool) noteRetry() {
 // replaceLocked swaps slot i's dead engine for a fresh backend. The dead
 // engine stays in its slot if the budget is exhausted or the replacement
 // fails to start; acquire then skips it. Requires p.mu — engine startup is
-// a pipe allocation, one loopback dial, or a remote dial bounded by
-// backendDialTimeout, all short against the seconds an episode runs, and
-// backend death is exceptional, so blocking the pool briefly beats
-// unlock/relock juggling.
+// a pipe allocation or a remote dial bounded by backendDialTimeout, both
+// short against the seconds an episode runs, and backend death is
+// exceptional, so blocking the pool briefly beats unlock/relock juggling.
 func (p *enginePool) replaceLocked(i int) (*engine, error) {
 	old := p.engines[i]
 	old.dead = true

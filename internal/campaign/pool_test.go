@@ -184,7 +184,6 @@ func TestTransientEpisodeErrorClassification(t *testing.T) {
 		syscall.ECONNRESET,
 		syscall.EPIPE,
 		net.ErrClosed,
-		errNoResult,
 	}
 	for _, e := range transient {
 		wrapped := fmt.Errorf("campaign: gaussian m1 r0: %w", e)
@@ -353,15 +352,6 @@ func BenchmarkCampaignPool(b *testing.B) {
 		b.Run(fmt.Sprintf("remote-%d", engines), func(b *testing.B) {
 			addrs, _ := startTestWorkers(b, engines)
 			bench(b, PoolConfig{Backends: addrs})
-		})
-	}
-	// Batching disabled (one OpenEpisode envelope per episode) — the legacy
-	// wire pattern, kept on the chart so the default-batched remote-N rows
-	// show what group-committed dispatch buys.
-	for _, engines := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("remote-single-%d", engines), func(b *testing.B) {
-			addrs, _ := startTestWorkers(b, engines)
-			bench(b, PoolConfig{Backends: addrs, BatchOpens: 1})
 		})
 	}
 }

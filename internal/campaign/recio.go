@@ -210,22 +210,6 @@ func (s *jsonlSource) Read() (metrics.EpisodeRecord, error) {
 	return metrics.EpisodeRecord{}, io.EOF
 }
 
-// sliceSource adapts an in-memory record slice to RecordSource — the
-// compatibility bridge from Config.Resume to the streaming seed path.
-type sliceSource struct {
-	recs []metrics.EpisodeRecord
-}
-
-// Read implements RecordSource.
-func (s *sliceSource) Read() (metrics.EpisodeRecord, error) {
-	if len(s.recs) == 0 {
-		return metrics.EpisodeRecord{}, io.EOF
-	}
-	rec := s.recs[0]
-	s.recs = s.recs[1:]
-	return rec, nil
-}
-
 // RecordStream is a RecordSource over files that the caller must Close.
 // Close is safe after the stream is exhausted and on every error path.
 type RecordStream struct {

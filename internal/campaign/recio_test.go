@@ -9,22 +9,12 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/avfi/avfi/internal/fault"
 	"github.com/avfi/avfi/internal/metrics"
 )
 
-func TestResumeAndResumeFromExclusive(t *testing.T) {
-	cfg := resumeBase(t)
-	cfg.Resume = []metrics.EpisodeRecord{{Injector: fault.NoopName}}
-	cfg.ResumeFrom = &sliceSource{}
-	if err := cfg.Validate(); err == nil {
-		t.Error("Resume and ResumeFrom together accepted")
-	}
-}
-
 // TestResumeFromStreamMatchesMaterialized: resuming through a streaming
-// RecordSource over an on-disk log (either format) is behaviorally
-// identical to materializing the log into Config.Resume.
+// RecordSource over an on-disk log (either format) reproduces the
+// uninterrupted run, re-running only the episodes not on record.
 func TestResumeFromStreamMatchesMaterialized(t *testing.T) {
 	full, err := NewRunner(resumeBase(t))
 	if err != nil {
@@ -287,7 +277,7 @@ func TestBinaryBatchedCampaignBitIdentical(t *testing.T) {
 	binary := &bytes.Buffer{}
 	cfg = base()
 	cfg.Sink = NewBinarySink(binary)
-	cfg.Pool = PoolConfig{Engines: 2, BatchOpens: 4}
+	cfg.Pool = PoolConfig{Engines: 2}
 	r, err = NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,7 @@ func startTestWorkers(t testing.TB, n int) ([]string, []*simserver.Worker) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wk := simserver.NewWorker(simserver.WorldFactory(w))
-		wk.SetWorldHash(tinyWorldConfig().Hash())
+		wk := simserver.NewWorker(simserver.WorldFactory(w), tinyWorldConfig().Hash())
 		addr, err := wk.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -237,18 +236,12 @@ func TestDistributedDeterminismMatrix(t *testing.T) {
 	type variant struct {
 		name   string
 		remote bool
-		shard  int  // shard sinks; 0 = single collect sink
-		full   bool // disable delta frames (the baseline runs with them on)
+		shard  int // shard sinks; 0 = single collect sink
 	}
 	variants := []variant{
-		{"remote", true, 0, false},
-		{"sharded-sink", false, 3, false},
-		{"remote+sharded", true, 3, false},
-		// The frame-encoding axis: delta-encoded and full-frame transports
-		// must be indistinguishable in every result bit, in-process and
-		// remote alike (the baseline negotiates deltas; these refuse them).
-		{"full-frames", false, 0, true},
-		{"remote+full-frames", true, 0, true},
+		{"remote", true, 0},
+		{"sharded-sink", false, 3},
+		{"remote+sharded", true, 3},
 	}
 
 	configure := func(v variant) (Config, []*collectSink) {
@@ -256,7 +249,6 @@ func TestDistributedDeterminismMatrix(t *testing.T) {
 		if v.remote {
 			cfg.Pool = PoolConfig{Backends: addrs, MaxRetries: 2}
 		}
-		cfg.Pool.FullFrames = v.full
 		var sinks []*collectSink
 		if v.shard > 0 {
 			for i := 0; i < v.shard; i++ {

@@ -1,10 +1,10 @@
 // Campaign resume: the JSONL record sink is a durable per-episode log, so
 // a partial campaign — killed mid-sweep, crashed mid-write — can be picked
-// up where it stopped instead of re-running finished episodes. The loader
-// reads the partial log; Config.Resume threads it into the runner, which
-// seeds its aggregates (and, for adaptive campaigns, its posteriors) from
-// the recorded episodes and dispatches only the (cell, mission,
-// repetition) slots not yet on record. Episodes are pure functions of
+// up where it stopped instead of re-running finished episodes.
+// Config.ResumeFrom streams the partial log into the runner, which seeds
+// its aggregates (and, for adaptive campaigns, its posteriors) from the
+// recorded episodes and dispatches only the (cell, mission, repetition)
+// slots not yet on record. Episodes are pure functions of
 // their seeds, so a resumed campaign finishes with results bit-identical
 // to an uninterrupted run.
 
@@ -43,19 +43,6 @@ func (r *Runner) cellIndex() map[string]int {
 	return idx
 }
 
-// resumeSource resolves the configured resume input into one stream:
-// Config.ResumeFrom as-is, Config.Resume through an in-memory adapter, nil
-// when the campaign resumes from nothing.
-func (r *Runner) resumeSource() RecordSource {
-	if r.cfg.ResumeFrom != nil {
-		return r.cfg.ResumeFrom
-	}
-	if len(r.cfg.Resume) > 0 {
-		return &sliceSource{recs: r.cfg.Resume}
-	}
-	return nil
-}
-
 // seedResume streams the configured resume records, reconciling each
 // against this campaign's grid and handing the usable ones to seedFn one
 // at a time — the O(1)-memory resume path. It returns the set of slots on
@@ -63,7 +50,7 @@ func (r *Runner) resumeSource() RecordSource {
 // columns or out-of-range slots are dropped (they belong to a different
 // configuration), and duplicate slots keep the first record.
 func (r *Runner) seedResume(seedFn func(metrics.EpisodeRecord)) (map[pairKey]bool, error) {
-	src := r.resumeSource()
+	src := r.cfg.ResumeFrom
 	if src == nil {
 		return nil, nil
 	}

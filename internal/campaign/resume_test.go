@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,21 @@ import (
 	"github.com/avfi/avfi/internal/fault"
 	"github.com/avfi/avfi/internal/metrics"
 )
+
+// sliceSource streams an in-memory record slice as a RecordSource.
+type sliceSource struct {
+	recs []metrics.EpisodeRecord
+}
+
+// Read implements RecordSource.
+func (s *sliceSource) Read() (metrics.EpisodeRecord, error) {
+	if len(s.recs) == 0 {
+		return metrics.EpisodeRecord{}, io.EOF
+	}
+	rec := s.recs[0]
+	s.recs = s.recs[1:]
+	return rec, nil
+}
 
 func TestLoadRecordsJSONL(t *testing.T) {
 	var buf bytes.Buffer
@@ -98,7 +114,7 @@ func TestResumeSkipsRecordedEpisodes(t *testing.T) {
 	// Resume from roughly half the log.
 	half := append([]metrics.EpisodeRecord(nil), want.Records[:len(want.Records)/2]...)
 	cfg := resumeBase(t)
-	cfg.Resume = half
+	cfg.ResumeFrom = &sliceSource{recs: half}
 	sink := &collectSink{}
 	cfg.Sink = sink
 	r, err := NewRunner(cfg)
@@ -138,7 +154,7 @@ func TestResumeCompleteLogRunsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := resumeBase(t)
-	cfg.Resume = want.Records
+	cfg.ResumeFrom = &sliceSource{recs: want.Records}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +183,11 @@ func TestResumeIgnoresForeignRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := resumeBase(t)
-	cfg.Resume = []metrics.EpisodeRecord{
+	cfg.ResumeFrom = &sliceSource{recs: []metrics.EpisodeRecord{
 		{Injector: "from-another-campaign", Mission: 0, Repetition: 0},
 		{Injector: fault.NoopName, Mission: 99, Repetition: 0},
 		{Injector: fault.NoopName, Mission: 0, Repetition: -1},
-	}
+	}}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +216,7 @@ func TestAdaptiveResumeSeedsPosteriors(t *testing.T) {
 	}
 	half := append([]metrics.EpisodeRecord(nil), want.Records[:len(want.Records)/2]...)
 	cfg := resumeBase(t)
-	cfg.Resume = half
+	cfg.ResumeFrom = &sliceSource{recs: half}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)

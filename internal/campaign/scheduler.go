@@ -16,10 +16,6 @@ import (
 	"github.com/avfi/avfi/internal/transport"
 )
 
-// errNoResult marks an episode whose session ended without a server-side
-// result — the signature of an engine dying mid-episode.
-var errNoResult = errors.New("session finished without a server result")
-
 // transientEpisodeError reports whether err is a per-episode failure the
 // scheduler may re-dispatch (bounded by PoolConfig.MaxRetries) rather than
 // failing the campaign: server-side session aborts and dead-connection
@@ -37,8 +33,7 @@ func transientEpisodeError(err error) bool {
 		errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, errNoResult)
+		errors.Is(err, net.ErrClosed)
 }
 
 // jobs expands the campaign's full episode list in deterministic order.
@@ -254,8 +249,8 @@ func (r *Runner) Run() (*ResultSet, error) { return r.RunContext(context.Backgro
 // classic single-engine shape) and streams every finished episode through
 // the results pipeline: incremental per-cell aggregation, the optional
 // RecordSink, and — unless Config.DiscardRecords — retention for
-// ResultSet.Records. Episodes already present in Config.Resume are folded
-// into the results without being re-run.
+// ResultSet.Records. Episodes already present in Config.ResumeFrom are
+// folded into the results without being re-run.
 //
 // The first fatal episode error cancels dispatch: in-flight episodes
 // finish, the remaining job list is abandoned, and the error is returned.

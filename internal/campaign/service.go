@@ -37,10 +37,9 @@ type sharedFleet struct {
 // ServiceConfig parameterizes a campaign Service.
 type ServiceConfig struct {
 	// World is the fleet's world configuration. Its hash is verified
-	// against every worker's capability hello at dial time: a mismatched
-	// worker is rejected (WorldMismatchError) rather than silently
-	// breaking bit-identity; a legacy worker announcing no hash pairs
-	// with a logged warning.
+	// against every worker's hello at dial time: a mismatched worker is
+	// rejected (WorldMismatchError) rather than silently breaking
+	// bit-identity.
 	World sim.WorldConfig
 	// Agent supplies the system under test, shared by every campaign
 	// (resolved — trained, for a pretrain spec — once at service start).
@@ -56,10 +55,6 @@ type ServiceConfig struct {
 	// with no live engine slot — backends that were down at announce time
 	// or died mid-campaign rejoin automatically (0 = 2s).
 	RedialInterval time.Duration
-	// BatchOpens and FullFrames mirror PoolConfig for the fleet's dialed
-	// engines.
-	BatchOpens int
-	FullFrames bool
 }
 
 // serviceCampaignSeq numbers campaigns process-wide ("c1", "c2", ...), so
@@ -182,7 +177,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 }
 
 // WorldHash returns the fleet's world fingerprint (what every worker must
-// announce, or omit as a legacy worker).
+// announce).
 func (s *Service) WorldHash() uint64 { return s.worldHash }
 
 // Close stops the service: running campaigns are cancelled, the re-dial
@@ -338,8 +333,7 @@ func (s *Service) ensureWorker(addr string) error {
 // attempt.
 func (s *Service) dialWorker(addr string) (*engine, error) {
 	telemetry.ServiceWorkerDials.Inc()
-	pc := PoolConfig{BatchOpens: s.cfg.BatchOpens}
-	eng, err := dialWorkerEngine(addr, pc.batchLimit(true), s.cfg.FullFrames, s.worldHash)
+	eng, err := dialWorkerEngine(addr, s.worldHash)
 	if err != nil {
 		telemetry.ServiceWorkerDialFailures.Inc()
 	}

@@ -11,12 +11,16 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/avfi/avfi/internal/fault"
+	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/sim"
+	"github.com/avfi/avfi/internal/simclient"
 	"github.com/avfi/avfi/internal/simserver"
+	"github.com/avfi/avfi/internal/transport"
 	"github.com/avfi/avfi/internal/world"
 )
 
@@ -347,18 +351,20 @@ func TestFairGateCancelledWaiter(t *testing.T) {
 	}
 }
 
-// startWorldWorker boots one worker serving the given world config,
-// announcing hash (or not, for legacy workers).
-func startWorldWorker(t testing.TB, cfg sim.WorldConfig, announceHash bool) (string, *simserver.Worker) {
+// startWorldWorker boots one worker serving the given world config and
+// returns its address and the count of episodes opened on it.
+func startWorldWorker(t testing.TB, cfg sim.WorldConfig) (string, *atomic.Int32) {
 	t.Helper()
 	w, err := sim.NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk := simserver.NewWorker(simserver.WorldFactory(w))
-	if announceHash {
-		wk.SetWorldHash(cfg.Hash())
-	}
+	var opens atomic.Int32
+	factory := simserver.WorldFactory(w)
+	wk := simserver.NewWorker(func(open *proto.OpenEpisode) (*sim.Episode, error) {
+		opens.Add(1)
+		return factory(open)
+	}, cfg.Hash())
 	addr, err := wk.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +377,88 @@ func startWorldWorker(t testing.TB, cfg sim.WorldConfig, announceHash bool) (str
 			t.Errorf("worker %s Serve: %v", addr, err)
 		}
 	})
-	return addr, wk
+	return addr, &opens
+}
+
+// startFakeWorker listens on loopback and greets each connection with
+// hello (nothing, when nil), then counts whatever the campaign sends it —
+// a peer that is not a current AVFI worker.
+func startFakeWorker(t *testing.T, hello []byte) (string, *atomic.Int32) {
+	t.Helper()
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var received atomic.Int32
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if hello != nil {
+					_ = conn.Send(hello)
+				}
+				for {
+					if _, err := conn.Recv(); err != nil {
+						return
+					}
+					received.Add(1)
+				}
+			}()
+		}
+	}()
+	return l.Addr(), &received
+}
+
+// runAgainst runs a one-episode campaign against a single backend.
+func runAgainst(t *testing.T, addr string) error {
+	t.Helper()
+	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
+	cfg.Pool = PoolConfig{Backends: []string{addr}, MaxRetries: 2}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Run()
+	return err
+}
+
+// TestWorkerWithoutHelloRejected: a peer that accepts the connection but
+// never sends a hello is not paired "without world verification" — the
+// dial fails with ErrNoHello within its timeout and no episode is sent.
+func TestWorkerWithoutHelloRejected(t *testing.T) {
+	addr, received := startFakeWorker(t, nil)
+	start := time.Now()
+	err := runAgainst(t, addr)
+	if !errors.Is(err, simclient.ErrNoHello) {
+		t.Fatalf("Run against a silent worker = %v, want ErrNoHello", err)
+	}
+	if took := time.Since(start); took > 3*backendDialTimeout {
+		t.Errorf("dial took %s, want about the %s hello timeout", took, backendDialTimeout)
+	}
+	if n := received.Load(); n != 0 {
+		t.Errorf("campaign sent %d messages to a worker that never said hello", n)
+	}
+}
+
+// TestV1WorkerRejected: a worker speaking protocol version 1 fails the
+// dial on its first message, with a codec error naming both versions, and
+// receives no episode.
+func TestV1WorkerRejected(t *testing.T) {
+	hello := proto.EncodeEnvelope(0, proto.EncodeHello(tinyWorldConfig().Hash()))
+	hello[0] = 1 // the envelope's version byte
+	addr, received := startFakeWorker(t, hello)
+	err := runAgainst(t, addr)
+	if !errors.Is(err, proto.ErrCodec) || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("Run against a v1 worker = %v, want a codec error naming version 1 and version 2", err)
+	}
+	if n := received.Load(); n != 0 {
+		t.Errorf("campaign sent %d messages to a v1 worker", n)
+	}
 }
 
 // TestWorldHashMismatchRejected: a worker announcing a different world
@@ -381,7 +468,12 @@ func startWorldWorker(t testing.TB, cfg sim.WorldConfig, announceHash bool) (str
 func TestWorldHashMismatchRejected(t *testing.T) {
 	otherCfg := tinyWorldConfig()
 	otherCfg.Town.GridW = 4 // a different world, honestly announced
-	addr, _ := startWorldWorker(t, otherCfg, true)
+	addr, opens := startWorldWorker(t, otherCfg)
+	t.Cleanup(func() {
+		if n := opens.Load(); n != 0 {
+			t.Errorf("mismatched worker was sent %d episodes", n)
+		}
+	})
 
 	t.Run("backends campaign", func(t *testing.T) {
 		cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
@@ -414,47 +506,6 @@ func TestWorldHashMismatchRejected(t *testing.T) {
 			t.Errorf("rejected worker stayed registered: %+v", ws)
 		}
 	})
-}
-
-// TestLegacyWorkerPairsWithoutHash: a worker predating world announcement
-// sends no hash; campaigns pair with it anyway (operator keeps
-// responsibility, as before the handshake) and results stay bit-identical
-// when its world does match.
-func TestLegacyWorkerPairsWithoutHash(t *testing.T) {
-	addr, _ := startWorldWorker(t, tinyWorldConfig(), false)
-
-	base := tinyConfig(t, []InjectorSource{Registry(fault.NoopName), Registry("gaussian")})
-	baseline, err := NewRunner(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := baseline.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName), Registry("gaussian")})
-	cfg.Pool = PoolConfig{Backends: []string{addr}}
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Run()
-	if err != nil {
-		t.Fatalf("campaign against a legacy (hashless) worker failed: %v", err)
-	}
-	if !reflect.DeepEqual(got.Records, want.Records) {
-		t.Error("legacy-worker records diverged from the in-process run")
-	}
-
-	svc := startTestService(t, nil)
-	info, err := svc.AddWorker(addr)
-	if err != nil {
-		t.Fatalf("AddWorker(legacy) = %v, want pairing with a warning", err)
-	}
-	if !info.Up {
-		t.Errorf("legacy worker not up after announce: %+v", info)
-	}
 }
 
 // jsonKeyPaths flattens a decoded JSON document into its sorted set of

@@ -5,8 +5,8 @@
 // a total, schedule-independent order, so the shards are a partition of
 // the canonical log: MergeRecordsJSONL over any sharding — including the
 // degenerate single log — produces the same byte stream, and
-// LoadRecordsDir feeds a whole shard directory into Config.Resume exactly
-// like one log file. Both formats are read transparently (auto-detected
+// OpenRecordsPath streams a whole shard directory into Config.ResumeFrom
+// exactly like one log file. Both formats are read transparently (auto-detected
 // per file) and may coexist in one directory.
 
 package campaign

@@ -143,7 +143,7 @@ func TestResumeFromShardDirectory(t *testing.T) {
 	const nShards = 2
 	runSharded := func(dir string, resume []metrics.EpisodeRecord, appendMode bool) *ResultSet {
 		cfg := shardBase(t)
-		cfg.Resume = resume
+		cfg.ResumeFrom = &sliceSource{recs: resume}
 		for i := 0; i < nShards; i++ {
 			path := filepath.Join(dir, ShardLogName(i))
 			var f *os.File

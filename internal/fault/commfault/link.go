@@ -83,17 +83,6 @@ func (l *Link) Send(msg []byte) error {
 	return l.flushDueLocked()
 }
 
-// SendBatch implements transport.Conn; each message of the batch is
-// faulted independently, exactly as if sent one by one.
-func (l *Link) SendBatch(msgs [][]byte) error {
-	for _, msg := range msgs {
-		if err := l.Send(msg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // flushDueLocked sends every held message whose release deadline has
 // passed, oldest first.
 func (l *Link) flushDueLocked() error {

@@ -12,7 +12,7 @@ import (
 // the protocol's hello channel).
 func envMsg(i int) []byte {
 	ctl := &proto.Control{Frame: uint32(i), Steer: float64(i) * 0.01, Throttle: 0.5}
-	return proto.EncodeEnvelope(uint32(i+1), proto.EncodeControl(ctl))
+	return proto.EncodeEnvelope(uint32(i+1), proto.AppendControl(nil, ctl))
 }
 
 // sendThroughLink pushes n enveloped controls through a faulted link

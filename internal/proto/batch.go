@@ -1,70 +1,18 @@
-// Batched episode dispatch: opening an episode costs one enveloped
-// message per session, so a campaign saturating a remote worker pays one
-// transport send (and, over TCP, one syscall) per episode just to start
-// it. OpenEpisodeBatch coalesces many (session, OpenEpisode) pairs into a
-// single message — the scheduler's group commit — and the capability hello
-// lets a new client discover whether its peer speaks it.
-//
-// Compatibility is one-sided by construction. The hello rides a
-// SessionError enveloped on session 0, which is never allocated (client
-// session IDs start at 1): legacy clients drop messages for unknown
-// sessions on the floor, so a new server announcing the capability is
-// invisible to them, while a new client only batches after it has seen the
-// announcement — against a legacy worker it falls back to single opens
-// automatically. Legacy servers kill the connection on unknown kinds,
-// which is exactly why the client must never probe with the batch message
-// itself.
+// Episode dispatch: every episode open travels in an OpenEpisodeBatch —
+// (session, OpenEpisode) pairs coalesced into a single message on session
+// 0, the scheduler's group commit. A worker pool's burst of concurrent
+// opens costs one transport send (over TCP, one syscall) instead of one
+// per episode; a lone open is a batch of one.
 
 package proto
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 )
-
-// KindOpenEpisodeBatch is client -> server: open many episodes, each on
-// its own session, in one message.
-const KindOpenEpisodeBatch MsgKind = KindEpisodeResult + 1
 
 // MaxBatchOpens bounds one batch on the wire; a count beyond it is stream
 // corruption.
 const MaxBatchOpens = 1 << 10
-
-// CapBatchOpen is the capability token announcing OpenEpisodeBatch
-// support.
-const CapBatchOpen = "batch-open"
-
-// capabilityPrefix opens a capability hello's reason line.
-const capabilityPrefix = "avfi-capabilities:"
-
-// worldCapPrefix opens the world-config hash token inside a capability
-// hello. Like every unknown token it is ignored by peers that predate it,
-// so announcing a world hash never breaks a legacy pairing.
-const worldCapPrefix = "world:"
-
-// WorldCapToken renders a world-configuration hash (sim.WorldConfig.Hash)
-// as a capability-hello token. A worker announces its world's hash at
-// dial time so a campaign configured for a different world fails fast
-// instead of silently producing non-bit-identical results.
-func WorldCapToken(hash uint64) string {
-	return fmt.Sprintf("%s%016x", worldCapPrefix, hash)
-}
-
-// ParseWorldCap recognizes a world-hash token from a capability hello.
-// ok is false for every other token (including malformed hashes, which
-// are treated as absent rather than fatal — the hello is advisory).
-func ParseWorldCap(token string) (hash uint64, ok bool) {
-	rest, found := strings.CutPrefix(token, worldCapPrefix)
-	if !found {
-		return 0, false
-	}
-	h, err := strconv.ParseUint(rest, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return h, true
-}
 
 // OpenBatchEntry is one episode of a batch: the session to open it on and
 // its scenario.
@@ -74,9 +22,7 @@ type OpenBatchEntry struct {
 }
 
 // EncodeOpenEpisodeBatch serializes entries with the batch kind tag. Each
-// entry embeds a complete length-prefixed EncodeOpenEpisode message, so
-// OpenEpisode extensions (like WantResult's trailing byte) flow through
-// batches unchanged.
+// entry embeds a complete length-prefixed EncodeOpenEpisode message.
 func EncodeOpenEpisodeBatch(entries []OpenBatchEntry) []byte {
 	buf := make([]byte, 0, 2+2+len(entries)*(4+4+32))
 	buf = append(buf, Version, byte(KindOpenEpisodeBatch))
@@ -123,23 +69,4 @@ func DecodeOpenEpisodeBatch(buf []byte) ([]OpenBatchEntry, error) {
 		return nil, fmt.Errorf("%w: open-episode batch: malformed", ErrCodec)
 	}
 	return entries, nil
-}
-
-// EncodeCapabilityHello builds the server's capability announcement: a
-// SessionError whose reason is the capability line, to be enveloped on
-// session 0 by the caller. Riding an existing message kind keeps the hello
-// decodable (and ignorable) by every legacy client.
-func EncodeCapabilityHello(caps ...string) []byte {
-	return EncodeSessionError(&SessionError{Reason: capabilityPrefix + " " + strings.Join(caps, " ")})
-}
-
-// ParseCapabilityHello recognizes a capability line in a session-0
-// SessionError reason, returning the announced tokens. ok is false for
-// ordinary errors.
-func ParseCapabilityHello(reason string) (caps []string, ok bool) {
-	rest, found := strings.CutPrefix(reason, capabilityPrefix)
-	if !found {
-		return nil, false
-	}
-	return strings.Fields(rest), true
 }

@@ -51,8 +51,8 @@ func fillFrame(dst, src *proto.SensorFrame) {
 }
 
 // frameServer answers each inbound message with the next frame of a
-// churning stream, encoded per mode, until the connection dies.
-func frameServer(l *transport.Listener, mode string) {
+// churning stream until the connection dies.
+func frameServer(l *transport.Listener) {
 	conn, err := l.Accept()
 	if err != nil {
 		return
@@ -68,15 +68,8 @@ func frameServer(l *transport.Listener, mode string) {
 			return
 		}
 		transport.Recycle(req)
-		var msg []byte
-		if mode == "legacy" {
-			// The pre-optimization encode path: fresh buffers per frame.
-			msg = proto.EncodeEnvelope(sid, proto.EncodeSensorFrame(src))
-		} else {
-			fillFrame(enc.Next(), src)
-			msg = enc.Encode(sid, mode == "delta")
-		}
-		if err := conn.Send(msg); err != nil {
+		fillFrame(enc.Next(), src)
+		if err := conn.Send(enc.Encode(sid)); err != nil {
 			return
 		}
 		step++
@@ -86,57 +79,48 @@ func frameServer(l *transport.Listener, mode string) {
 }
 
 // BenchmarkFrameRoundTrip measures sensor-frame throughput over loopback
-// TCP — encode, envelope, send, receive, decode, control reply — in three
-// shapes: the legacy allocating keyframe path, the pooled zero-allocation
-// keyframe path, and the delta-encoded stream.
+// TCP — encode, envelope, send, receive, decode, control reply — on the
+// delta-encoded stream every session runs.
 func BenchmarkFrameRoundTrip(b *testing.B) {
-	for _, mode := range []string{"legacy", "full", "delta"} {
-		b.Run(mode, func(b *testing.B) {
-			l, err := transport.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			go frameServer(l, mode)
-			conn, err := transport.Dial(l.Addr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
+	b.Run("delta", func(b *testing.B) {
+		l, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		go frameServer(l)
+		conn, err := transport.Dial(l.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
 
-			ctl := proto.EncodeEnvelope(1, proto.EncodeControl(&proto.Control{Frame: 1}))
-			var dec proto.FrameDecoder
-			wireBytes := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := conn.Send(ctl); err != nil {
-					b.Fatal(err)
-				}
-				msg, err := conn.Recv()
-				if err != nil {
-					b.Fatal(err)
-				}
-				wireBytes += len(msg)
-				_, inner, err := proto.DecodeEnvelope(msg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == "legacy" {
-					if _, err := proto.DecodeSensorFrame(inner); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					if _, err := dec.Decode(inner); err != nil {
-						b.Fatal(err)
-					}
-					transport.Recycle(msg)
-				}
+		ctl := proto.EncodeEnvelope(1, proto.AppendControl(nil, &proto.Control{Frame: 1}))
+		var dec proto.FrameDecoder
+		wireBytes := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := conn.Send(ctl); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/sec")
-			b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/frame")
-		})
-	}
+			msg, err := conn.Recv()
+			if err != nil {
+				b.Fatal(err)
+			}
+			wireBytes += len(msg)
+			_, inner, err := proto.DecodeEnvelope(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := dec.Decode(inner); err != nil {
+				b.Fatal(err)
+			}
+			transport.Recycle(msg)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/sec")
+		b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/frame")
+	})
 }
 
 // BenchmarkSensorFrameDelta isolates the delta codec itself: patch
@@ -190,14 +174,14 @@ func TestFrameRoundTripZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go frameServer(l, "delta")
+	go frameServer(l)
 	conn, err := transport.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 
-	ctl := proto.EncodeEnvelope(1, proto.EncodeControl(&proto.Control{Frame: 1}))
+	ctl := proto.EncodeEnvelope(1, proto.AppendControl(nil, &proto.Control{Frame: 1}))
 	var dec proto.FrameDecoder
 	step := func() {
 		if err := conn.Send(ctl); err != nil {
@@ -248,14 +232,14 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			go frameServer(l, "delta")
+			go frameServer(l)
 			conn, err := transport.Dial(l.Addr())
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer conn.Close()
 
-			ctl := proto.EncodeEnvelope(1, proto.EncodeControl(&proto.Control{Frame: 1}))
+			ctl := proto.EncodeEnvelope(1, proto.AppendControl(nil, &proto.Control{Frame: 1}))
 			var dec proto.FrameDecoder
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -26,14 +26,8 @@
 // change, or a patch that would not pay for itself). Both message sizes
 // share every non-pixel byte, so "delta smaller than full" reduces to
 // "patch stream shorter than the pixel payload" — which also proves a
-// delta frame can never exceed the full frame's transport bound.
-//
-// Negotiation rides the session-0 capability hello (see batch.go): a
-// server announces CapDeltaFrame, a delta-capable client replies with its
-// own hello, and only then does the server start delta-encoding. Legacy
-// peers never see a delta frame: old clients never reply (they drop
-// session-0 traffic), and old servers never announce, so neither side
-// needs probing or version checks.
+// delta frame can never exceed the full frame's transport bound. That is
+// why delta encoding is simply always on: it never costs bytes.
 
 package proto
 
@@ -44,15 +38,6 @@ import (
 
 	"github.com/avfi/avfi/internal/telemetry"
 )
-
-// KindSensorFrameDelta is server -> client: one frame of sensor data,
-// pixels delta-encoded against the previous frame on the same session.
-const KindSensorFrameDelta MsgKind = KindOpenEpisodeBatch + 1
-
-// CapDeltaFrame is the capability token announcing SensorFrameDelta
-// support. Servers announce it meaning "I can send deltas"; a client
-// replies with it on session 0 meaning "I can decode them".
-const CapDeltaFrame = "delta-frame"
 
 // deltaMinSkip is the shortest unchanged run worth breaking a literal
 // for: ending one (skip, lit) pair and opening the next costs at least
@@ -161,21 +146,10 @@ func matchLen(a, b []byte) int {
 	return i
 }
 
-// DecodeSensorFrameDelta parses an encoded delta frame against prev (the
-// previous frame decoded on the same stream), returning the fully
-// reconstructed frame.
-func DecodeSensorFrameDelta(buf []byte, prev *SensorFrame) (*SensorFrame, error) {
-	var f SensorFrame
-	if err := DecodeSensorFrameDeltaInto(buf, prev, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // DecodeSensorFrameDeltaInto parses an encoded delta frame into f,
-// reconstructing pixels against prev and reusing f's Pixels and Lidar
-// capacity. f and prev must not be the same frame. On error f's contents
-// are unspecified.
+// reconstructing pixels against prev (the previous frame decoded on the
+// same stream) and reusing f's Pixels and Lidar capacity. f and prev must
+// not be the same frame. On error f's contents are unspecified.
 func DecodeSensorFrameDeltaInto(buf []byte, prev, f *SensorFrame) error {
 	if k, err := Kind(buf); err != nil {
 		return err
@@ -273,8 +247,8 @@ func applyPixelPatch(dst, prev, ops []byte) ([]byte, error) {
 
 // FrameEncoder encodes one session's outbound frame stream with zero
 // steady-state allocations, delta-compressing against the previously
-// encoded frame whenever the caller allows it and the delta pays for
-// itself. Not safe for concurrent use; one per session.
+// encoded frame whenever the delta pays for itself. Not safe for
+// concurrent use; one per session.
 type FrameEncoder struct {
 	frames [2]SensorFrame
 	cur    int
@@ -294,16 +268,15 @@ func (e *FrameEncoder) Next() *SensorFrame {
 }
 
 // Encode envelopes the frame last returned by Next for session and
-// returns the encoded message, valid until the next Encode call. With
-// allowDelta set (the peer announced CapDeltaFrame) and a previous frame
-// on record, pixels go as a delta when that is strictly smaller;
-// otherwise — first frame, geometry change, delta not profitable, or
-// deltas disallowed — a full keyframe is sent.
-func (e *FrameEncoder) Encode(session uint32, allowDelta bool) []byte {
+// returns the encoded message, valid until the next Encode call. With a
+// previous frame on record, pixels go as a delta when that is strictly
+// smaller; otherwise — first frame, geometry change, or delta not
+// profitable — a full keyframe is sent.
+func (e *FrameEncoder) Encode(session uint32) []byte {
 	cur := &e.frames[e.cur]
 	buf := AppendEnvelopeHeader(e.buf[:0], session)
 	sent := false
-	if allowDelta && e.have {
+	if e.have {
 		if b, ok := AppendSensorFrameDelta(buf, &e.frames[1-e.cur], cur); ok {
 			buf, sent = b, true
 			e.deltas++

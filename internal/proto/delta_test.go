@@ -31,11 +31,20 @@ func nextFrame(prev *SensorFrame, changed int, r *rng.Stream) *SensorFrame {
 	return cur
 }
 
+// decodeDelta decodes a delta frame against prev into a fresh SensorFrame.
+func decodeDelta(buf []byte, prev *SensorFrame) (*SensorFrame, error) {
+	var f SensorFrame
+	if err := DecodeSensorFrameDeltaInto(buf, prev, &f); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
 func frameEqualExact(t *testing.T, got, want *SensorFrame) {
 	t.Helper()
 	// Byte-exact reconstruction contract: the decoded frame re-encodes
 	// identically to the full-frame encoding of the original.
-	if !bytes.Equal(EncodeSensorFrame(got), EncodeSensorFrame(want)) {
+	if !bytes.Equal(AppendSensorFrame(nil, got), AppendSensorFrame(nil, want)) {
 		t.Fatalf("reconstruction not byte-exact:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -50,14 +59,14 @@ func TestSensorFrameDeltaRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("delta not emitted for a nearly identical frame")
 	}
-	if len(buf) >= len(EncodeSensorFrame(cur)) {
+	if len(buf) >= len(AppendSensorFrame(nil, cur)) {
 		t.Errorf("delta (%d bytes) not smaller than full frame (%d bytes)",
-			len(buf), len(EncodeSensorFrame(cur)))
+			len(buf), len(AppendSensorFrame(nil, cur)))
 	}
 	if k, err := Kind(buf); err != nil || k != KindSensorFrameDelta {
 		t.Fatalf("Kind = %v, %v", k, err)
 	}
-	got, err := DecodeSensorFrameDelta(buf, prev)
+	got, err := decodeDelta(buf, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +80,7 @@ func TestSensorFrameDeltaIdenticalFrame(t *testing.T) {
 	if !ok {
 		t.Fatal("delta not emitted for identical pixels")
 	}
-	got, err := DecodeSensorFrameDelta(buf, prev)
+	got, err := decodeDelta(buf, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestSensorFrameDeltaDecodeRejectsCorruption(t *testing.T) {
 		"short-coverage": func(b []byte) []byte { b[2+4+8+2+2+3]--; return b },      // opsLen shrunk by one
 	} {
 		b := mutate(append([]byte(nil), buf...))
-		if _, err := DecodeSensorFrameDelta(b, prev); err == nil {
+		if _, err := decodeDelta(b, prev); err == nil {
 			t.Errorf("%s: corrupted delta decoded without error", name)
 		} else if !errors.Is(err, ErrCodec) {
 			t.Errorf("%s: error %v does not wrap ErrCodec", name, err)
@@ -136,7 +145,7 @@ func TestSensorFrameDeltaDecodeRejectsWrongPrevGeometry(t *testing.T) {
 	other := sampleFrame()
 	other.ImageW, other.ImageH = 3, 4
 	other.Pixels = other.Pixels[:3*4*3]
-	if _, err := DecodeSensorFrameDelta(buf, other); err == nil {
+	if _, err := decodeDelta(buf, other); err == nil {
 		t.Error("delta decoded against a previous frame of different geometry")
 	}
 }
@@ -160,7 +169,7 @@ func TestFrameEncoderDecoderStream(t *testing.T) {
 			want.Pixels = want.Pixels[:3*4*3]
 		}
 		fillSensorFrame(enc.Next(), want)
-		msg := enc.Encode(session, true)
+		msg := enc.Encode(session)
 		sid, inner, err := DecodeEnvelope(msg)
 		if err != nil {
 			t.Fatal(err)
@@ -181,31 +190,6 @@ func TestFrameEncoderDecoderStream(t *testing.T) {
 	}
 	if enc.Deltas() == 0 || enc.Deltas() != dec.Deltas() {
 		t.Errorf("delta counts: encoder %d, decoder %d", enc.Deltas(), dec.Deltas())
-	}
-}
-
-// TestFrameEncoderLegacyMode pins that allowDelta=false yields only full
-// keyframes — the wire a legacy peer must see.
-func TestFrameEncoderLegacyMode(t *testing.T) {
-	r := rng.New(5)
-	var enc FrameEncoder
-	want := sampleFrame()
-	for i := 0; i < 4; i++ {
-		fillSensorFrame(enc.Next(), want)
-		_, inner, err := DecodeEnvelope(enc.Encode(1, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k, _ := Kind(inner); k != KindSensorFrame {
-			t.Fatalf("frame %d: kind %d, want full keyframe", i, k)
-		}
-		if !bytes.Equal(inner, EncodeSensorFrame(want)) {
-			t.Fatalf("frame %d: legacy encoding differs from EncodeSensorFrame", i)
-		}
-		want = nextFrame(want, 3, r)
-	}
-	if enc.Deltas() != 0 {
-		t.Errorf("legacy mode emitted %d deltas", enc.Deltas())
 	}
 }
 
@@ -249,7 +233,7 @@ func TestFrameCodecZeroAllocs(t *testing.T) {
 
 	step := func() {
 		fillSensorFrame(enc.Next(), src)
-		msg := enc.Encode(3, true)
+		msg := enc.Encode(3)
 		_, inner, err := DecodeEnvelope(msg)
 		if err != nil {
 			t.Fatal(err)
@@ -302,11 +286,11 @@ func FuzzSensorFrameDelta(f *testing.F) {
 		if len(buf) >= SensorFrameSize(cur) {
 			t.Fatalf("delta %d bytes, full frame %d", len(buf), SensorFrameSize(cur))
 		}
-		got, err := DecodeSensorFrameDelta(buf, prev)
+		got, err := decodeDelta(buf, prev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(EncodeSensorFrame(got), EncodeSensorFrame(cur)) {
+		if !bytes.Equal(AppendSensorFrame(nil, got), AppendSensorFrame(nil, cur)) {
 			t.Fatal("reconstruction not byte-exact")
 		}
 	})
@@ -322,6 +306,6 @@ func FuzzDecodeSensorFrameDelta(f *testing.F) {
 	}
 	f.Add([]byte{Version, byte(KindSensorFrameDelta), 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		_, _ = DecodeSensorFrameDelta(buf, prev)
+		_, _ = decodeDelta(buf, prev)
 	})
 }

@@ -19,21 +19,47 @@ import (
 	"math"
 )
 
-// Version is the protocol version byte; bumped on incompatible change.
-const Version = 1
+// Version is the protocol version byte that opens every message; bumped
+// on incompatible change. It is the whole version negotiation: Kind
+// rejects a message from any other version, so a mismatched peer fails
+// its first decode with an error naming both versions.
+const Version = 2
 
 // MsgKind discriminates wire messages.
 type MsgKind byte
 
-// Message kinds. Enums start at one so a zero byte is detectably invalid.
+// Message kinds — the one table of the protocol (documented, with
+// directions and payloads, in internal/campaign/README.md; a test keeps
+// the two in step). Numbers are retired, never reused: 3 was v1's
+// episode-end summary. Zero is detectably invalid.
 const (
-	KindInvalid MsgKind = iota
-	// KindSensorFrame is server -> client: one frame of sensor data.
-	KindSensorFrame
+	KindInvalid MsgKind = 0
+	// KindSensorFrame is server -> client: one full frame of sensor data.
+	KindSensorFrame MsgKind = 1
 	// KindControl is client -> server: one actuation command.
-	KindControl
-	// KindEpisodeEnd is server -> client: mission over.
-	KindEpisodeEnd
+	KindControl MsgKind = 2
+	// KindEnvelope wraps an inner message with a session ID; every message
+	// on a connection travels inside one.
+	KindEnvelope MsgKind = 4
+	// KindOpenEpisode is one episode's scenario; it travels only embedded
+	// in an OpenEpisodeBatch.
+	KindOpenEpisode MsgKind = 5
+	// KindSessionError closes one session abnormally. Server -> client: the
+	// episode failed to open or was dropped. Client -> server: the client
+	// abandoned the session and the server should stop simulating it.
+	KindSessionError MsgKind = 6
+	// KindEpisodeResult is server -> client: the full episode result, the
+	// session's terminal message.
+	KindEpisodeResult MsgKind = 7
+	// KindOpenEpisodeBatch is client -> server on session 0: open one or
+	// more episodes, each on its own session.
+	KindOpenEpisodeBatch MsgKind = 8
+	// KindSensorFrameDelta is server -> client: one frame of sensor data,
+	// pixels delta-encoded against the previous frame on the same session.
+	KindSensorFrameDelta MsgKind = 9
+	// KindHello is server -> client, the first message on a connection
+	// (session 0): the world hash the server simulates.
+	KindHello MsgKind = 10
 )
 
 // ErrCodec is wrapped by all encode/decode failures.
@@ -73,13 +99,6 @@ type Control struct {
 	Brake    float64
 }
 
-// EpisodeEnd reports final mission status.
-type EpisodeEnd struct {
-	Status    uint8
-	Frames    uint32
-	DistanceM float64
-}
-
 // SensorFrameSize is the exact encoded size of f — the capacity to
 // reserve so AppendSensorFrame never grows the buffer.
 func SensorFrameSize(f *SensorFrame) int {
@@ -87,8 +106,7 @@ func SensorFrameSize(f *SensorFrame) int {
 }
 
 // AppendSensorFrame appends f's encoding (kind tag included) to dst and
-// returns the extended buffer — the allocation-free variant of
-// EncodeSensorFrame for hot frame loops that reuse a send buffer.
+// returns the extended buffer, so hot frame loops can reuse a send buffer.
 func AppendSensorFrame(dst []byte, f *SensorFrame) []byte {
 	buf := append(dst, Version, byte(KindSensorFrame))
 	buf = binary.BigEndian.AppendUint32(buf, f.Frame)
@@ -108,11 +126,6 @@ func AppendSensorFrame(dst []byte, f *SensorFrame) []byte {
 	return buf
 }
 
-// EncodeSensorFrame serializes f with its kind tag.
-func EncodeSensorFrame(f *SensorFrame) []byte {
-	return AppendSensorFrame(make([]byte, 0, SensorFrameSize(f)), f)
-}
-
 // AppendControl appends c's encoding (kind tag included) to dst.
 func AppendControl(dst []byte, c *Control) []byte {
 	buf := append(dst, Version, byte(KindControl))
@@ -120,21 +133,6 @@ func AppendControl(dst []byte, c *Control) []byte {
 	buf = appendFloat(buf, c.Steer)
 	buf = appendFloat(buf, c.Throttle)
 	buf = appendFloat(buf, c.Brake)
-	return buf
-}
-
-// EncodeControl serializes c with its kind tag.
-func EncodeControl(c *Control) []byte {
-	return AppendControl(make([]byte, 0, 1+1+4+3*8), c)
-}
-
-// EncodeEpisodeEnd serializes e with its kind tag.
-func EncodeEpisodeEnd(e *EpisodeEnd) []byte {
-	buf := make([]byte, 0, 1+1+1+4+8)
-	buf = append(buf, Version, byte(KindEpisodeEnd))
-	buf = append(buf, e.Status)
-	buf = binary.BigEndian.AppendUint32(buf, e.Frames)
-	buf = appendFloat(buf, e.DistanceM)
 	return buf
 }
 
@@ -148,27 +146,17 @@ func Kind(buf []byte) (MsgKind, error) {
 	}
 	k := MsgKind(buf[1])
 	switch k {
-	case KindSensorFrame, KindControl, KindEpisodeEnd,
+	case KindSensorFrame, KindControl,
 		KindEnvelope, KindOpenEpisode, KindSessionError, KindEpisodeResult,
-		KindOpenEpisodeBatch, KindSensorFrameDelta:
+		KindOpenEpisodeBatch, KindSensorFrameDelta, KindHello:
 		return k, nil
 	}
 	return KindInvalid, fmt.Errorf("%w: unknown kind %d", ErrCodec, buf[1])
 }
 
-// DecodeSensorFrame parses an encoded sensor frame.
-func DecodeSensorFrame(buf []byte) (*SensorFrame, error) {
-	var f SensorFrame
-	if err := DecodeSensorFrameInto(buf, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // DecodeSensorFrameInto parses an encoded sensor frame into f, reusing
-// f's Pixels and Lidar slice capacity — the allocation-free variant of
-// DecodeSensorFrame for hot frame loops that recycle a scratch frame.
-// On error f's contents are unspecified.
+// f's Pixels and Lidar slice capacity so hot frame loops can recycle a
+// scratch frame. On error f's contents are unspecified.
 func DecodeSensorFrameInto(buf []byte, f *SensorFrame) error {
 	if k, err := Kind(buf); err != nil {
 		return err
@@ -226,24 +214,6 @@ func DecodeControl(buf []byte) (*Control, error) {
 		return nil, fmt.Errorf("%w: control: %v", ErrCodec, r.err)
 	}
 	return &c, nil
-}
-
-// DecodeEpisodeEnd parses an encoded episode end.
-func DecodeEpisodeEnd(buf []byte) (*EpisodeEnd, error) {
-	if k, err := Kind(buf); err != nil {
-		return nil, err
-	} else if k != KindEpisodeEnd {
-		return nil, fmt.Errorf("%w: kind %d is not an episode end", ErrCodec, k)
-	}
-	r := reader{buf: buf, off: 2}
-	var e EpisodeEnd
-	e.Status = r.byte()
-	e.Frames = r.uint32()
-	e.DistanceM = r.float()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: episode end: %v", ErrCodec, r.err)
-	}
-	return &e, nil
 }
 
 // reader is a bounds-checked cursor over an encoded message.

@@ -3,6 +3,7 @@ package proto
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,10 +30,19 @@ func sampleFrame() *SensorFrame {
 	}
 }
 
+// decodeFrame decodes a full sensor frame into a fresh SensorFrame.
+func decodeFrame(buf []byte) (*SensorFrame, error) {
+	var f SensorFrame
+	if err := DecodeSensorFrameInto(buf, &f); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
 func TestSensorFrameRoundTrip(t *testing.T) {
 	f := sampleFrame()
-	buf := EncodeSensorFrame(f)
-	got, err := DecodeSensorFrame(buf)
+	buf := AppendSensorFrame(nil, f)
+	got, err := decodeFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +61,7 @@ func TestSensorFrameRoundTrip(t *testing.T) {
 
 func TestControlRoundTrip(t *testing.T) {
 	c := &Control{Frame: 9, Steer: -0.5, Throttle: 0.75, Brake: 0.1}
-	got, err := DecodeControl(EncodeControl(c))
+	got, err := DecodeControl(AppendControl(nil, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,22 +70,11 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEpisodeEndRoundTrip(t *testing.T) {
-	e := &EpisodeEnd{Status: 2, Frames: 1234, DistanceM: 456.5}
-	got, err := DecodeEpisodeEnd(EncodeEpisodeEnd(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *e {
-		t.Errorf("round trip mismatch: %+v vs %+v", got, e)
-	}
-}
-
 func TestKindDetection(t *testing.T) {
-	if k, err := Kind(EncodeControl(&Control{})); err != nil || k != KindControl {
+	if k, err := Kind(AppendControl(nil, &Control{})); err != nil || k != KindControl {
 		t.Errorf("Kind(control) = %v, %v", k, err)
 	}
-	if k, err := Kind(EncodeSensorFrame(sampleFrame())); err != nil || k != KindSensorFrame {
+	if k, err := Kind(AppendSensorFrame(nil, sampleFrame())); err != nil || k != KindSensorFrame {
 		t.Errorf("Kind(frame) = %v, %v", k, err)
 	}
 	if _, err := Kind([]byte{Version}); err == nil {
@@ -84,31 +83,36 @@ func TestKindDetection(t *testing.T) {
 	if _, err := Kind([]byte{99, 1}); err == nil {
 		t.Error("bad version did not error")
 	}
+	// A v1 peer's message is refused with an error naming both versions,
+	// and so is the retired v1 episode-end kind under the current version.
+	if _, err := Kind([]byte{1, byte(KindControl)}); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Errorf("v1 message: err = %v, want one naming version 1 and version 2", err)
+	}
+	if _, err := Kind([]byte{Version, 3}); err == nil {
+		t.Error("retired kind 3 accepted")
+	}
 	if _, err := Kind([]byte{Version, 99}); err == nil {
 		t.Error("bad kind did not error")
 	}
 }
 
 func TestDecodeWrongKind(t *testing.T) {
-	if _, err := DecodeControl(EncodeSensorFrame(sampleFrame())); !errors.Is(err, ErrCodec) {
+	if _, err := DecodeControl(AppendSensorFrame(nil, sampleFrame())); !errors.Is(err, ErrCodec) {
 		t.Error("decoding frame as control did not error")
 	}
-	if _, err := DecodeSensorFrame(EncodeControl(&Control{})); !errors.Is(err, ErrCodec) {
+	if _, err := decodeFrame(AppendControl(nil, &Control{})); !errors.Is(err, ErrCodec) {
 		t.Error("decoding control as frame did not error")
-	}
-	if _, err := DecodeEpisodeEnd(EncodeControl(&Control{})); !errors.Is(err, ErrCodec) {
-		t.Error("decoding control as end did not error")
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	full := EncodeSensorFrame(sampleFrame())
+	full := AppendSensorFrame(nil, sampleFrame())
 	for _, cut := range []int{2, 5, 10, len(full) - 1} {
-		if _, err := DecodeSensorFrame(full[:cut]); !errors.Is(err, ErrCodec) {
+		if _, err := decodeFrame(full[:cut]); !errors.Is(err, ErrCodec) {
 			t.Errorf("truncation at %d did not error", cut)
 		}
 	}
-	ctl := EncodeControl(&Control{Frame: 1})
+	ctl := AppendControl(nil, &Control{Frame: 1})
 	if _, err := DecodeControl(ctl[:8]); !errors.Is(err, ErrCodec) {
 		t.Error("truncated control did not error")
 	}
@@ -116,14 +120,14 @@ func TestDecodeTruncated(t *testing.T) {
 
 func TestDecodeRejectsHugePixelClaim(t *testing.T) {
 	f := sampleFrame()
-	buf := EncodeSensorFrame(f)
+	buf := AppendSensorFrame(nil, f)
 	// The pixel length field sits after version(1)+kind(1)+frame(4)+time(8)+w(2)+h(2).
 	off := 1 + 1 + 4 + 8 + 2 + 2
 	buf[off] = 0xFF
 	buf[off+1] = 0xFF
 	buf[off+2] = 0xFF
 	buf[off+3] = 0xFF
-	if _, err := DecodeSensorFrame(buf); !errors.Is(err, ErrCodec) {
+	if _, err := decodeFrame(buf); !errors.Is(err, ErrCodec) {
 		t.Error("huge pixel claim did not error")
 	}
 }
@@ -131,8 +135,8 @@ func TestDecodeRejectsHugePixelClaim(t *testing.T) {
 func TestDecodeRejectsMismatchedImageDims(t *testing.T) {
 	f := sampleFrame()
 	f.ImageW = 99 // dims no longer match len(Pixels)
-	buf := EncodeSensorFrame(f)
-	if _, err := DecodeSensorFrame(buf); !errors.Is(err, ErrCodec) {
+	buf := AppendSensorFrame(nil, f)
+	if _, err := decodeFrame(buf); !errors.Is(err, ErrCodec) {
 		t.Error("mismatched dims did not error")
 	}
 }
@@ -143,7 +147,7 @@ func TestControlRoundTripProperty(t *testing.T) {
 			return true // NaN != NaN; codec preserves bits but equality fails
 		}
 		c := &Control{Frame: frame, Steer: steer, Throttle: throttle, Brake: brake}
-		got, err := DecodeControl(EncodeControl(c))
+		got, err := DecodeControl(AppendControl(nil, c))
 		return err == nil && *got == *c
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
@@ -153,7 +157,7 @@ func TestControlRoundTripProperty(t *testing.T) {
 
 func TestControlNaNPreservesBits(t *testing.T) {
 	c := &Control{Steer: math.NaN()}
-	got, err := DecodeControl(EncodeControl(c))
+	got, err := DecodeControl(AppendControl(nil, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestSensorFrameRoundTripProperty(t *testing.T) {
 			Speed: r.Range(0, 30), GPSX: r.Range(-500, 500), GPSY: r.Range(-500, 500),
 			Command: uint8(r.Intn(5)), Done: r.Bool(0.5), Status: uint8(r.Intn(4)),
 		}
-		got, err := DecodeSensorFrame(EncodeSensorFrame(f))
+		got, err := decodeFrame(AppendSensorFrame(nil, f))
 		if err != nil {
 			return false
 		}

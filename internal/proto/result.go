@@ -1,22 +1,14 @@
-// Full-result message: EpisodeEnd deliberately carries only a summary
-// (status, frames, distance), which forces campaign metrics to read the
-// violation list from the Server in-process — fine when client and server
-// share an address space, impossible for a truly remote campaign.
-// EpisodeResult closes that gap: it is the complete wire form of
-// sim.Result, sent (immediately before EpisodeEnd) only when the client's
-// OpenEpisode asked for it, so the legacy summary-only exchange is
-// untouched.
+// Full-result message: EpisodeResult is the complete wire form of
+// sim.Result (violation list included) and every session's terminal
+// message, sent straight after the done-frame — so campaign metrics never
+// need to reach into the server's address space, and an in-process engine
+// and a remote worker are the same thing to a campaign.
 
 package proto
 
 import (
 	"fmt"
 )
-
-// KindEpisodeResult is server -> client: the full episode result
-// (violation list included), sent before EpisodeEnd when the session's
-// OpenEpisode set WantResult.
-const KindEpisodeResult MsgKind = KindSessionError + 1
 
 // MaxViolations bounds the violation list on the wire. Violations are
 // debounced events (one per kind per cooldown window), so real episodes

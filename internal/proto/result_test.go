@@ -42,7 +42,7 @@ func TestEpisodeResultRejectsGarbage(t *testing.T) {
 	if _, err := DecodeEpisodeResult(nil); err == nil {
 		t.Error("nil accepted")
 	}
-	if _, err := DecodeEpisodeResult(EncodeControl(&Control{Frame: 1})); err == nil {
+	if _, err := DecodeEpisodeResult(AppendControl(nil, &Control{Frame: 1})); err == nil {
 		t.Error("control accepted as episode result")
 	}
 	// Truncate mid-violation list.
@@ -62,34 +62,5 @@ func TestEpisodeResultTruncatesOversizedViolationList(t *testing.T) {
 	}
 	if len(out.Violations) != MaxViolations {
 		t.Errorf("violations = %d, want truncation to %d", len(out.Violations), MaxViolations)
-	}
-}
-
-func TestOpenEpisodeWantResultRoundTrip(t *testing.T) {
-	in := &OpenEpisode{From: 1, To: 2, Seed: 9, WantResult: true}
-	out, err := DecodeOpenEpisode(EncodeOpenEpisode(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *out != *in {
-		t.Errorf("round trip mangled: %+v vs %+v", in, out)
-	}
-}
-
-// TestOpenEpisodeLegacyBufferDecodes pins wire compatibility: a buffer from
-// a pre-WantResult encoder (no trailing byte) must still decode, with
-// WantResult defaulting to false.
-func TestOpenEpisodeLegacyBufferDecodes(t *testing.T) {
-	buf := EncodeOpenEpisode(&OpenEpisode{From: 11, To: 29, Seed: 7, NumNPCs: 3})
-	legacy := buf[:len(buf)-1] // strip the optional trailing byte
-	out, err := DecodeOpenEpisode(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.WantResult {
-		t.Error("legacy buffer decoded with WantResult set")
-	}
-	if out.From != 11 || out.To != 29 || out.Seed != 7 || out.NumNPCs != 3 {
-		t.Errorf("legacy fields mangled: %+v", out)
 	}
 }

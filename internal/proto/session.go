@@ -1,12 +1,8 @@
-// Session-multiplexed framing: an Envelope tags any legacy message with a
-// session ID so one transport.Conn can carry many concurrent episodes, and
-// OpenEpisode/SessionError form the handshake around the existing
-// SensorFrame/Control/EpisodeEnd episode body.
-//
-// The envelope is a regular kind-tagged message whose payload is itself an
-// encoded message, so the legacy single-episode codec keeps working
-// unchanged: un-enveloped streams decode exactly as before, and enveloped
-// streams reuse the same inner encoders.
+// Session-multiplexed framing: an Envelope tags every message with a
+// session ID so one transport.Conn carries many concurrent episodes.
+// Session 0 is the connection's control channel — the server's Hello, the
+// client's OpenEpisodeBatch — and never names an episode (client session
+// IDs start at 1).
 
 package proto
 
@@ -14,27 +10,12 @@ import (
 	"fmt"
 )
 
-// Session-layer message kinds (continuing the legacy enum).
-const (
-	// KindEnvelope wraps an inner message with a session ID.
-	KindEnvelope MsgKind = iota + KindEpisodeEnd + 1
-	// KindOpenEpisode is client -> server: start an episode on a session.
-	KindOpenEpisode
-	// KindSessionError is server -> client: the session failed to open or
-	// aborted; carries a reason and closes the session.
-	KindSessionError
-)
-
 // MaxReason bounds a SessionError reason string on the wire.
 const MaxReason = 1 << 12
 
-// OpenEpisode asks the server to start an episode on the enclosing
-// envelope's session. It is the wire form of sim.EpisodeConfig: the server
-// owns the world and builds the episode from these parameters. By default
-// the wire protocol carries only the EpisodeEnd summary back; set
-// WantResult for the full EpisodeResult message (violation list included),
-// which is what lets a truly remote campaign skip the in-process
-// Server.Result side channel.
+// OpenEpisode asks the server to start an episode on the session its
+// batch entry names. It is the wire form of sim.EpisodeConfig: the server
+// owns the world and builds the episode from these parameters.
 type OpenEpisode struct {
 	// From and To are the mission's start and goal intersections (NodeIDs).
 	From, To uint32
@@ -48,13 +29,11 @@ type OpenEpisode struct {
 	// TimeoutSec and GoalRadius override episode defaults when non-zero.
 	TimeoutSec float64
 	GoalRadius float64
-	// WantResult asks the server to send the full EpisodeResult message
-	// before EpisodeEnd. Encoded as an optional trailing byte: buffers from
-	// older encoders decode with it false, and older decoders ignore it.
-	WantResult bool
 }
 
-// SessionError reports a failed session (e.g. episode construction error).
+// SessionError closes one session abnormally, with a diagnostic: from the
+// server, the episode failed (e.g. its construction was rejected); from
+// the client, it abandoned the episode.
 type SessionError struct {
 	Reason string
 }
@@ -103,9 +82,35 @@ func DecodeEnvelope(buf []byte) (uint32, []byte, error) {
 	return session, inner, nil
 }
 
+// EncodeHello serializes the server's hello: the hash of the world it
+// simulates (sim.WorldConfig.Hash). A campaign configured for a different
+// world must fail at dial time instead of silently producing
+// non-bit-identical results, so the hash is the hello's whole payload and
+// is not optional.
+func EncodeHello(worldHash uint64) []byte {
+	buf := make([]byte, 0, 2+8)
+	buf = append(buf, Version, byte(KindHello))
+	return appendUint64(buf, worldHash)
+}
+
+// DecodeHello parses an encoded hello, returning the server's world hash.
+func DecodeHello(buf []byte) (uint64, error) {
+	if k, err := Kind(buf); err != nil {
+		return 0, err
+	} else if k != KindHello {
+		return 0, fmt.Errorf("%w: kind %d is not a hello", ErrCodec, k)
+	}
+	r := reader{buf: buf, off: 2}
+	hash := r.uint64()
+	if r.err != nil {
+		return 0, fmt.Errorf("%w: hello: %v", ErrCodec, r.err)
+	}
+	return hash, nil
+}
+
 // EncodeOpenEpisode serializes o with its kind tag.
 func EncodeOpenEpisode(o *OpenEpisode) []byte {
-	buf := make([]byte, 0, 2+4+4+8+1+2+2+8+8+1)
+	buf := make([]byte, 0, 2+4+4+8+1+2+2+8+8)
 	buf = append(buf, Version, byte(KindOpenEpisode))
 	buf = appendUint32(buf, o.From)
 	buf = appendUint32(buf, o.To)
@@ -115,7 +120,6 @@ func EncodeOpenEpisode(o *OpenEpisode) []byte {
 	buf = appendUint16(buf, o.NumPedestrians)
 	buf = appendFloat(buf, o.TimeoutSec)
 	buf = appendFloat(buf, o.GoalRadius)
-	buf = append(buf, boolByte(o.WantResult))
 	return buf
 }
 
@@ -136,11 +140,6 @@ func DecodeOpenEpisode(buf []byte) (*OpenEpisode, error) {
 	o.NumPedestrians = r.uint16()
 	o.TimeoutSec = r.float()
 	o.GoalRadius = r.float()
-	// WantResult is an optional trailing extension: absent in buffers from
-	// pre-EpisodeResult encoders, which must keep decoding (as false).
-	if r.err == nil && r.off < len(buf) {
-		o.WantResult = r.byte() != 0
-	}
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: open episode: %v", ErrCodec, r.err)
 	}

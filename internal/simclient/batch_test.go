@@ -10,14 +10,12 @@ import (
 // queueOpens constructs a client whose send loop has not started yet, with
 // n opens already queued — the deterministic way to exercise coalescing
 // (no races against the drain).
-func queueOpens(conn transport.Conn, n int, batchMax int, capSeen bool) (*Client, []*openReq) {
+func queueOpens(conn transport.Conn, n int) (*Client, []*openReq) {
 	c := &Client{
 		conn:     conn,
 		sessions: make(map[uint32]*session),
 		openCh:   make(chan *openReq, 256),
 		done:     make(chan struct{}),
-		batchMax: batchMax,
-		batchCap: capSeen,
 	}
 	reqs := make([]*openReq, n)
 	for i := range reqs {
@@ -32,106 +30,56 @@ func queueOpens(conn transport.Conn, n int, batchMax int, capSeen bool) (*Client
 }
 
 // TestSendLoopCoalescesQueuedOpens: opens queued while the send loop was
-// busy go out as one OpenEpisodeBatch — group commit, no artificial delay.
+// busy go out as one OpenEpisodeBatch on session 0 — group commit, no
+// artificial delay — bounded by openBatchLimit, and a lone open is a batch
+// of one.
 func TestSendLoopCoalescesQueuedOpens(t *testing.T) {
-	clientEnd, serverEnd := transport.Pipe()
-	defer clientEnd.Close()
-	c, reqs := queueOpens(clientEnd, 3, 8, true)
-	go c.sendLoop()
-	defer close(c.done)
+	for _, tc := range []struct {
+		queued int
+		want   []int // sizes of the batches the queue drains into
+	}{
+		{1, []int{1}},
+		{3, []int{3}},
+		{openBatchLimit + 2, []int{openBatchLimit, 2}},
+	} {
+		clientEnd, serverEnd := transport.Pipe()
+		c, reqs := queueOpens(clientEnd, tc.queued)
+		go c.sendLoop()
 
-	msg, err := serverEnd.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sid, inner, err := proto.DecodeEnvelope(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sid != 0 {
-		t.Fatalf("batch envelope sid = %d, want 0", sid)
-	}
-	entries, err := proto.DecodeOpenEpisodeBatch(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("batch carried %d opens, want 3", len(entries))
-	}
-	for i, e := range entries {
-		if e.SID != reqs[i].sid || e.Open.Seed != reqs[i].open.Seed {
-			t.Errorf("entry %d = sid %d seed %d, want sid %d seed %d",
-				i, e.SID, e.Open.Seed, reqs[i].sid, reqs[i].open.Seed)
+		next := 0
+		for _, size := range tc.want {
+			msg, err := serverEnd.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sid, inner, err := proto.DecodeEnvelope(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sid != 0 {
+				t.Fatalf("batch envelope sid = %d, want 0", sid)
+			}
+			entries, err := proto.DecodeOpenEpisodeBatch(inner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != size {
+				t.Fatalf("%d queued: batch carried %d opens, want %d", tc.queued, len(entries), size)
+			}
+			for _, e := range entries {
+				if e.SID != reqs[next].sid || e.Open.Seed != reqs[next].open.Seed {
+					t.Errorf("entry %d = sid %d seed %d, want sid %d seed %d",
+						next, e.SID, e.Open.Seed, reqs[next].sid, reqs[next].open.Seed)
+				}
+				next++
+			}
 		}
-	}
-	for i, r := range reqs {
-		if err := <-r.errc; err != nil {
-			t.Errorf("open %d reported %v", i, err)
+		for i, r := range reqs {
+			if err := <-r.errc; err != nil {
+				t.Errorf("open %d reported %v", i, err)
+			}
 		}
-	}
-	if c.OpenBatches() != 1 || c.BatchedOpens() != 3 {
-		t.Errorf("counters = %d batches / %d opens, want 1 / 3", c.OpenBatches(), c.BatchedOpens())
-	}
-}
-
-// TestSendLoopSingleOpenStaysLegacy: a batch of one is sent as a plain
-// single-open envelope, indistinguishable from an unbatched client.
-func TestSendLoopSingleOpenStaysLegacy(t *testing.T) {
-	clientEnd, serverEnd := transport.Pipe()
-	defer clientEnd.Close()
-	c, reqs := queueOpens(clientEnd, 1, 8, true)
-	go c.sendLoop()
-	defer close(c.done)
-
-	msg, err := serverEnd.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sid, inner, err := proto.DecodeEnvelope(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sid != reqs[0].sid {
-		t.Errorf("envelope sid = %d, want %d", sid, reqs[0].sid)
-	}
-	if kind, _ := proto.Kind(inner); kind != proto.KindOpenEpisode {
-		t.Errorf("lone open sent as kind %d, want KindOpenEpisode", kind)
-	}
-	if err := <-reqs[0].errc; err != nil {
-		t.Fatal(err)
-	}
-	if c.OpenBatches() != 0 {
-		t.Errorf("lone open counted as a batch")
-	}
-}
-
-// TestSendLoopSinglesBeforeHello: until the server announces the batch
-// capability, every queued open goes out as a legacy single envelope —
-// the no-probe fallback that keeps old workers working.
-func TestSendLoopSinglesBeforeHello(t *testing.T) {
-	clientEnd, serverEnd := transport.Pipe()
-	defer clientEnd.Close()
-	c, reqs := queueOpens(clientEnd, 3, 8, false)
-	go c.sendLoop()
-	defer close(c.done)
-
-	for i := range reqs {
-		msg, err := serverEnd.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sid, inner, err := proto.DecodeEnvelope(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sid != reqs[i].sid {
-			t.Errorf("open %d envelope sid = %d, want %d", i, sid, reqs[i].sid)
-		}
-		if kind, _ := proto.Kind(inner); kind != proto.KindOpenEpisode {
-			t.Errorf("pre-hello open %d sent as kind %d, want KindOpenEpisode", i, kind)
-		}
-	}
-	if c.OpenBatches() != 0 || c.BatchedOpens() != 0 {
-		t.Errorf("pre-hello opens counted as batched (%d/%d)", c.OpenBatches(), c.BatchedOpens())
+		close(c.done)
+		clientEnd.Close()
 	}
 }

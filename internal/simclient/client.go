@@ -17,6 +17,11 @@ import (
 // gone before the episode completed.
 var ErrClientClosed = errors.New("simclient: client closed")
 
+// ErrNoHello is returned by ServerHello when the server's hello does not
+// arrive in time: the peer is not an AVFI simulator of this protocol
+// version, and no episode may be sent to it.
+var ErrNoHello = errors.New("simclient: server sent no hello")
+
 // SessionError is a server-side, per-session failure (e.g. the episode
 // factory rejected the scenario) relayed to that session's RunEpisode call.
 // The engine itself survives it: only this episode failed, so campaign
@@ -56,28 +61,21 @@ type session struct {
 type Client struct {
 	conn transport.Conn
 
-	mu            sync.Mutex
-	next          uint32
-	sessions      map[uint32]*session
-	err           error
-	completed     int
-	failed        int
-	maxOpen       int
-	batchMax      int  // SetBatchOpens bound; <= 1 means batching is off
-	batchCap      bool // peer announced OpenEpisodeBatch support
-	openBatches   int
-	batchedOpens  int
-	deltaWant     bool // SetDeltaFrames: willing to decode delta frames
-	serverDelta   bool // peer announced SensorFrameDelta support
-	helloSent     bool // our capability reply has gone out
-	deltaFrames   int
-	helloSeen     bool   // the server's capability hello has arrived
-	serverWorld   uint64 // world hash the hello announced, when serverWorldOK
-	serverWorldOK bool
+	mu          sync.Mutex
+	next        uint32
+	sessions    map[uint32]*session
+	err         error
+	completed   int
+	failed      int
+	maxOpen     int
+	deltaFrames int
 
-	openCh  chan *openReq
-	done    chan struct{}
-	helloCh chan struct{} // closed when the server's hello arrives
+	openCh chan *openReq
+	done   chan struct{}
+	// helloCh is closed when the server's hello arrives; worldHash is
+	// written before that and never after.
+	helloCh   chan struct{}
+	worldHash uint64
 }
 
 // openReq is one episode open queued for the coalescing send loop; errc
@@ -104,37 +102,57 @@ func NewClient(conn transport.Conn) *Client {
 	return c
 }
 
-// recvLoop routes enveloped messages to their session until the connection
-// dies, then wakes every waiting session. Routing never blocks: a session
-// whose inbound buffer is full is failed and dropped, because one wedged
-// session stalling the demux loop would stall every other session on the
-// connection (head-of-line blocking).
+// recvLoop takes the server's hello, then routes enveloped messages to
+// their session until the connection dies, and finally wakes every waiting
+// session.
 func (c *Client) recvLoop() {
-	var loopErr error
+	err := c.recvHello()
+	if err == nil {
+		close(c.helloCh)
+		err = c.demux()
+	}
+	c.mu.Lock()
+	c.err = err
+	c.mu.Unlock()
+	close(c.done)
+}
+
+// recvHello reads the connection's first message, which must be the
+// server's hello on session 0. A peer speaking another protocol version
+// fails here, in the envelope's version check.
+func (c *Client) recvHello() error {
+	msg, err := c.conn.Recv()
+	if err != nil {
+		return err
+	}
+	sid, inner, err := proto.DecodeEnvelope(msg)
+	if err != nil {
+		return err
+	}
+	if sid != 0 {
+		return fmt.Errorf("simclient: first message is for session %d, want the server hello", sid)
+	}
+	c.worldHash, err = proto.DecodeHello(inner)
+	transport.Recycle(msg)
+	return err
+}
+
+// demux is the receive loop after the hello. Routing never blocks: a
+// session whose inbound buffer is full is failed and dropped, because one
+// wedged session stalling the demux loop would stall every other session
+// on the connection (head-of-line blocking).
+func (c *Client) demux() error {
 	for {
 		msg, err := c.conn.Recv()
 		if err != nil {
-			loopErr = err
-			break
+			return err
 		}
 		sid, inner, err := proto.DecodeEnvelope(msg)
 		if err != nil {
-			loopErr = err
-			break
+			return err
 		}
 		if sid == 0 {
-			// Session 0 is never allocated (IDs start at 1): it carries the
-			// server's capability hello, and anything else on it is dropped —
-			// which is also exactly what legacy clients do with the hello.
-			if kind, err := proto.Kind(inner); err == nil && kind == proto.KindSessionError {
-				if se, err := proto.DecodeSessionError(inner); err == nil {
-					if caps, ok := proto.ParseCapabilityHello(se.Reason); ok {
-						c.noteCapabilities(caps)
-					}
-				}
-			}
-			transport.Recycle(msg)
-			continue
+			return fmt.Errorf("simclient: unexpected message on session 0 after the hello")
 		}
 		c.mu.Lock()
 		s, ok := c.sessions[sid]
@@ -159,10 +177,6 @@ func (c *Client) recvLoop() {
 			transport.Recycle(msg)
 		}
 	}
-	c.mu.Lock()
-	c.err = loopErr
-	c.mu.Unlock()
-	close(c.done)
 }
 
 // Close closes the shared connection; in-flight RunEpisode calls fail.
@@ -185,7 +199,7 @@ func (c *Client) InFlight() int {
 	return len(c.sessions)
 }
 
-// CompletedSessions reports how many episodes ran to a clean EpisodeEnd on
+// CompletedSessions reports how many episodes ran to their EpisodeResult on
 // this client — the client-side mirror of simserver.Server's counter, which
 // is what engine statistics use when the server is on the far side of a
 // network (remote backends).
@@ -227,96 +241,27 @@ func (c *Client) noteFailed() {
 	c.mu.Unlock()
 }
 
-// noteCapabilities records the server's capability hello, answering with
-// our own when delta decoding is both wanted locally and offered by the
-// peer — the only condition under which a client may write to session 0
-// (a legacy server would kill the connection on it, but a legacy server
-// also never announces, so it never receives the reply).
-func (c *Client) noteCapabilities(caps []string) {
-	c.mu.Lock()
-	for _, token := range caps {
-		switch token {
-		case proto.CapBatchOpen:
-			c.batchCap = true
-		case proto.CapDeltaFrame:
-			c.serverDelta = true
-		default:
-			if h, ok := proto.ParseWorldCap(token); ok {
-				c.serverWorld = h
-				c.serverWorldOK = true
-			}
-		}
-	}
-	if !c.helloSeen {
-		c.helloSeen = true
-		close(c.helloCh)
-	}
-	reply := c.deltaWant && c.serverDelta && !c.helloSent
-	if reply {
-		c.helloSent = true
-	}
-	c.mu.Unlock()
-	if reply {
-		_ = c.conn.Send(proto.EncodeEnvelope(0, proto.EncodeCapabilityHello(proto.CapDeltaFrame)))
-	}
-}
-
-// WaitServerHello blocks until the server's capability hello has been
-// seen, returning true, or until the connection dies or the timeout
-// elapses, returning false. Current-generation servers send the hello as
-// their very first message, so against them this resolves in one network
-// round trip; only a pre-hello legacy server runs out the timeout.
-func (c *Client) WaitServerHello(timeout time.Duration) bool {
+// ServerHello blocks until the server's hello has arrived and returns the
+// world hash it announced. It fails with the connection's error when the
+// connection dies first (a peer of another protocol version lands here,
+// with the codec's version error), and with ErrNoHello when nothing
+// arrives within timeout. Servers send the hello as their very first
+// message, so this resolves in one network round trip.
+func (c *Client) ServerHello(timeout time.Duration) (worldHash uint64, err error) {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
 	case <-c.helloCh:
-		return true
+		return c.worldHash, nil
 	case <-c.done:
-		// The hello may have raced the connection's death; prefer it.
-		select {
-		case <-c.helloCh:
-			return true
-		default:
-			return false
-		}
+		return 0, c.closedErr()
 	case <-t.C:
-		return false
-	}
-}
-
-// ServerWorldHash returns the world-configuration fingerprint the server's
-// capability hello announced; ok is false when no hello has arrived yet or
-// the server predates world announcement.
-func (c *Client) ServerWorldHash() (hash uint64, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serverWorld, c.serverWorldOK
-}
-
-// SetDeltaFrames lets the server delta-encode this client's sensor frames
-// (campaign pools enable it unless configured for full frames). Like
-// batching, the switch only engages against a capable server: the client
-// announces its decode support in reply to the server's hello, so a
-// legacy server — which never announces — keeps receiving nothing on
-// session 0 and keeps sending full frames. Enable before running
-// episodes; the announcement cannot be withdrawn once sent.
-func (c *Client) SetDeltaFrames(on bool) {
-	c.mu.Lock()
-	c.deltaWant = on
-	reply := on && c.serverDelta && !c.helloSent
-	if reply {
-		c.helloSent = true
-	}
-	c.mu.Unlock()
-	if reply {
-		_ = c.conn.Send(proto.EncodeEnvelope(0, proto.EncodeCapabilityHello(proto.CapDeltaFrame)))
+		return 0, ErrNoHello
 	}
 }
 
 // DeltaFrames reports how many sensor frames arrived delta-encoded across
-// finished episodes — zero against a legacy server or when delta frames
-// were never enabled.
+// finished episodes.
 func (c *Client) DeltaFrames() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,64 +278,6 @@ func (c *Client) noteDeltas(n int) {
 	c.mu.Unlock()
 }
 
-// SetBatchOpens lets the client coalesce up to n concurrent episode opens
-// into one OpenEpisodeBatch message — the campaign pool's group commit for
-// remote dispatch. n <= 1 (the default) disables batching. Batching only
-// engages once the server has announced the capability; until then — and
-// forever against a legacy worker, which never announces it — every open
-// is sent as a legacy single-open envelope, so the fallback needs no
-// probing. Values beyond proto.MaxBatchOpens are clamped.
-func (c *Client) SetBatchOpens(n int) {
-	if n > proto.MaxBatchOpens {
-		n = proto.MaxBatchOpens
-	}
-	c.mu.Lock()
-	c.batchMax = n
-	c.mu.Unlock()
-}
-
-// OpenBatches reports how many OpenEpisodeBatch messages the client has
-// sent; BatchedOpens how many episode opens rode them. Singly-sent opens
-// count in neither.
-func (c *Client) OpenBatches() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.openBatches
-}
-
-// BatchedOpens reports how many episode opens were coalesced into batch
-// messages.
-func (c *Client) BatchedOpens() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batchedOpens
-}
-
-// batchEnabled reports whether opens should route through the coalescing
-// send loop at all; drainLimit the coalescing bound, and protoBatch
-// whether drained opens may ride one OpenEpisodeBatch message (server
-// capability seen) or must stay individual envelopes flushed together.
-func (c *Client) batchEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batchMax > 1
-}
-
-func (c *Client) drainLimit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.batchMax < 1 {
-		return 1
-	}
-	return c.batchMax
-}
-
-func (c *Client) protoBatch() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batchCap
-}
-
 // closedErr is the terminal error for work racing the client's shutdown.
 func (c *Client) closedErr() error {
 	if err := c.Err(); err != nil {
@@ -399,12 +286,9 @@ func (c *Client) closedErr() error {
 	return ErrClientClosed
 }
 
-// sendOpen dispatches one episode open: directly when batching is off,
-// else through the coalescing send loop.
+// sendOpen queues one episode open for the coalescing send loop and waits
+// for the outcome of the send that carried it.
 func (c *Client) sendOpen(sid uint32, open *proto.OpenEpisode) error {
-	if !c.batchEnabled() {
-		return c.conn.Send(proto.EncodeEnvelope(sid, proto.EncodeOpenEpisode(open)))
-	}
 	req := &openReq{sid: sid, open: open, errc: make(chan error, 1)}
 	select {
 	case c.openCh <- req:
@@ -426,16 +310,15 @@ func (c *Client) sendOpen(sid uint32, open *proto.OpenEpisode) error {
 	}
 }
 
+// openBatchLimit bounds how many queued opens one OpenEpisodeBatch carries
+// — deep enough to soak up a worker pool's burst of concurrent opens,
+// small against proto.MaxBatchOpens.
+const openBatchLimit = 8
+
 // sendLoop is the open coalescer: it waits for one open, then drains —
 // without blocking, so an open is never delayed waiting for company —
-// whatever other opens the worker pool has already queued, up to the batch
-// limit, and flushes them together. Against a batch-capable server the
-// flush is one OpenEpisodeBatch message; before the hello lands (and
-// forever against a legacy server) it is the individual single-open
-// envelopes pushed through transport.SendBatch — byte-identical on the
-// wire to sequential sends, so the peer cannot tell, but one gathered
-// write instead of one syscall per open. A batch of one goes out as a
-// plain single-open Send either way.
+// whatever other opens the worker pool has already queued, up to
+// openBatchLimit, and sends them as one OpenEpisodeBatch on session 0.
 func (c *Client) sendLoop() {
 	for {
 		select {
@@ -450,40 +333,22 @@ func (c *Client) sendLoop() {
 				}
 			}
 		case req := <-c.openCh:
-			batch := append(make([]*openReq, 0, 8), req)
-			if limit := c.drainLimit(); limit > 1 {
-			drain:
-				for len(batch) < limit {
-					select {
-					case more := <-c.openCh:
-						batch = append(batch, more)
-					default:
-						break drain
-					}
+			batch := append(make([]*openReq, 0, openBatchLimit), req)
+		drain:
+			for len(batch) < openBatchLimit {
+				select {
+				case more := <-c.openCh:
+					batch = append(batch, more)
+				default:
+					break drain
 				}
 			}
 			telemetry.ClientOpenBatch.Observe(float64(len(batch)))
-			var err error
-			switch {
-			case len(batch) == 1:
-				err = c.conn.Send(proto.EncodeEnvelope(req.sid, proto.EncodeOpenEpisode(req.open)))
-			case c.protoBatch():
-				entries := make([]proto.OpenBatchEntry, len(batch))
-				for i, r := range batch {
-					entries[i] = proto.OpenBatchEntry{SID: r.sid, Open: r.open}
-				}
-				err = c.conn.Send(proto.EncodeEnvelope(0, proto.EncodeOpenEpisodeBatch(entries)))
-				c.mu.Lock()
-				c.openBatches++
-				c.batchedOpens += len(batch)
-				c.mu.Unlock()
-			default:
-				msgs := make([][]byte, len(batch))
-				for i, r := range batch {
-					msgs[i] = proto.EncodeEnvelope(r.sid, proto.EncodeOpenEpisode(r.open))
-				}
-				err = c.conn.SendBatch(msgs)
+			entries := make([]proto.OpenBatchEntry, len(batch))
+			for i, r := range batch {
+				entries[i] = proto.OpenBatchEntry{SID: r.sid, Open: r.open}
 			}
+			err := c.conn.Send(proto.EncodeEnvelope(0, proto.EncodeOpenEpisodeBatch(entries)))
 			for _, r := range batch {
 				r.errc <- err
 			}
@@ -498,10 +363,9 @@ func (c *Client) register() (uint32, *session) {
 	c.next++
 	sid := c.next
 	s := &session{
-		// Deep enough for the final done-frame, the optional full
-		// EpisodeResult, and the trailing EpisodeEnd, which the server
-		// sends back-to-back without an intervening control.
-		data: make(chan inbound, 3),
+		// Deep enough for the final done-frame and the EpisodeResult, which
+		// the server sends back-to-back without an intervening control.
+		data: make(chan inbound, 2),
 		fail: make(chan error, 1),
 	}
 	c.sessions[sid] = s
@@ -526,46 +390,50 @@ func (c *Client) unregister(sid uint32) {
 }
 
 // RunEpisode opens a session for the scenario, drives every sensor frame
-// through the Driver, and returns the session ID (for server-side result
-// lookup) with the server's final episode summary. Safe for concurrent use
+// through the Driver, and returns the server's full episode result. When
+// the episode fails on this side of the wire the server is told to drop
+// the session, so it stops simulating for nobody. Safe for concurrent use
 // from many workers.
-func (c *Client) RunEpisode(open *proto.OpenEpisode, d Driver) (uint32, *proto.EpisodeEnd, error) {
-	sid, _, end, err := c.runEpisode(open, d)
-	return sid, end, err
-}
-
-// RunEpisodeResult is RunEpisode with the full result requested on the
-// wire: the OpenEpisode is sent with WantResult set, and the server's
-// EpisodeResult (violation list included) is returned alongside the
-// summary — no in-process Server.Result side channel, so it works against
-// a truly remote engine. The result is nil when the server predates the
-// EpisodeResult message (its stash is then still consultable in-process).
-func (c *Client) RunEpisodeResult(open *proto.OpenEpisode, d Driver) (uint32, *proto.EpisodeResult, *proto.EpisodeEnd, error) {
-	o := *open
-	o.WantResult = true
-	return c.runEpisode(&o, d)
-}
-
-// runEpisode is the shared episode loop behind RunEpisode and
-// RunEpisodeResult.
-func (c *Client) runEpisode(open *proto.OpenEpisode, d Driver) (uint32, *proto.EpisodeResult, *proto.EpisodeEnd, error) {
+func (c *Client) RunEpisode(open *proto.OpenEpisode, d Driver) (*proto.EpisodeResult, error) {
 	sid, s := c.register()
 	defer c.unregister(sid)
-	var result *proto.EpisodeResult
+	res, err := c.runSession(sid, s, open, d)
+	if err == nil {
+		c.noteCompleted()
+		return res, nil
+	}
+	var se *SessionError
+	if errors.As(err, &se) {
+		return nil, err // the server closed the session itself
+	}
+	err = fmt.Errorf("simclient: session %d: %w", sid, err)
+	select {
+	case <-c.done:
+		// The connection is gone; the server drains every session on it.
+	default:
+		// The server still holds the session. One it never saw, or already
+		// finished, it ignores.
+		abort := proto.EncodeSessionError(&proto.SessionError{Reason: err.Error()})
+		_ = c.conn.Send(proto.EncodeEnvelope(sid, abort))
+	}
+	return nil, err
+}
+
+// runSession is one episode's message loop, from the open to the result.
+func (c *Client) runSession(sid uint32, s *session, open *proto.OpenEpisode, d Driver) (*proto.EpisodeResult, error) {
 	var st episodeStream
 	defer func() { c.noteDeltas(st.dec.Deltas()) }()
 
-	// Phase spans (open: open sent -> first inbound; frames: first
-	// inbound -> result or end; result: wire result -> end) cost two
-	// time.Now calls per message boundary, so they are skipped entirely
-	// unless telemetry is collecting.
+	// Phase spans (open: open sent -> first inbound; frames: first inbound
+	// -> done-frame; result: done-frame -> result) cost a time.Now per
+	// boundary, so they are skipped entirely unless telemetry is collecting.
 	spans := telemetry.Enabled()
-	var tOpen, tFirst, tResult time.Time
+	var tOpen, tFirst, tDone time.Time
 	if spans {
 		tOpen = time.Now()
 	}
 	if err := c.sendOpen(sid, open); err != nil {
-		return sid, nil, nil, fmt.Errorf("simclient: session %d: open: %w", sid, err)
+		return nil, fmt.Errorf("open: %w", err)
 	}
 	d.Reset()
 	for {
@@ -574,68 +442,58 @@ func (c *Client) runEpisode(open *proto.OpenEpisode, d Driver) (uint32, *proto.E
 		case in = <-s.data:
 		case err := <-s.fail:
 			c.noteFailed()
-			return sid, nil, nil, fmt.Errorf("simclient: session %d: %w", sid, err)
+			return nil, err
 		case <-c.done:
 			// Drain a message that raced the shutdown.
 			select {
 			case in = <-s.data:
 			default:
-				if err := c.Err(); err != nil {
-					return sid, nil, nil, fmt.Errorf("simclient: session %d: %w", sid, err)
-				}
-				return sid, nil, nil, fmt.Errorf("simclient: session %d: %w", sid, ErrClientClosed)
+				return nil, c.closedErr()
 			}
 		}
 		if spans && tFirst.IsZero() {
 			tFirst = time.Now()
 			telemetry.PhaseOpen.Observe(tFirst.Sub(tOpen).Seconds())
 		}
-		inner := in.inner
-		// The session layer adds messages the legacy loop never sees: an
-		// aborted open, and the full result preceding EpisodeEnd.
-		switch kind, err := proto.Kind(inner); {
-		case err == nil && kind == proto.KindSessionError:
-			se, err := proto.DecodeSessionError(inner)
+		kind, err := proto.Kind(in.inner)
+		if err != nil {
+			return nil, err
+		}
+		switch kind {
+		case proto.KindSessionError:
+			se, err := proto.DecodeSessionError(in.inner)
 			if err != nil {
-				return sid, nil, nil, fmt.Errorf("simclient: session %d: %w", sid, err)
+				return nil, err
 			}
 			c.noteFailed()
-			return sid, nil, nil, &SessionError{SID: sid, Reason: se.Reason}
-		case err == nil && kind == proto.KindEpisodeResult:
-			result, err = proto.DecodeEpisodeResult(inner)
+			return nil, &SessionError{SID: sid, Reason: se.Reason}
+		case proto.KindEpisodeResult:
+			res, err := proto.DecodeEpisodeResult(in.inner)
 			if err != nil {
-				return sid, nil, nil, fmt.Errorf("simclient: session %d: %w", sid, err)
+				return nil, err
 			}
-			if spans {
-				tResult = time.Now()
+			if spans && !tDone.IsZero() {
+				telemetry.PhaseResult.Observe(time.Since(tDone).Seconds())
 			}
 			transport.Recycle(in.msg)
-			continue
+			return res, nil
 		}
-		reply, end, err := st.step(inner, sid, d)
+		reply, done, err := st.step(in.inner, sid, d)
 		if err != nil {
-			return sid, nil, nil, fmt.Errorf("simclient: session %d: %w", sid, err)
+			return nil, err
 		}
 		// Every decoder copies what it keeps, so the transport buffer can
 		// go back to the pool before the reply is even sent.
 		transport.Recycle(in.msg)
-		if end != nil {
+		if done {
 			if spans {
-				now := time.Now()
-				if tResult.IsZero() {
-					telemetry.PhaseFrames.Observe(now.Sub(tFirst).Seconds())
-				} else {
-					telemetry.PhaseFrames.Observe(tResult.Sub(tFirst).Seconds())
-					telemetry.PhaseResult.Observe(now.Sub(tResult).Seconds())
-				}
+				tDone = time.Now()
+				telemetry.PhaseFrames.Observe(tDone.Sub(tFirst).Seconds())
 			}
-			c.noteCompleted()
-			return sid, result, end, nil
+			continue
 		}
-		if reply != nil {
-			if err := c.conn.Send(reply); err != nil {
-				return sid, nil, nil, fmt.Errorf("simclient: session %d: send control: %w", sid, err)
-			}
+		if err := c.conn.Send(reply); err != nil {
+			return nil, fmt.Errorf("send control: %w", err)
 		}
 	}
 }

@@ -18,12 +18,15 @@ func TestRecvLoopOverflowDoesNotStallOtherSessions(t *testing.T) {
 	clientEnd, serverEnd := transport.Pipe()
 	defer clientEnd.Close()
 	c := NewClient(clientEnd)
+	if err := serverEnd.Send(proto.EncodeEnvelope(0, proto.EncodeHello(1))); err != nil {
+		t.Fatal(err)
+	}
 
 	wedged, wedgedSess := c.register()
 	live, liveSess := c.register()
 
 	// Stuff the wedged session past its buffer depth; nobody consumes.
-	frame := proto.EncodeControl(&proto.Control{Steer: 0.1})
+	frame := proto.AppendControl(nil, &proto.Control{Steer: 0.1})
 	for i := 0; i < cap(wedgedSess.data)+1; i++ {
 		if err := serverEnd.Send(proto.EncodeEnvelope(wedged, frame)); err != nil {
 			t.Fatal(err)

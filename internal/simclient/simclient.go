@@ -16,7 +16,6 @@ import (
 	"github.com/avfi/avfi/internal/rng"
 	"github.com/avfi/avfi/internal/safety"
 	"github.com/avfi/avfi/internal/tensor"
-	"github.com/avfi/avfi/internal/transport"
 	"github.com/avfi/avfi/internal/world"
 )
 
@@ -28,90 +27,38 @@ type Driver interface {
 	Reset()
 }
 
-// episodeStream is one episode's inbound decode state — a stream frame
+// episodeStream is one episode's inbound decode state: a stream frame
 // decoder handling full and delta frames alike, plus a reused reply
-// buffer — shared by the legacy single-episode loop and the session
-// Client so the two paths cannot drift apart. The frame handed to the
-// Driver and the returned reply are both scratch, valid only until the
-// next step call.
+// buffer. The frame handed to the Driver and the returned reply are both
+// scratch, valid only until the next step call.
 type episodeStream struct {
 	dec proto.FrameDecoder
 	buf []byte
 }
 
-// step processes one inbound episode message: it returns the encoded
-// control to send back (nil when no reply is due; wrapped in an envelope
-// for session when session is non-zero), the final episode summary (nil
-// while the episode runs), or an error.
-func (st *episodeStream) step(msg []byte, session uint32, d Driver) (reply []byte, end *proto.EpisodeEnd, err error) {
-	kind, err := proto.Kind(msg)
+// step processes one inbound sensor frame: it returns the enveloped
+// control to send back on session, or done for the episode's final frame
+// (no reply is due; the result follows), or an error.
+func (st *episodeStream) step(msg []byte, session uint32, d Driver) (reply []byte, done bool, err error) {
+	frame, err := st.dec.Decode(msg)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	switch kind {
-	case proto.KindEpisodeEnd:
-		end, err := proto.DecodeEpisodeEnd(msg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, end, nil
-
-	case proto.KindSensorFrame, proto.KindSensorFrameDelta:
-		frame, err := st.dec.Decode(msg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if frame.Done {
-			// Final frame; the episode-end summary follows.
-			return nil, nil, nil
-		}
-		ctl, err := d.Drive(frame)
-		if err != nil {
-			return nil, nil, fmt.Errorf("drive frame %d: %w", frame.Frame, err)
-		}
-		out := proto.Control{
-			Frame:    frame.Frame,
-			Steer:    ctl.Steer,
-			Throttle: ctl.Throttle,
-			Brake:    ctl.Brake,
-		}
-		buf := st.buf[:0]
-		if session != 0 {
-			buf = proto.AppendEnvelopeHeader(buf, session)
-		}
-		st.buf = proto.AppendControl(buf, &out)
-		return st.buf, nil, nil
-
-	default:
-		return nil, nil, fmt.Errorf("unexpected message kind %d", kind)
+	if frame.Done {
+		return nil, true, nil
 	}
-}
-
-// RunEpisode consumes sensor frames from the connection, drives them
-// through the Driver, and sends controls back, until the server reports the
-// episode done. It returns the server's final episode summary.
-func RunEpisode(conn transport.Conn, d Driver) (*proto.EpisodeEnd, error) {
-	d.Reset()
-	var st episodeStream
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("simclient: recv: %w", err)
-		}
-		reply, end, err := st.step(msg, 0, d)
-		if err != nil {
-			return nil, fmt.Errorf("simclient: %w", err)
-		}
-		transport.Recycle(msg)
-		if end != nil {
-			return end, nil
-		}
-		if reply != nil {
-			if err := conn.Send(reply); err != nil {
-				return nil, fmt.Errorf("simclient: send control: %w", err)
-			}
-		}
+	ctl, err := d.Drive(frame)
+	if err != nil {
+		return nil, false, fmt.Errorf("drive frame %d: %w", frame.Frame, err)
 	}
+	out := proto.Control{
+		Frame:    frame.Frame,
+		Steer:    ctl.Steer,
+		Throttle: ctl.Throttle,
+		Brake:    ctl.Brake,
+	}
+	st.buf = proto.AppendControl(proto.AppendEnvelopeHeader(st.buf[:0], session), &out)
+	return st.buf, false, nil
 }
 
 // FaultedDriver wraps the ADA with AVFI's client-side fault pipeline.

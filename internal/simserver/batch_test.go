@@ -1,24 +1,18 @@
 package simserver
 
 import (
-	"sync"
 	"testing"
 
-	"github.com/avfi/avfi/internal/physics"
 	"github.com/avfi/avfi/internal/proto"
-	"github.com/avfi/avfi/internal/simclient"
-	"github.com/avfi/avfi/internal/transport"
 )
 
 // TestBatchOpenFansOutSessions: one OpenEpisodeBatch envelope opens every
-// entry as an ordinary independent session — both episodes run to their
-// EpisodeEnd over the shared connection.
+// entry as an independent session — both episodes run to their
+// EpisodeResult over the shared connection.
 func TestBatchOpenFansOutSessions(t *testing.T) {
 	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
+	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	recvHello(t, clientConn)
 
 	const sidA, sidB = 7, 9
 	var entries []proto.OpenBatchEntry
@@ -32,10 +26,11 @@ func TestBatchOpenFansOutSessions(t *testing.T) {
 			},
 		})
 	}
-	if err := clientConn.Send(proto.EncodeEnvelope(0, proto.EncodeOpenEpisodeBatch(entries))); err != nil {
+	if err := clientConn.Send(batchMsg(entries...)); err != nil {
 		t.Fatal(err)
 	}
 
+	decoders := map[uint32]*proto.FrameDecoder{sidA: {}, sidB: {}}
 	ended := map[uint32]bool{}
 	for len(ended) < 2 {
 		msg, err := clientConn.Recv()
@@ -46,10 +41,8 @@ func TestBatchOpenFansOutSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sid == 0 {
-			continue // capability hello
-		}
-		if sid != sidA && sid != sidB {
+		dec, ok := decoders[sid]
+		if !ok {
 			t.Fatalf("message for unopened session %d", sid)
 		}
 		kind, err := proto.Kind(inner)
@@ -57,19 +50,18 @@ func TestBatchOpenFansOutSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch kind {
-		case proto.KindSensorFrame:
-			frame, err := proto.DecodeSensorFrame(inner)
+		case proto.KindSensorFrame, proto.KindSensorFrameDelta:
+			frame, err := dec.Decode(inner)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if frame.Done {
-				continue // EpisodeEnd follows
+				continue // the result follows
 			}
-			ctl := proto.EncodeControl(&proto.Control{Frame: frame.Frame})
-			if err := clientConn.Send(proto.EncodeEnvelope(sid, ctl)); err != nil {
+			if err := clientConn.Send(controlMsg(sid, frame.Frame)); err != nil {
 				t.Fatal(err)
 			}
-		case proto.KindEpisodeEnd:
+		case proto.KindEpisodeResult:
 			ended[sid] = true
 		case proto.KindSessionError:
 			se, _ := proto.DecodeSessionError(inner)
@@ -88,69 +80,5 @@ func TestBatchOpenFansOutSessions(t *testing.T) {
 	}
 	if got := srv.CompletedSessions(); got != 2 {
 		t.Errorf("CompletedSessions = %d, want 2", got)
-	}
-}
-
-// legacyWorkerConn simulates a worker that predates the capability hello:
-// its Serve-side sends on session 0 (the hello) vanish, exactly as if the
-// server never produced them.
-type legacyWorkerConn struct {
-	transport.Conn
-}
-
-func (c legacyWorkerConn) Send(msg []byte) error {
-	if sid, _, err := proto.DecodeEnvelope(msg); err == nil && sid == 0 {
-		return nil
-	}
-	return c.Conn.Send(msg)
-}
-
-// TestLegacyWorkerFallback is the wire-compatibility contract: a client
-// configured for batched opens, talking to a worker that never announces
-// the capability, must complete every episode via single-open envelopes —
-// no probing, no errors, zero batches on the wire.
-func TestLegacyWorkerFallback(t *testing.T) {
-	const n = 4
-	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(legacyWorkerConn{serverConn}) }()
-
-	client := simclient.NewClient(clientConn)
-	client.SetBatchOpens(8)
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			from, to := mission(t, w, uint64(i+1))
-			open := &proto.OpenEpisode{
-				From: uint32(from), To: uint32(to),
-				Seed: uint64(i + 1), TimeoutSec: 1.0,
-			}
-			driver := &simclient.AutopilotDriver{
-				Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} },
-			}
-			_, _, errs[i] = client.RunEpisode(open, driver)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("episode %d against legacy worker: %v", i, err)
-		}
-	}
-	if got := client.OpenBatches(); got != 0 {
-		t.Errorf("client sent %d batches to a worker that never announced the capability", got)
-	}
-	if got := srv.CompletedSessions(); got != n {
-		t.Errorf("CompletedSessions = %d, want %d", got, n)
-	}
-	client.Close()
-	if err := <-serveDone; err != nil {
-		t.Errorf("Serve returned %v after clean close", err)
 	}
 }

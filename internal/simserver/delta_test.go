@@ -1,56 +1,21 @@
 package simserver
 
 import (
-	"sync"
 	"testing"
 
-	"github.com/avfi/avfi/internal/physics"
-	"github.com/avfi/avfi/internal/proto"
-	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/simclient"
-	"github.com/avfi/avfi/internal/transport"
 )
 
-// runDeltaEpisodes drives n concurrent episodes through client and
-// returns the per-episode errors.
-func runDeltaEpisodes(t *testing.T, client *simclient.Client, w *sim.World, n int) []error {
-	t.Helper()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			from, to := mission(t, w, uint64(i+1))
-			open := &proto.OpenEpisode{
-				From: uint32(from), To: uint32(to),
-				Seed: uint64(i + 1), TimeoutSec: 1.0,
-			}
-			driver := &simclient.AutopilotDriver{
-				Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} },
-			}
-			_, _, errs[i] = client.RunEpisode(open, driver)
-		}(i)
-	}
-	wg.Wait()
-	return errs
-}
-
-// TestDeltaFramesNegotiated: a delta-capable client against a delta-capable
-// server answers the hello, after which the session frame streams switch to
-// delta encoding — and both ends agree on how many frames rode it.
+// TestDeltaFramesNegotiated: with nothing to negotiate, the session frame
+// streams are delta-encoded from the second frame on — and both ends agree
+// on how many frames rode the delta encoding.
 func TestDeltaFramesNegotiated(t *testing.T) {
 	const n = 3
 	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
-
+	srv, clientConn, serveDone := startServer(t, worldFactory(w))
 	client := simclient.NewClient(clientConn)
-	client.SetDeltaFrames(true)
 
-	for i, err := range runDeltaEpisodes(t, client, w, n) {
+	for i, err := range runEpisodes(t, client, w, n) {
 		if err != nil {
 			t.Errorf("episode %d: %v", i, err)
 		}
@@ -63,112 +28,9 @@ func TestDeltaFramesNegotiated(t *testing.T) {
 		t.Errorf("CompletedSessions = %d, want %d", got, n)
 	}
 	if srv.DeltaFramesSent() == 0 {
-		t.Error("no frames were delta-encoded between two delta-capable peers")
+		t.Error("no frames were delta-encoded")
 	}
 	if got, want := client.DeltaFrames(), srv.DeltaFramesSent(); got != want {
 		t.Errorf("client decoded %d delta frames, server sent %d", got, want)
-	}
-}
-
-// TestLegacyClientGetsFullFrames is the downgrade contract from the
-// server's side: a client that never announces delta decode support (it
-// drops session-0 traffic, as pre-capability clients do) must receive
-// every frame as a plain KindSensorFrame keyframe.
-func TestLegacyClientGetsFullFrames(t *testing.T) {
-	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
-
-	const sid = 5
-	from, to := mission(t, w, 1)
-	open := &proto.OpenEpisode{From: uint32(from), To: uint32(to), Seed: 1, TimeoutSec: 1.0}
-	if err := clientConn.Send(proto.EncodeEnvelope(sid, proto.EncodeOpenEpisode(open))); err != nil {
-		t.Fatal(err)
-	}
-	frames := 0
-	for done := false; !done; {
-		msg, err := clientConn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSID, inner, err := proto.DecodeEnvelope(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSID == 0 {
-			continue // capability hello: a legacy client ignores it
-		}
-		kind, err := proto.Kind(inner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch kind {
-		case proto.KindSensorFrame:
-			frames++
-			frame, err := proto.DecodeSensorFrame(inner)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if frame.Done {
-				continue
-			}
-			ctl := proto.EncodeControl(&proto.Control{Frame: frame.Frame})
-			if err := clientConn.Send(proto.EncodeEnvelope(sid, ctl)); err != nil {
-				t.Fatal(err)
-			}
-		case proto.KindSensorFrameDelta:
-			t.Fatal("server sent a delta frame to a client that never announced support")
-		case proto.KindEpisodeEnd:
-			done = true
-		default:
-			t.Fatalf("unexpected kind %d", kind)
-		}
-	}
-	if frames == 0 {
-		t.Fatal("episode produced no frames")
-	}
-	clientConn.Close()
-	if err := <-serveDone; err != nil {
-		t.Errorf("Serve returned %v after clean close", err)
-	}
-	if got := srv.DeltaFramesSent(); got != 0 {
-		t.Errorf("DeltaFramesSent = %d against a legacy client, want 0", got)
-	}
-}
-
-// TestLegacyWorkerDeltaFallback mirrors TestLegacyWorkerFallback for the
-// frame path: a client configured for delta frames, talking to a worker
-// that never announces the capability, must never reply on session 0 and
-// must complete every episode on full keyframes.
-func TestLegacyWorkerDeltaFallback(t *testing.T) {
-	const n = 3
-	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(legacyWorkerConn{serverConn}) }()
-
-	client := simclient.NewClient(clientConn)
-	client.SetDeltaFrames(true)
-
-	for i, err := range runDeltaEpisodes(t, client, w, n) {
-		if err != nil {
-			t.Errorf("episode %d against legacy worker: %v", i, err)
-		}
-	}
-	if got := srv.CompletedSessions(); got != n {
-		t.Errorf("CompletedSessions = %d, want %d", got, n)
-	}
-	if got := srv.DeltaFramesSent(); got != 0 {
-		t.Errorf("legacy worker delta-encoded %d frames", got)
-	}
-	if got := client.DeltaFrames(); got != 0 {
-		t.Errorf("client decoded %d delta frames from a legacy worker", got)
-	}
-	client.Close()
-	if err := <-serveDone; err != nil {
-		t.Errorf("Serve returned %v after clean close", err)
 	}
 }

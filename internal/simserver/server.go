@@ -20,75 +20,53 @@ type EpisodeFactory func(open *proto.OpenEpisode) (*sim.Episode, error)
 
 // Server is the persistent, session-multiplexed simulation engine: one
 // Server serves many concurrent episodes over a single transport.Conn. Each
-// OpenEpisode envelope spawns a session goroutine running the same
-// frame/control loop as ServeEpisode, with all sessions' traffic
-// interleaved on the shared connection.
+// entry of an OpenEpisodeBatch spawns a session goroutine running the
+// frame/control loop, with all sessions' traffic interleaved on the shared
+// connection.
 //
 // This is the campaign-throughput shape the paper's sweeps need: episode
 // dispatch is O(1) in connections (one conn and, over TCP, one listener per
 // campaign) instead of a listener + dial + goroutine per episode.
 type Server struct {
-	factory EpisodeFactory
+	factory   EpisodeFactory
+	worldHash uint64
 
-	mu        sync.Mutex
-	sessions  map[uint32]chan *proto.Control
-	results   map[uint32]sim.Result
-	active    int
-	maxActive int
-	total     int
-	completed int
-	failed    int
-	serveErr  error
-	served    bool
-	// deltaOK is set when the peer replies to our hello announcing it can
-	// decode delta frames; until then every frame goes out as a keyframe.
-	deltaOK     bool
+	mu          sync.Mutex
+	sessions    map[uint32]chan *proto.Control
+	active      int
+	maxActive   int
+	total       int
+	completed   int
+	failed      int
+	serveErr    error
+	served      bool
 	deltaFrames int
-	// worldHash, when hasWorldHash, is announced in the capability hello so
-	// clients can verify the server simulates the world they expect.
-	worldHash    uint64
-	hasWorldHash bool
 
 	wg sync.WaitGroup
 }
 
-// NewServer builds an idle engine around an episode factory.
-func NewServer(factory EpisodeFactory) *Server {
+// NewServer builds an idle engine around an episode factory. worldHash is
+// the fingerprint (sim.WorldConfig.Hash) of the world the factory builds
+// episodes in; the server announces it in its hello so a client configured
+// for a different world refuses the pairing before any episode runs.
+func NewServer(factory EpisodeFactory, worldHash uint64) *Server {
 	return &Server{
-		factory:  factory,
-		sessions: make(map[uint32]chan *proto.Control),
-		results:  make(map[uint32]sim.Result),
+		factory:   factory,
+		worldHash: worldHash,
+		sessions:  make(map[uint32]chan *proto.Control),
 	}
 }
 
-// SetWorldHash adds a world-configuration fingerprint (sim.WorldConfig.Hash)
-// to the server's capability hello, letting dial-time verification reject a
-// campaign/worker world mismatch before any episode runs. Set it before
-// Serve; legacy clients ignore the extra token.
-func (s *Server) SetWorldHash(hash uint64) {
-	s.mu.Lock()
-	s.worldHash = hash
-	s.hasWorldHash = true
-	s.mu.Unlock()
-}
-
-// Serve multiplexes episodes over conn until the peer closes it. Every
-// received envelope either opens sessions (KindOpenEpisode, or many at
-// once via KindOpenEpisodeBatch) or routes a control to its session
-// goroutine. Serve returns nil on a clean shutdown (peer closed the
-// connection) after all in-flight sessions drain.
+// Serve sends the hello, then multiplexes episodes over conn until the
+// peer closes it. Every received envelope opens sessions
+// (KindOpenEpisodeBatch), routes a control to its session goroutine, or
+// aborts a session the client abandoned. Serve returns nil on a clean
+// shutdown (peer closed the connection) after all in-flight sessions
+// drain.
 func (s *Server) Serve(conn transport.Conn) error {
-	// Announce capabilities on session 0 — never allocated, so legacy
-	// clients drop the hello unread while new ones turn on batched opens.
 	// A send failure here means the connection is already dead; the demux
 	// loop's first Recv reports it.
-	caps := []string{proto.CapBatchOpen, proto.CapDeltaFrame}
-	s.mu.Lock()
-	if s.hasWorldHash {
-		caps = append(caps, proto.WorldCapToken(s.worldHash))
-	}
-	s.mu.Unlock()
-	_ = conn.Send(proto.EncodeEnvelope(0, proto.EncodeCapabilityHello(caps...)))
+	_ = conn.Send(proto.EncodeEnvelope(0, proto.EncodeHello(s.worldHash)))
 	err := s.demux(conn)
 	// Unblock any session still waiting for a control (the peer is gone),
 	// then drain the episode goroutines.
@@ -125,19 +103,12 @@ func (s *Server) demux(conn transport.Conn) error {
 			return fmt.Errorf("simserver: session %d: %w", sid, err)
 		}
 		switch kind {
-		case proto.KindOpenEpisode:
-			open, err := proto.DecodeOpenEpisode(inner)
-			if err != nil {
-				return fmt.Errorf("simserver: session %d: %w", sid, err)
-			}
-			if err := s.open(conn, sid, open); err != nil {
-				return err
-			}
-
 		case proto.KindOpenEpisodeBatch:
-			// One group-committed message fans out into ordinary sessions:
-			// past this point a batched episode is indistinguishable from a
-			// singly-opened one.
+			// One group-committed message fans out into independent
+			// sessions.
+			if sid != 0 {
+				return fmt.Errorf("simserver: open-episode batch on session %d, want session 0", sid)
+			}
 			entries, err := proto.DecodeOpenEpisodeBatch(inner)
 			if err != nil {
 				return fmt.Errorf("simserver: batch: %w", err)
@@ -157,7 +128,7 @@ func (s *Server) demux(conn transport.Conn) error {
 			ch, ok := s.sessions[sid]
 			s.mu.Unlock()
 			if !ok {
-				// Session already ended (e.g. control raced EpisodeEnd).
+				// Session already ended (e.g. the control raced an abort).
 				continue
 			}
 			select {
@@ -165,16 +136,10 @@ func (s *Server) demux(conn transport.Conn) error {
 			default:
 				// The episode protocol is strictly request/response, so a
 				// control beyond the buffered depth means the peer is
-				// broken for this session. Drop the session (its goroutine
-				// sees the closed channel and exits) rather than letting
-				// one session's backpressure stall the demux loop — the
-				// mirror of the client-side head-of-line guard.
-				s.mu.Lock()
-				if cur, live := s.sessions[sid]; live && cur == ch {
-					close(cur)
-					delete(s.sessions, sid)
-					s.failed++
-					telemetry.ServerSessionsFailed.Inc()
+				// broken for this session. Drop the session rather than
+				// letting one session's backpressure stall the demux loop —
+				// the mirror of the client-side head-of-line guard.
+				if s.dropSession(sid) {
 					telemetry.Warnf("simserver: session %d dropped: control overflow", sid)
 					// Tell the peer, so its episode loop fails instead of
 					// waiting forever for a frame that will never come —
@@ -188,32 +153,18 @@ func (s *Server) demux(conn transport.Conn) error {
 						_ = conn.Send(proto.EncodeEnvelope(sid, msg))
 					}()
 				}
-				s.mu.Unlock()
 			}
 
 		case proto.KindSessionError:
-			// Session 0 carries the peer's capability hello: a delta-capable
-			// client answers our announcement with its own (and only then —
-			// legacy clients drop session-0 traffic unread, legacy servers
-			// never announce, so no peer ever receives a message it cannot
-			// handle). Any other SessionError from a client is protocol abuse.
-			if sid != 0 {
-				return fmt.Errorf("simserver: session %d: unexpected session error from client", sid)
-			}
+			// The client abandoned this session (its driver failed, or its
+			// own demux dropped it): stop simulating for nobody. An unknown
+			// session is ignored like a control that raced the end.
 			se, err := proto.DecodeSessionError(inner)
 			if err != nil {
-				return fmt.Errorf("simserver: client hello: %w", err)
+				return fmt.Errorf("simserver: session %d: %w", sid, err)
 			}
-			caps, ok := proto.ParseCapabilityHello(se.Reason)
-			if !ok {
-				continue
-			}
-			for _, c := range caps {
-				if c == proto.CapDeltaFrame {
-					s.mu.Lock()
-					s.deltaOK = true
-					s.mu.Unlock()
-				}
+			if s.dropSession(sid) {
+				telemetry.Infof("simserver: session %d aborted by client: %s", sid, se.Reason)
 			}
 
 		default:
@@ -222,14 +173,21 @@ func (s *Server) demux(conn transport.Conn) error {
 	}
 }
 
-// deltaAllowed reports whether the peer has announced delta-frame decode
-// support. Checked per frame: the client hello can race the first opens,
-// and a mid-episode switch is safe because every frame message is
-// self-describing (keyframe or delta) and ordered within its session.
-func (s *Server) deltaAllowed() bool {
+// dropSession ends a live session from the demux loop: its goroutine sees
+// the closed control channel and exits, and the session counts as failed.
+// It reports false for a session that has already ended.
+func (s *Server) dropSession(sid uint32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.deltaOK
+	ch, live := s.sessions[sid]
+	if !live {
+		return false
+	}
+	close(ch)
+	delete(s.sessions, sid)
+	s.failed++
+	telemetry.ServerSessionsFailed.Inc()
+	return true
 }
 
 // open registers a session and spawns its episode goroutine. Episode
@@ -238,6 +196,9 @@ func (s *Server) deltaAllowed() bool {
 func (s *Server) open(conn transport.Conn, sid uint32, open *proto.OpenEpisode) error {
 	// A control per in-flight frame plus the strictly request/response
 	// loop means one slot never blocks the demux loop.
+	if sid == 0 {
+		return fmt.Errorf("simserver: episode opened on session 0, the connection's control channel")
+	}
 	ch := make(chan *proto.Control, 1)
 	s.mu.Lock()
 	if _, dup := s.sessions[sid]; dup {
@@ -260,13 +221,13 @@ func (s *Server) open(conn transport.Conn, sid uint32, open *proto.OpenEpisode) 
 }
 
 // runSession builds and drives one episode: send enveloped sensor frames,
-// wait for the routed control, step — the ServeEpisode loop,
-// multiplex-aware. A factory failure is reported to the client as a
+// wait for the routed control, step; after the done-frame, the full result
+// ends the session. A factory failure is reported to the client as a
 // SessionError, not a server error: one bad scenario must not tear down the
 // whole campaign engine.
-func (s *Server) runSession(conn transport.Conn, sid uint32, open *proto.OpenEpisode, controls <-chan *proto.Control) {
+func (s *Server) runSession(conn transport.Conn, sid uint32, open *proto.OpenEpisode, controls chan *proto.Control) {
 	defer s.wg.Done()
-	defer s.closeSession(sid)
+	defer s.closeSession(sid, controls)
 
 	e, err := s.factory(open)
 	if err != nil {
@@ -282,8 +243,7 @@ func (s *Server) runSession(conn transport.Conn, sid uint32, open *proto.OpenEpi
 
 	// One stream codec per session: frames reuse the encoder's scratch and
 	// send buffer (zero steady-state allocations), and delta-compress
-	// against the session's previous frame once the peer has said it can
-	// decode them.
+	// against the session's previous frame.
 	var enc proto.FrameEncoder
 	defer func() {
 		s.mu.Lock()
@@ -293,7 +253,7 @@ func (s *Server) runSession(conn transport.Conn, sid uint32, open *proto.OpenEpi
 	for {
 		obs := e.Observe()
 		obsFrameInto(enc.Next(), obs)
-		if err := conn.Send(enc.Encode(sid, s.deltaAllowed())); err != nil {
+		if err := conn.Send(enc.Encode(sid)); err != nil {
 			return
 		}
 		if obs.Done {
@@ -309,44 +269,22 @@ func (s *Server) runSession(conn transport.Conn, sid uint32, open *proto.OpenEpi
 	res := e.Result()
 	telemetry.ServerSessionsCompleted.Inc()
 	s.mu.Lock()
-	if !open.WantResult {
-		// Record before announcing the end so a client that queries Result
-		// immediately after its EpisodeEnd always finds it. Sessions that
-		// asked for the result on the wire get it there instead — no
-		// server-side stash to consume (or leak when nobody does).
-		s.results[sid] = res
-	}
 	s.completed++
 	s.mu.Unlock()
-	if open.WantResult {
-		_ = conn.Send(proto.EncodeEnvelope(sid, proto.EncodeEpisodeResult(WireResult(res))))
-	}
-	_ = conn.Send(proto.EncodeEnvelope(sid, proto.EncodeEpisodeEnd(resultEnd(res))))
+	_ = conn.Send(proto.EncodeEnvelope(sid, proto.EncodeEpisodeResult(WireResult(res))))
 }
 
-// closeSession removes a session's routing entry.
-func (s *Server) closeSession(sid uint32) {
+// closeSession removes a session's routing entry — unless the demux loop
+// already dropped it and the client has since reopened the same ID, in
+// which case the entry belongs to the newer session.
+func (s *Server) closeSession(sid uint32, controls chan *proto.Control) {
 	telemetry.ServerInFlight.Add(-1)
 	s.mu.Lock()
-	delete(s.sessions, sid)
+	if s.sessions[sid] == controls {
+		delete(s.sessions, sid)
+	}
 	s.active--
 	s.mu.Unlock()
-}
-
-// Result returns the finished sim result for a session, consuming it. It
-// is an in-process API: the wire EpisodeEnd carries only a summary, so
-// legacy clients (which need the violation list for metrics) read the full
-// result here, on the server side of the engine. Sessions whose OpenEpisode
-// set WantResult received the result on the wire instead and are never
-// stashed here.
-func (s *Server) Result(sid uint32) (sim.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, ok := s.results[sid]
-	if ok {
-		delete(s.results, sid)
-	}
-	return res, ok
 }
 
 // MaxConcurrent reports the high-water mark of simultaneously active
@@ -365,7 +303,7 @@ func (s *Server) TotalSessions() int {
 }
 
 // CompletedSessions reports how many sessions ran their episode to the end
-// and recorded a result — sessions aborted by factory failures, overflow
+// and sent its result — sessions aborted by factory failures, overflow
 // drops, or a dying connection are excluded, so campaign stats can count
 // finished episodes, not attempts.
 func (s *Server) CompletedSessions() int {
@@ -374,9 +312,9 @@ func (s *Server) CompletedSessions() int {
 	return s.completed
 }
 
-// FailedSessions reports how many sessions aborted server-side (episode
-// factory failures, demux control overflow) — per-engine health for pool
-// supervision.
+// FailedSessions reports how many sessions aborted (episode factory
+// failures, demux control overflow, client-side aborts) — per-engine
+// health for pool supervision.
 func (s *Server) FailedSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,8 +322,7 @@ func (s *Server) FailedSessions() int {
 }
 
 // DeltaFramesSent reports how many sensor frames went out delta-encoded
-// across finished sessions — zero against a legacy client, which never
-// announces decode support.
+// across finished sessions.
 func (s *Server) DeltaFramesSent() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

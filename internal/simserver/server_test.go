@@ -28,15 +28,80 @@ func worldFactory(w *sim.World) EpisodeFactory {
 	}
 }
 
-// openMsg encodes an enveloped OpenEpisode for a session.
-func openMsg(t *testing.T, w *sim.World, sid uint32, seed uint64, timeoutSec float64) []byte {
+// openMsg encodes the session-0 batch that opens one episode on sid.
+func openMsg(t testing.TB, w *sim.World, sid uint32, seed uint64, timeoutSec float64) []byte {
 	t.Helper()
 	from, to := mission(t, w, seed)
 	open := &proto.OpenEpisode{
 		From: uint32(from), To: uint32(to),
 		Seed: seed, TimeoutSec: timeoutSec,
 	}
-	return proto.EncodeEnvelope(sid, proto.EncodeOpenEpisode(open))
+	return batchMsg(proto.OpenBatchEntry{SID: sid, Open: open})
+}
+
+// batchMsg envelopes an OpenEpisodeBatch on session 0.
+func batchMsg(entries ...proto.OpenBatchEntry) []byte {
+	return proto.EncodeEnvelope(0, proto.EncodeOpenEpisodeBatch(entries))
+}
+
+// controlMsg envelopes a control answering frame on sid.
+func controlMsg(sid, frame uint32) []byte {
+	return proto.EncodeEnvelope(sid, proto.AppendControl(nil, &proto.Control{Frame: frame}))
+}
+
+// idleDriver answers every frame with a zero control.
+func idleDriver() *simclient.AutopilotDriver {
+	return &simclient.AutopilotDriver{
+		Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} },
+	}
+}
+
+// startServer serves the factory's episodes over a fresh pipe and returns
+// the server, the raw client end, and the channel Serve's verdict arrives
+// on. Like a Worker, it hangs up once Serve returns.
+func startServer(t testing.TB, factory EpisodeFactory) (*Server, transport.Conn, chan error) {
+	t.Helper()
+	srv := NewServer(factory, 0)
+	serverConn, clientConn := transport.Pipe()
+	serveDone := make(chan error, 1)
+	go func() {
+		err := srv.Serve(serverConn)
+		serverConn.Close()
+		serveDone <- err
+	}()
+	return srv, clientConn, serveDone
+}
+
+// recvHello consumes the server's hello from a raw connection.
+func recvHello(t testing.TB, conn transport.Conn) {
+	t.Helper()
+	msg, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, inner, err := proto.DecodeEnvelope(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proto.DecodeHello(inner); err != nil || sid != 0 {
+		t.Fatalf("first message: session %d, %v; want the hello on session 0", sid, err)
+	}
+}
+
+// helloAgain hands a Client a connection whose hello a raw exchange
+// already consumed: the first Recv replays one.
+type helloAgain struct {
+	transport.Conn
+	once sync.Once
+}
+
+func (c *helloAgain) Recv() ([]byte, error) {
+	var hello []byte
+	c.once.Do(func() { hello = proto.EncodeEnvelope(0, proto.EncodeHello(0)) })
+	if hello != nil {
+		return hello, nil
+	}
+	return c.Conn.Recv()
 }
 
 // TestTwoSessionsInterleaved drives two episodes over one raw connection in
@@ -48,10 +113,8 @@ func openMsg(t *testing.T, w *sim.World, sid uint32, seed uint64, timeoutSec flo
 // serialize.)
 func TestTwoSessionsInterleaved(t *testing.T) {
 	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
+	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	recvHello(t, clientConn)
 
 	const sidA, sidB = 1, 2
 	for _, sid := range []uint32{sidA, sidB} {
@@ -60,54 +123,52 @@ func TestTwoSessionsInterleaved(t *testing.T) {
 		}
 	}
 
-	// recvEnvelope returns the next message, asserting protocol validity.
-	// Session-0 traffic (the capability hello) is dropped, exactly as a
-	// legacy client's demux would.
-	recvEnvelope := func() (uint32, proto.MsgKind, []byte) {
+	// recvFrame returns the next message's session and, when it is a
+	// sensor frame, the decoded frame (nil for the episode result),
+	// asserting protocol validity.
+	decoders := map[uint32]*proto.FrameDecoder{sidA: {}, sidB: {}}
+	recvFrame := func() (uint32, *proto.SensorFrame) {
 		t.Helper()
-		var sid uint32
-		var inner []byte
-		for {
-			msg, err := clientConn.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sid, inner, err = proto.DecodeEnvelope(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sid != 0 {
-				break
-			}
+		msg, err := clientConn.Recv()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sid != sidA && sid != sidB {
+		sid, inner, err := proto.DecodeEnvelope(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, ok := decoders[sid]
+		if !ok {
 			t.Fatalf("message for unopened session %d", sid)
 		}
 		kind, err := proto.Kind(inner)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind == proto.KindSessionError {
+		switch kind {
+		case proto.KindEpisodeResult:
+			return sid, nil
+		case proto.KindSessionError:
 			se, _ := proto.DecodeSessionError(inner)
 			t.Fatalf("session %d error: %v", sid, se)
 		}
-		return sid, kind, inner
+		frame, err := dec.Decode(inner)
+		if err != nil {
+			t.Fatalf("session %d: %v", sid, err)
+		}
+		return sid, frame
 	}
 
 	// Phase 1: both sessions send their first frame unprompted, in either
 	// arrival order.
 	lastFrame := map[uint32]uint32{}
 	for i := 0; i < 2; i++ {
-		sid, kind, inner := recvEnvelope()
-		if kind != proto.KindSensorFrame {
-			t.Fatalf("first message of session %d has kind %d", sid, kind)
+		sid, frame := recvFrame()
+		if frame == nil {
+			t.Fatalf("first message of session %d is not a sensor frame", sid)
 		}
 		if _, dup := lastFrame[sid]; dup {
 			t.Fatalf("two first-frames from session %d: sessions are serialized", sid)
-		}
-		frame, err := proto.DecodeSensorFrame(inner)
-		if err != nil {
-			t.Fatal(err)
 		}
 		lastFrame[sid] = frame.Frame
 	}
@@ -125,30 +186,24 @@ func TestTwoSessionsInterleaved(t *testing.T) {
 		if ended[sid] {
 			continue
 		}
-		ctl := proto.EncodeControl(&proto.Control{Frame: lastFrame[sid]})
-		if err := clientConn.Send(proto.EncodeEnvelope(sid, ctl)); err != nil {
+		if err := clientConn.Send(controlMsg(sid, lastFrame[sid])); err != nil {
 			t.Fatal(err)
 		}
-		gotSid, kind, inner := recvEnvelope()
+		gotSid, frame := recvFrame()
 		if gotSid != sid {
 			t.Fatalf("turn %d: control for session %d answered by session %d", turn, sid, gotSid)
 		}
-		if kind != proto.KindSensorFrame {
-			t.Fatalf("turn %d: kind %d", turn, kind)
-		}
-		frame, err := proto.DecodeSensorFrame(inner)
-		if err != nil {
-			t.Fatal(err)
+		if frame == nil {
+			t.Fatalf("turn %d: result before the done-frame", turn)
 		}
 		if frame.Frame <= lastFrame[sid] {
 			t.Fatalf("session %d frame %d did not advance past %d", sid, frame.Frame, lastFrame[sid])
 		}
 		lastFrame[sid] = frame.Frame
 		if frame.Done {
-			// The episode-end summary follows back-to-back.
-			gotSid, kind, _ := recvEnvelope()
-			if gotSid != sid || kind != proto.KindEpisodeEnd {
-				t.Fatalf("after done frame: session %d kind %d", gotSid, kind)
+			// The episode result follows back-to-back and ends the session.
+			if gotSid, frame := recvFrame(); gotSid != sid || frame != nil {
+				t.Fatalf("after done frame: session %d sent another frame, want session %d's result", gotSid, sid)
 			}
 			ended[sid] = true
 		}
@@ -176,38 +231,16 @@ func TestFourEpisodesMultiplexedOneConn(t *testing.T) {
 	var opened int32
 	barrier := make(chan struct{})
 	inner := worldFactory(w)
-	srv := NewServer(func(open *proto.OpenEpisode) (*sim.Episode, error) {
+	srv, clientConn, serveDone := startServer(t, func(open *proto.OpenEpisode) (*sim.Episode, error) {
 		if atomic.AddInt32(&opened, 1) == n {
 			close(barrier)
 		}
 		<-barrier
 		return inner(open)
 	})
-
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
 	client := simclient.NewClient(clientConn)
 
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			from, to := mission(t, w, uint64(i+1))
-			open := &proto.OpenEpisode{
-				From: uint32(from), To: uint32(to),
-				Seed: uint64(i + 1), TimeoutSec: 1.0,
-			}
-			driver := &simclient.AutopilotDriver{
-				Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} },
-			}
-			_, _, errs[i] = client.RunEpisode(open, driver)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	for i, err := range runEpisodes(t, client, w, n) {
 		if err != nil {
 			t.Errorf("episode %d: %v", i, err)
 		}
@@ -221,41 +254,56 @@ func TestFourEpisodesMultiplexedOneConn(t *testing.T) {
 	}
 }
 
+// runEpisodes drives n concurrent idle episodes (seeds 1..n) through
+// client and returns the per-episode errors.
+func runEpisodes(t *testing.T, client *simclient.Client, w *sim.World, n int) []error {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			from, to := mission(t, w, uint64(i+1))
+			_, errs[i] = client.RunEpisode(&proto.OpenEpisode{
+				From: uint32(from), To: uint32(to),
+				Seed: uint64(i + 1), TimeoutSec: 1.0,
+			}, idleDriver())
+		}(i)
+	}
+	wg.Wait()
+	return errs
+}
+
 // TestSessionErrorPropagates turns a factory failure into a client-visible
 // episode error without tearing down the engine.
 func TestSessionErrorPropagates(t *testing.T) {
 	w := testWorld(t)
-	srv := NewServer(func(open *proto.OpenEpisode) (*sim.Episode, error) {
+	_, clientConn, serveDone := startServer(t, func(open *proto.OpenEpisode) (*sim.Episode, error) {
 		if open.Seed == 666 {
 			return nil, errors.New("factory boom")
 		}
 		return worldFactory(w)(open)
 	})
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
 	client := simclient.NewClient(clientConn)
 
 	from, to := mission(t, w, 5)
-	driver := &simclient.AutopilotDriver{
-		Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} },
-	}
-	_, _, err := client.RunEpisode(&proto.OpenEpisode{
+	_, err := client.RunEpisode(&proto.OpenEpisode{
 		From: uint32(from), To: uint32(to), Seed: 666,
-	}, driver)
+	}, idleDriver())
 	if err == nil || !strings.Contains(err.Error(), "factory boom") {
 		t.Errorf("error = %v, want factory boom", err)
 	}
 
 	// The engine survives: a later session on the same conn succeeds.
-	_, end, err := client.RunEpisode(&proto.OpenEpisode{
+	res, err := client.RunEpisode(&proto.OpenEpisode{
 		From: uint32(from), To: uint32(to), Seed: 5, TimeoutSec: 1.0,
-	}, driver)
+	}, idleDriver())
 	if err != nil {
 		t.Fatalf("engine dead after session error: %v", err)
 	}
-	if end == nil || end.Frames == 0 {
-		t.Errorf("follow-up episode made no progress: %+v", end)
+	if res.Frames == 0 {
+		t.Errorf("follow-up episode made no progress: %+v", res)
 	}
 
 	client.Close()
@@ -268,10 +316,8 @@ func TestSessionErrorPropagates(t *testing.T) {
 // episode in flight; Serve must unblock the session and return cleanly.
 func TestServerDrainsOnMidEpisodeHangup(t *testing.T) {
 	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
+	_, clientConn, serveDone := startServer(t, worldFactory(w))
+	recvHello(t, clientConn)
 
 	if err := clientConn.Send(openMsg(t, w, 9, 9, 30.0)); err != nil {
 		t.Fatal(err)
@@ -292,15 +338,13 @@ func TestServerDrainsOnMidEpisodeHangup(t *testing.T) {
 // nil. FailedSessions counts factory aborts.
 func TestServeHealthAccessors(t *testing.T) {
 	w := testWorld(t)
-	srv := NewServer(func(open *proto.OpenEpisode) (*sim.Episode, error) {
+	srv, clientConn, serveDone := startServer(t, func(open *proto.OpenEpisode) (*sim.Episode, error) {
 		if open.Seed == 666 {
 			return nil, errors.New("factory boom")
 		}
 		return worldFactory(w)(open)
 	})
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
+	recvHello(t, clientConn)
 
 	if srv.Done() {
 		t.Error("Done true before Serve returned")
@@ -313,19 +357,11 @@ func TestServeHealthAccessors(t *testing.T) {
 	}
 
 	// One failing session increments FailedSessions without ending Serve.
-	if err := clientConn.Send(proto.EncodeEnvelope(1, proto.EncodeOpenEpisode(&proto.OpenEpisode{Seed: 666}))); err != nil {
+	if err := clientConn.Send(batchMsg(proto.OpenBatchEntry{SID: 1, Open: &proto.OpenEpisode{Seed: 666}})); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the SessionError reply, dropping the session-0 capability
-	// hello like a legacy client's demux would.
-	for {
-		msg, err := clientConn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sid, _, err := proto.DecodeEnvelope(msg); err == nil && sid != 0 {
-			break
-		}
+	if _, err := clientConn.Recv(); err != nil { // the SessionError reply
+		t.Fatal(err)
 	}
 	if got := srv.FailedSessions(); got != 1 {
 		t.Errorf("FailedSessions = %d after factory abort, want 1", got)
@@ -352,10 +388,8 @@ func TestServeHealthAccessors(t *testing.T) {
 // keeps serving every other session on the connection.
 func TestDemuxControlOverflowDropsSession(t *testing.T) {
 	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
+	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	recvHello(t, clientConn)
 
 	// Handcraft a wedged session: registered, buffer already full, nobody
 	// consuming.
@@ -366,49 +400,35 @@ func TestDemuxControlOverflowDropsSession(t *testing.T) {
 	srv.mu.Unlock()
 
 	// Overflow it; the demux loop must drop the session, not park on it.
-	if err := clientConn.Send(proto.EncodeEnvelope(99, proto.EncodeControl(&proto.Control{Throttle: 1}))); err != nil {
+	if err := clientConn.Send(controlMsg(99, 0)); err != nil {
 		t.Fatal(err)
 	}
 
 	// The peer is told its session died — no silent drop that would leave
-	// a client episode loop waiting forever. (Session-0 hello traffic is
-	// dropped first, as any legacy client would.)
-	var sid uint32
-	var inner []byte
-	for {
-		reply, err := clientConn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sid, inner, err = proto.DecodeEnvelope(reply)
-		if err != nil {
-			t.Fatalf("reply envelope err=%v", err)
-		}
-		if sid != 0 {
-			break
-		}
+	// a client episode loop waiting forever.
+	reply, err := clientConn.Recv()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sid != 99 {
-		t.Fatalf("reply envelope sid=%d, want sid=99", sid)
+	sid, inner, err := proto.DecodeEnvelope(reply)
+	if err != nil || sid != 99 {
+		t.Fatalf("reply envelope sid=%d err=%v, want sid=99", sid, err)
 	}
 	if kind, err := proto.Kind(inner); err != nil || kind != proto.KindSessionError {
 		t.Fatalf("reply kind=%v err=%v, want SessionError", kind, err)
 	}
 
 	// The connection still serves real episodes end-to-end.
-	client := simclient.NewClient(clientConn)
+	client := simclient.NewClient(&helloAgain{Conn: clientConn})
 	from, to := mission(t, w, 5)
-	driver := &simclient.AutopilotDriver{
-		Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} },
-	}
-	_, end, err := client.RunEpisode(&proto.OpenEpisode{
+	res, err := client.RunEpisode(&proto.OpenEpisode{
 		From: uint32(from), To: uint32(to), Seed: 5, TimeoutSec: 1.0,
-	}, driver)
+	}, idleDriver())
 	if err != nil {
 		t.Fatalf("demux stalled by wedged session: %v", err)
 	}
-	if end == nil || end.Frames == 0 {
-		t.Errorf("episode made no progress: %+v", end)
+	if res.Frames == 0 {
+		t.Errorf("episode made no progress: %+v", res)
 	}
 
 	// The wedged session was closed out and counted.
@@ -432,56 +452,36 @@ func TestDemuxControlOverflowDropsSession(t *testing.T) {
 	}
 }
 
-// TestFullResultOverWire pins the EpisodeResult path: a session opened
-// with WantResult receives the complete sim.Result on the wire —
-// bit-identical to what the legacy Server.Result side channel returns for
-// the same seed — and leaves nothing stashed server-side.
+// TestFullResultOverWire pins the session's terminal message: the
+// EpisodeResult the client receives is, bit for bit, the sim.Result of the
+// same episode stepped locally with the same controls.
 func TestFullResultOverWire(t *testing.T) {
 	w := testWorld(t)
-	srv := NewServer(worldFactory(w))
-	serverConn, clientConn := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serverConn) }()
+	_, clientConn, serveDone := startServer(t, worldFactory(w))
 	client := simclient.NewClient(clientConn)
 
 	from, to := mission(t, w, 9)
 	open := &proto.OpenEpisode{
 		From: uint32(from), To: uint32(to), Seed: 9, TimeoutSec: 1.0,
 	}
-	driver := func() *simclient.AutopilotDriver {
-		return &simclient.AutopilotDriver{
-			Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{Steer: 0.3, Throttle: 1} },
-		}
-	}
-
-	// Legacy path: summary on the wire, full result from the stash.
-	legacySID, legacyEnd, err := client.RunEpisode(open, driver())
+	ctl := physics.Control{Steer: 0.3, Throttle: 1}
+	wire, err := client.RunEpisode(open, &simclient.AutopilotDriver{
+		Fn: func(*proto.SensorFrame) physics.Control { return ctl },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyRes, ok := srv.Result(legacySID)
-	if !ok {
-		t.Fatal("legacy session left no stashed result")
-	}
 
-	// Wire path: the same episode (same seed) with the result requested.
-	wireSID, wireRes, wireEnd, err := client.RunEpisodeResult(open, driver())
+	e, err := worldFactory(w)(open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireRes == nil {
-		t.Fatal("RunEpisodeResult returned no wire result")
+	for !e.Observe().Done {
+		e.Step(ctl)
 	}
-	if !reflect.DeepEqual(simclient.SimResult(wireRes), legacyRes) {
-		t.Errorf("wire result diverged from stash:\n wire  %+v\n stash %+v",
-			simclient.SimResult(wireRes), legacyRes)
-	}
-	if wireEnd.Frames != legacyEnd.Frames || wireEnd.DistanceM != legacyEnd.DistanceM {
-		t.Errorf("episode summaries diverged: %+v vs %+v", wireEnd, legacyEnd)
-	}
-	// No stash for WantResult sessions: nothing to consume or leak.
-	if _, ok := srv.Result(wireSID); ok {
-		t.Error("WantResult session also stashed its result server-side")
+	if local := e.Result(); !reflect.DeepEqual(simclient.SimResult(wire), local) {
+		t.Errorf("wire result diverged from the local episode:\n wire  %+v\n local %+v",
+			simclient.SimResult(wire), local)
 	}
 
 	client.Close()

@@ -9,23 +9,9 @@
 package simserver
 
 import (
-	"errors"
-	"fmt"
-
-	"github.com/avfi/avfi/internal/physics"
 	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/sim"
-	"github.com/avfi/avfi/internal/transport"
 )
-
-// obsFrame converts one observation into its wire form (shared by the
-// legacy single-episode loop and the multiplexed session loop, so the two
-// paths cannot drift apart).
-func obsFrame(obs sim.Observation) *proto.SensorFrame {
-	var f proto.SensorFrame
-	obsFrameInto(&f, obs)
-	return &f
-}
 
 // obsFrameInto fills a reused scratch frame with one observation's wire
 // form, appending pixels and lidar into the scratch's existing capacity —
@@ -45,18 +31,9 @@ func obsFrameInto(f *proto.SensorFrame, obs sim.Observation) {
 	f.Status = uint8(obs.Status)
 }
 
-// resultEnd converts a final sim result into its summary wire form.
-func resultEnd(res sim.Result) *proto.EpisodeEnd {
-	return &proto.EpisodeEnd{
-		Status:    uint8(res.Status),
-		Frames:    uint32(res.Frames),
-		DistanceM: res.DistanceM,
-	}
-}
-
-// WireResult converts a final sim result into its full wire form — the
-// EpisodeResult message sessions opt into with OpenEpisode.WantResult.
-// simclient.SimResult is the inverse; the pair round-trips bit-exactly.
+// WireResult converts a final sim result into its full wire form, the
+// EpisodeResult message that ends every session. simclient.SimResult is
+// the inverse; the pair round-trips bit-exactly.
 func WireResult(res sim.Result) *proto.EpisodeResult {
 	out := &proto.EpisodeResult{
 		Status:       uint8(res.Status),
@@ -75,38 +52,4 @@ func WireResult(res sim.Result) *proto.EpisodeResult {
 		})
 	}
 	return out
-}
-
-// ServeEpisode drives one episode over the connection until the mission
-// terminates, then sends EpisodeEnd and returns the result. The connection
-// is left open (the caller owns its lifecycle).
-func ServeEpisode(e *sim.Episode, conn transport.Conn) (sim.Result, error) {
-	for {
-		obs := e.Observe()
-		if err := conn.Send(proto.EncodeSensorFrame(obsFrame(obs))); err != nil {
-			return sim.Result{}, fmt.Errorf("simserver: send frame %d: %w", obs.Frame, err)
-		}
-		if obs.Done {
-			break
-		}
-
-		msg, err := conn.Recv()
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("simserver: recv control for frame %d: %w", obs.Frame, err)
-		}
-		ctl, err := proto.DecodeControl(msg)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("simserver: frame %d: %w", obs.Frame, err)
-		}
-		e.Step(physics.Control{Steer: ctl.Steer, Throttle: ctl.Throttle, Brake: ctl.Brake})
-	}
-
-	res := e.Result()
-	if err := conn.Send(proto.EncodeEpisodeEnd(resultEnd(res))); err != nil {
-		// The episode finished; a lost end-notification is non-fatal.
-		if !errors.Is(err, transport.ErrClosed) {
-			return res, fmt.Errorf("simserver: send episode end: %w", err)
-		}
-	}
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package simserver
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 	"github.com/avfi/avfi/internal/world"
 )
 
-func testWorld(t *testing.T) *sim.World {
+func testWorld(t testing.TB) *sim.World {
 	t.Helper()
 	cfg := sim.DefaultWorldConfig()
 	cfg.Town.GridW, cfg.Town.GridH = 3, 3
@@ -26,75 +27,13 @@ func testWorld(t *testing.T) *sim.World {
 	return w
 }
 
-func mission(t *testing.T, w *sim.World, seed uint64) (world.NodeID, world.NodeID) {
+func mission(t testing.TB, w *sim.World, seed uint64) (world.NodeID, world.NodeID) {
 	t.Helper()
 	from, to, err := w.Town().RandomMission(rng.New(seed), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return from, to
-}
-
-// runOverPipe serves an episode over an in-process pipe with an autopilot
-// client and returns both sides' results.
-func runOverPipe(t *testing.T, w *sim.World, seed uint64) (sim.Result, *proto.EpisodeEnd) {
-	t.Helper()
-	from, to := mission(t, w, seed)
-	e, err := w.NewEpisode(sim.EpisodeConfig{From: from, To: to, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pilot := autopilot.New(e.Route(), e.EgoParams(), autopilot.DefaultConfig())
-
-	serverConn, clientConn := transport.Pipe()
-	defer serverConn.Close()
-	defer clientConn.Close()
-
-	var (
-		wg        sync.WaitGroup
-		serverRes sim.Result
-		serverErr error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		serverRes, serverErr = ServeEpisode(e, serverConn)
-	}()
-
-	driver := &simclient.AutopilotDriver{
-		Fn: func(frame *proto.SensorFrame) physics.Control {
-			// Ground-truth controller: the protocol carries sensor frames,
-			// but the expert uses episode state (legitimate server-side
-			// oracle for tests).
-			return pilot.Control(e.EgoState(), nil)
-		},
-	}
-	end, err := simclient.RunEpisode(clientConn, driver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if serverErr != nil {
-		t.Fatal(serverErr)
-	}
-	return serverRes, end
-}
-
-func TestEpisodeOverInProcPipe(t *testing.T) {
-	w := testWorld(t)
-	res, end := runOverPipe(t, w, 1)
-	if !res.Success {
-		t.Errorf("autopilot over pipe failed: %+v", res.Status)
-	}
-	if end.Status != uint8(res.Status) {
-		t.Errorf("client saw status %d, server %d", end.Status, res.Status)
-	}
-	if int(end.Frames) != res.Frames {
-		t.Errorf("frame count mismatch: %d vs %d", end.Frames, res.Frames)
-	}
-	if end.DistanceM != res.DistanceM {
-		t.Errorf("distance mismatch: %v vs %v", end.DistanceM, res.DistanceM)
-	}
 }
 
 // lockstepConn materializes the happens-before edges the request/response
@@ -125,149 +64,132 @@ func (c lockstepConn) Recv() ([]byte, error) {
 	return msg, err
 }
 
-func TestEpisodeOverTCP(t *testing.T) {
-	w := testWorld(t)
-	from, to := mission(t, w, 2)
-	e, err := w.NewEpisode(sim.EpisodeConfig{From: from, To: to, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pilot := autopilot.New(e.Route(), e.EgoParams(), autopilot.DefaultConfig())
-
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	var (
-		wg        sync.WaitGroup
-		step      sync.Mutex // lockstep edges for the e.EgoState oracle
-		serverRes sim.Result
-		serverErr error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := l.Accept()
-		if err != nil {
-			serverErr = err
-			return
+// runAutopilotEpisode serves one mission over the given connection pair
+// with the oracle autopilot driving the client, and returns the result
+// the client received. The factory hands the test its episode so the
+// oracle can read ego state (a legitimate server-side oracle for tests:
+// the protocol carries sensor frames, the expert uses episode state).
+func runAutopilotEpisode(t *testing.T, w *sim.World, seed uint64, serverConn, clientConn transport.Conn) sim.Result {
+	t.Helper()
+	from, to := mission(t, w, seed)
+	var e *sim.Episode
+	var pilot *autopilot.Pilot
+	srv := NewServer(func(open *proto.OpenEpisode) (*sim.Episode, error) {
+		var err error
+		e, err = worldFactory(w)(open)
+		if err == nil {
+			pilot = autopilot.New(e.Route(), e.EgoParams(), autopilot.DefaultConfig())
 		}
-		defer conn.Close()
-		serverRes, serverErr = ServeEpisode(e, lockstepConn{conn, &step})
-	}()
+		return e, err
+	}, w.Config().Hash())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(serverConn) }()
 
-	clientConn, err := transport.Dial(l.Addr())
+	client := simclient.NewClient(clientConn)
+	res, err := client.RunEpisode(&proto.OpenEpisode{From: uint32(from), To: uint32(to), Seed: seed},
+		&simclient.AutopilotDriver{
+			Fn: func(*proto.SensorFrame) physics.Control { return pilot.Control(e.EgoState(), nil) },
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clientConn.Close()
-
-	driver := &simclient.AutopilotDriver{
-		Fn: func(frame *proto.SensorFrame) physics.Control {
-			return pilot.Control(e.EgoState(), nil)
-		},
+	client.Close()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve returned %v after clean close", err)
 	}
-	end, err := simclient.RunEpisode(lockstepConn{clientConn, &step}, driver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if serverErr != nil {
-		t.Fatal(serverErr)
-	}
-	if !serverRes.Success {
-		t.Errorf("TCP episode failed: %v", serverRes.Status)
-	}
-	if end.Frames == 0 {
-		t.Error("client saw zero frames")
-	}
+	return simclient.SimResult(res)
 }
 
+// TestTransportEquivalence: the same mission must produce identical
+// results over pipe and TCP, in lock-step — the transports are
+// interchangeable, so timing faults measured on the pipe transfer to the
+// network deployment.
 func TestTransportEquivalence(t *testing.T) {
-	// The same mission must produce identical results over pipe and TCP:
-	// the transports are interchangeable, so timing faults measured on the
-	// pipe transfer to the network deployment.
 	w := testWorld(t)
 
-	resPipe, _ := runOverPipe(t, w, 3)
+	serverConn, clientConn := transport.Pipe()
+	resPipe := runAutopilotEpisode(t, w, 3, serverConn, clientConn)
 
-	// TCP run of the same mission and seed.
-	from, to := mission(t, w, 3)
-	e, err := w.NewEpisode(sim.EpisodeConfig{From: from, To: to, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pilot := autopilot.New(e.Route(), e.EgoParams(), autopilot.DefaultConfig())
 	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	var wg sync.WaitGroup
-	var step sync.Mutex // lockstep edges for the e.EgoState oracle
-	var resTCP sim.Result
-	var serverErr error
-	wg.Add(1)
+	accepted := make(chan transport.Conn, 1)
 	go func() {
-		defer wg.Done()
 		conn, err := l.Accept()
 		if err != nil {
-			serverErr = err
-			return
+			t.Error(err)
 		}
-		defer conn.Close()
-		resTCP, serverErr = ServeEpisode(e, lockstepConn{conn, &step})
+		accepted <- conn
 	}()
-	clientConn, err := transport.Dial(l.Addr())
+	tcpClient, err := transport.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clientConn.Close()
-	_, err = simclient.RunEpisode(lockstepConn{clientConn, &step}, &simclient.AutopilotDriver{
-		Fn: func(frame *proto.SensorFrame) physics.Control {
-			return pilot.Control(e.EgoState(), nil)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	tcpServer := <-accepted
+	if tcpServer == nil {
+		t.FailNow()
 	}
-	wg.Wait()
-	if serverErr != nil {
-		t.Fatal(serverErr)
-	}
+	defer tcpServer.Close()
+	var step sync.Mutex // lockstep edges for the e.EgoState oracle
+	resTCP := runAutopilotEpisode(t, w, 3, lockstepConn{tcpServer, &step}, lockstepConn{tcpClient, &step})
 
-	if resPipe.Frames != resTCP.Frames || resPipe.DistanceM != resTCP.DistanceM ||
-		resPipe.Success != resTCP.Success {
-		t.Errorf("pipe vs TCP diverged: %+v vs %+v", resPipe, resTCP)
+	if !resPipe.Success || resPipe.Frames == 0 {
+		t.Errorf("autopilot over pipe failed: %+v", resPipe)
+	}
+	if !reflect.DeepEqual(resPipe, resTCP) {
+		t.Errorf("pipe vs TCP diverged:\n pipe %+v\n tcp  %+v", resPipe, resTCP)
 	}
 }
 
+// TestServerFailsOnClosedConn: on a connection that is already gone,
+// neither end hangs — the client's episode fails with an error, and Serve
+// (for which a closed connection is the peer's hang-up) returns having
+// run nothing.
 func TestServerFailsOnClosedConn(t *testing.T) {
 	w := testWorld(t)
-	from, to := mission(t, w, 4)
-	e, err := w.NewEpisode(sim.EpisodeConfig{From: from, To: to, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	serverConn, clientConn := transport.Pipe()
 	clientConn.Close()
 	serverConn.Close()
-	if _, err := ServeEpisode(e, serverConn); err == nil {
-		t.Error("serving over closed conn did not error")
+
+	srv := NewServer(worldFactory(w), w.Config().Hash())
+	if err := srv.Serve(serverConn); err != nil {
+		t.Errorf("Serve over a closed conn = %v, want a clean nil", err)
+	}
+	if got := srv.TotalSessions(); got != 0 {
+		t.Errorf("TotalSessions = %d over a closed conn", got)
+	}
+	client := simclient.NewClient(clientConn)
+	from, to := mission(t, w, 4)
+	_, err := client.RunEpisode(&proto.OpenEpisode{From: uint32(from), To: uint32(to), Seed: 4}, idleDriver())
+	if err == nil {
+		t.Error("episode over a closed conn did not error")
 	}
 }
 
+// TestClientRejectsGarbage: a message that is not protocol — as the first
+// thing on the connection, or after a valid hello — kills the client's
+// connection with an error instead of being skipped.
 func TestClientRejectsGarbage(t *testing.T) {
-	serverConn, clientConn := transport.Pipe()
-	defer serverConn.Close()
-	defer clientConn.Close()
-	go func() { _ = serverConn.Send([]byte{1, 2, 3}) }()
-	_, err := simclient.RunEpisode(clientConn, &simclient.AutopilotDriver{
-		Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} },
-	})
-	if err == nil {
-		t.Error("garbage message did not error")
+	for name, prelude := range map[string][][]byte{
+		"instead of the hello": nil,
+		"after the hello":      {proto.EncodeEnvelope(0, proto.EncodeHello(7))},
+	} {
+		serverConn, clientConn := transport.Pipe()
+		go func() {
+			for _, msg := range append(prelude, []byte{1, 2, 3}) {
+				_ = serverConn.Send(msg)
+			}
+		}()
+		client := simclient.NewClient(clientConn)
+		if _, err := client.RunEpisode(&proto.OpenEpisode{}, idleDriver()); err == nil {
+			t.Errorf("garbage %s did not error", name)
+		}
+		if client.Err() == nil {
+			t.Errorf("garbage %s left the connection alive", name)
+		}
+		serverConn.Close()
+		clientConn.Close()
 	}
 }

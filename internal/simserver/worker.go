@@ -39,34 +39,24 @@ func WorldFactory(w *sim.World) EpisodeFactory {
 // a campaign dials N workers instead of spawning in-process engines, and
 // many campaigns (sequential or concurrent) may share one worker.
 type Worker struct {
-	factory EpisodeFactory
+	factory   EpisodeFactory
+	worldHash uint64
 
-	mu           sync.Mutex
-	listener     *transport.Listener
-	conns        map[transport.Conn]struct{}
-	served       int
-	closed       bool
-	worldHash    uint64
-	hasWorldHash bool
+	mu       sync.Mutex
+	listener *transport.Listener
+	conns    map[transport.Conn]struct{}
+	served   int
+	closed   bool
 
 	wg sync.WaitGroup
 }
 
 // NewWorker builds an idle worker around an episode factory (see
-// WorldFactory for the canonical one).
-func NewWorker(factory EpisodeFactory) *Worker {
-	return &Worker{factory: factory, conns: make(map[transport.Conn]struct{})}
-}
-
-// SetWorldHash sets the world-configuration fingerprint every per-connection
-// Server announces in its capability hello (see Server.SetWorldHash), so
-// campaigns dialing this worker can verify world identity before
-// dispatching episodes. Call before Serve accepts connections.
-func (w *Worker) SetWorldHash(hash uint64) {
-	w.mu.Lock()
-	w.worldHash = hash
-	w.hasWorldHash = true
-	w.mu.Unlock()
+// WorldFactory for the canonical one) and the fingerprint of the world it
+// builds episodes in, which every per-connection Server announces in its
+// hello (see NewServer).
+func NewWorker(factory EpisodeFactory, worldHash uint64) *Worker {
+	return &Worker{factory: factory, worldHash: worldHash, conns: make(map[transport.Conn]struct{})}
 }
 
 // Listen binds the worker's listener and returns the bound address (useful
@@ -162,13 +152,7 @@ func (w *Worker) Serve() error {
 		go func(conn transport.Conn) {
 			defer w.wg.Done()
 			defer telemetry.WorkerActiveConns.Add(-1)
-			srv := NewServer(w.factory)
-			w.mu.Lock()
-			if w.hasWorldHash {
-				srv.SetWorldHash(w.worldHash)
-			}
-			w.mu.Unlock()
-			_ = srv.Serve(conn)
+			_ = NewServer(w.factory, w.worldHash).Serve(conn)
 			conn.Close()
 			w.mu.Lock()
 			delete(w.conns, conn)
@@ -240,8 +224,7 @@ type WorkerStatus struct {
 	ConnsServed int    `json:"conns_served"`
 	ActiveConns int    `json:"active_conns"`
 	Closed      bool   `json:"closed"`
-	// WorldHash is the announced world fingerprint in hex ("" when the
-	// worker does not announce one).
+	// WorldHash is the announced world fingerprint in hex.
 	WorldHash string `json:"world_hash,omitempty"`
 }
 
@@ -253,14 +236,11 @@ func (w *Worker) Status() WorkerStatus {
 	if w.listener != nil {
 		addr = w.listener.Addr()
 	}
-	st := WorkerStatus{
+	return WorkerStatus{
 		Addr:        addr,
 		ConnsServed: w.served,
 		ActiveConns: len(w.conns),
 		Closed:      w.closed,
+		WorldHash:   fmt.Sprintf("%016x", w.worldHash),
 	}
-	if w.hasWorldHash {
-		st.WorldHash = fmt.Sprintf("%016x", w.worldHash)
-	}
-	return st
 }

@@ -16,7 +16,7 @@ func idleWorker(t *testing.T) *Worker {
 	w := NewWorker(func(*proto.OpenEpisode) (*sim.Episode, error) {
 		t.Error("factory called by a test that opens no episode")
 		return nil, nil
-	})
+	}, 0)
 	if _, err := w.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func idleWorker(t *testing.T) *Worker {
 }
 
 func TestWorkerServeBeforeListen(t *testing.T) {
-	w := NewWorker(nil)
+	w := NewWorker(nil, 0)
 	if err := w.Serve(); err == nil || !strings.Contains(err.Error(), "Serve before Listen") {
 		t.Errorf("Serve before Listen = %v, want an error saying so", err)
 	}

@@ -11,10 +11,9 @@
 // both ends reject it at the transport boundary.
 //
 // The frame hot path is allocation-conscious: Send on TCP issues a single
-// writev (header and body gathered, no copy and no second syscall),
-// SendBatch flushes many messages in one writev, and Recv fills message
-// bodies from a shared buffer pool that callers can return to with
-// Recycle once a message is fully consumed.
+// writev (header and body gathered, no copy and no second syscall), and
+// Recv fills message bodies from a shared buffer pool that callers can
+// return to with Recycle once a message is fully consumed.
 package transport
 
 import (
@@ -44,11 +43,6 @@ var ErrEmptyFrame = errors.New("transport: empty frame")
 type Conn interface {
 	// Send writes one message.
 	Send(msg []byte) error
-	// SendBatch writes several messages back-to-back, preserving order.
-	// The wire bytes are identical to calling Send per message; batching
-	// only coalesces the writes (over TCP, one writev syscall for the
-	// whole batch), so peers cannot observe the difference.
-	SendBatch(msgs [][]byte) error
 	// Recv reads the next message, blocking until one arrives or the
 	// connection closes. The returned buffer may come from a shared pool;
 	// callers that fully consume a message can hand it back with Recycle.
@@ -154,17 +148,6 @@ func (c *pipeConn) Send(msg []byte) error {
 	}
 }
 
-// SendBatch implements Conn. The pipe has no syscalls to coalesce, so a
-// batch is simply ordered sends.
-func (c *pipeConn) SendBatch(msgs [][]byte) error {
-	for _, msg := range msgs {
-		if err := c.Send(msg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Recv implements Conn.
 func (c *pipeConn) Recv() ([]byte, error) {
 	select {
@@ -213,10 +196,6 @@ type tcpConn struct {
 	// out as one writev with zero per-send allocations.
 	hdr  [4]byte
 	vecs [2][]byte
-	// batchHdrs and batchVecs are SendBatch's scratch, grown once and
-	// reused across batches.
-	batchHdrs []byte
-	batchVecs net.Buffers
 	// wbufs is the net.Buffers value WriteTo consumes (it advances the
 	// slice header as buffers drain). A local would escape through
 	// WriteTo's pointer receiver into the buffersWriter interface and
@@ -310,57 +289,6 @@ func (t *tcpConn) Send(msg []byte) error {
 	telemetry.TransportMsgsSent.Inc()
 	telemetry.TransportBytesSent.Add(uint64(4 + len(msg)))
 	telemetry.TransportWritevBatch.Observe(1)
-	return nil
-}
-
-// SendBatch implements Conn: every message's header and body are gathered
-// into one vectored write, so a whole batch of envelopes costs a single
-// syscall (the kernel splits writev at IOV_MAX transparently).
-func (t *tcpConn) SendBatch(msgs [][]byte) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	if len(msgs) == 1 {
-		return t.Send(msgs[0])
-	}
-	for _, msg := range msgs {
-		if len(msg) == 0 {
-			return ErrEmptyFrame
-		}
-		if len(msg) > MaxFrame {
-			return fmt.Errorf("transport: frame %d exceeds max %d", len(msg), MaxFrame)
-		}
-	}
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	if cap(t.batchHdrs) < 4*len(msgs) {
-		t.batchHdrs = make([]byte, 4*len(msgs))
-	}
-	hdrs := t.batchHdrs[:4*len(msgs)]
-	t.batchVecs = t.batchVecs[:0]
-	for i, msg := range msgs {
-		h := hdrs[4*i : 4*i+4]
-		binary.BigEndian.PutUint32(h, uint32(len(msg)))
-		t.batchVecs = append(t.batchVecs, h, msg)
-	}
-	t.wbufs = t.batchVecs
-	_, err := t.wbufs.WriteTo(t.conn)
-	t.wbufs = nil
-	// Drop message references (WriteTo consumed the local header, but the
-	// elements it resliced live in the shared backing array).
-	for i := range t.batchVecs {
-		t.batchVecs[i] = nil
-	}
-	if err != nil {
-		return fmt.Errorf("transport: write batch: %w", err)
-	}
-	total := 0
-	for _, msg := range msgs {
-		total += 4 + len(msg)
-	}
-	telemetry.TransportMsgsSent.Add(uint64(len(msgs)))
-	telemetry.TransportBytesSent.Add(uint64(total))
-	telemetry.TransportWritevBatch.Observe(float64(len(msgs)))
 	return nil
 }
 

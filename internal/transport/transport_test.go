@@ -246,9 +246,6 @@ func TestEmptyFrameRejected(t *testing.T) {
 	if err := a.Send(nil); !errors.Is(err, ErrEmptyFrame) {
 		t.Errorf("pipe Send(nil) = %v, want ErrEmptyFrame", err)
 	}
-	if err := a.SendBatch([][]byte{[]byte("ok"), {}}); !errors.Is(err, ErrEmptyFrame) {
-		t.Errorf("pipe SendBatch with empty = %v, want ErrEmptyFrame", err)
-	}
 
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -269,9 +266,6 @@ func TestEmptyFrameRejected(t *testing.T) {
 	defer c.Close()
 	if err := c.Send(nil); !errors.Is(err, ErrEmptyFrame) {
 		t.Errorf("tcp Send(nil) = %v, want ErrEmptyFrame", err)
-	}
-	if err := c.SendBatch([][]byte{[]byte("ok"), {}}); !errors.Is(err, ErrEmptyFrame) {
-		t.Errorf("tcp SendBatch with empty = %v, want ErrEmptyFrame", err)
 	}
 }
 
@@ -305,95 +299,6 @@ func TestTCPRecvRejectsZeroLengthFrame(t *testing.T) {
 	}
 	if err := <-errCh; !errors.Is(err, ErrEmptyFrame) {
 		t.Errorf("Recv of zero-length frame = %v, want ErrEmptyFrame", err)
-	}
-}
-
-// TestSendBatchWireIdenticalToSends pins the compatibility contract: a
-// batch produces byte-for-byte the same stream as sequential Sends, so a
-// legacy peer cannot tell them apart.
-func TestSendBatchWireIdenticalToSends(t *testing.T) {
-	msgs := [][]byte{[]byte("alpha"), []byte("b"), make([]byte, 3000)}
-	for i := range msgs[2] {
-		msgs[2][i] = byte(i * 7)
-	}
-
-	recvAll := func(send func(Conn) error) []byte {
-		l, err := Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		done := make(chan []byte, 1)
-		go func() {
-			conn, err := l.Accept()
-			if err != nil {
-				done <- nil
-				return
-			}
-			defer conn.Close()
-			var all []byte
-			for i := 0; i < len(msgs); i++ {
-				m, err := conn.Recv()
-				if err != nil {
-					done <- nil
-					return
-				}
-				all = append(all, m...)
-				Recycle(m)
-			}
-			done <- all
-		}()
-		c, err := Dial(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := send(c); err != nil {
-			t.Fatal(err)
-		}
-		return <-done
-	}
-
-	batched := recvAll(func(c Conn) error { return c.SendBatch(msgs) })
-	single := recvAll(func(c Conn) error {
-		for _, m := range msgs {
-			if err := c.Send(m); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if batched == nil || single == nil {
-		t.Fatal("receive failed")
-	}
-	if !bytes.Equal(batched, single) {
-		t.Error("SendBatch stream differs from sequential Send stream")
-	}
-	var want []byte
-	for _, m := range msgs {
-		want = append(want, m...)
-	}
-	if !bytes.Equal(batched, want) {
-		t.Error("batched payloads corrupted")
-	}
-}
-
-func TestPipeSendBatchInOrder(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() {
-		_ = a.SendBatch([][]byte{[]byte("one"), []byte("two"), []byte("three")})
-	}()
-	for _, want := range []string{"one", "two", "three"} {
-		msg, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(msg) != want {
-			t.Fatalf("got %q, want %q", msg, want)
-		}
-		Recycle(msg)
 	}
 }
 
