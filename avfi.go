@@ -20,10 +20,10 @@
 //     engines (CampaignConfig.Pool), bounded retry of transient episode
 //     failures, and replacement of dead backends;
 //   - a streaming results pipeline: episode records flow through
-//     incremental per-cell aggregation and an optional RecordSink (e.g.
-//     NewJSONLSink), so a campaign can retain just a small fixed-size
-//     statistics digest per episode instead of full records
-//     (CampaignConfig.DiscardRecords);
+//     incremental per-cell aggregation and an optional RecordSink
+//     (NewBinarySink writes the durable binary record log), so a campaign
+//     can retain just a small fixed-size statistics digest per episode
+//     instead of full records (CampaignConfig.DiscardRecords);
 //   - campaign orchestration over either the classic flat injector sweep or
 //     a ScenarioMatrix (weather x traffic density x AEB x windowed fault
 //     activation x injector), with the paper's resilience metrics: Mission
@@ -41,10 +41,14 @@
 //   - a distributed fleet mode: SimWorker serves episodes to remote
 //     campaigns (avfi -serve), PoolConfig.Backends dials a fleet of
 //     workers round-robin with retry and dead-worker replacement, and
-//     ShardSinks/LoadRecordsDir/MergeRecordsJSONL shard the durable
-//     episode log across independent writers — all bit-identical to the
-//     single in-process engine run for the same seed, even under a
-//     mid-campaign backend kill.
+//     ShardSinks/OpenRecordsPath/MergeRecords shard the durable episode
+//     log across independent writers — all bit-identical to the single
+//     in-process engine run for the same seed, even under a mid-campaign
+//     backend kill.
+//
+// Binary frames are the only record log format that is written, read
+// back, resumed from or merged. JSONL is an export: MergeRecords (and
+// avfi-records) write it with FormatJSONL, and every reader refuses it.
 //
 // # Quick start
 //
@@ -80,9 +84,11 @@
 // Instead of sweeping every cell exhaustively, let a policy steer the
 // episode budget toward the cells that are producing violations:
 //
+//	policy, err := avfi.ParseAdaptivePolicy("ucb") // or "halving", "uniform"
+//	// ...
 //	rs, err := runner.RunAdaptive(ctx, avfi.AdaptiveConfig{
-//		Policy: avfi.UCBPolicy(0), // or SuccessiveHalvingPolicy()
-//		Budget: 5000,              // total episodes, any grid size
+//		Policy: policy,
+//		Budget: 5000, // total episodes, any grid size
 //	})
 //	// rs.Adaptive reports the per-round and per-cell allocation.
 //
@@ -155,9 +161,9 @@ type (
 	// RecordStream is a RecordSource over a log file or shard directory;
 	// the caller must Close it (see OpenRecordsPath).
 	RecordStream = campaign.RecordStream
-	// RecordFormat selects the on-disk record log encoding: FormatJSONL
-	// (text interchange) or FormatBinary (hot-path frames), with
-	// FormatAuto detecting per file on read.
+	// RecordFormat selects the encoding MergeRecords writes: FormatBinary
+	// (the record log format, and the zero value) or FormatJSONL (the
+	// export).
 	RecordFormat = campaign.RecordFormat
 	// CellProgress is one cell's running aggregate (VPK stats plus
 	// violation tallies), delivered to CampaignConfig.ProgressV2.
@@ -343,9 +349,6 @@ func ServeTelemetry(addr string) (*TelemetryServer, error) {
 // instrument when disabled.
 func SetTelemetryEnabled(on bool) { telemetry.SetEnabled(on) }
 
-// TelemetryEnabled reports whether metric collection is on.
-func TelemetryEnabled() bool { return telemetry.Enabled() }
-
 // SetLogLevel sets the process-wide log verbosity. The default is LogWarn:
 // quiet operation, with engine deaths, slow episodes and dropped sessions
 // still surfaced.
@@ -387,9 +390,6 @@ func DefaultPretrainSpec() PretrainSpec { return agent.DefaultPretrainSpec() }
 // NewAgent builds an untrained agent (use TrainAgent or Agent.Train to fit
 // it; an untrained agent drives, badly).
 func NewAgent(cfg AgentConfig) (*Agent, error) { return agent.New(cfg) }
-
-// DefaultAgentConfig sizes the agent for the default camera.
-func DefaultAgentConfig() AgentConfig { return agent.DefaultConfig() }
 
 // TrainAgent trains a fresh agent on the world per the spec (no caching).
 func TrainAgent(w *World, spec PretrainSpec) (*Agent, error) {
@@ -490,41 +490,22 @@ func WriteReportsCSV(w io.Writer, reports []Report) error {
 // WriteJSON emits a full result set as JSON.
 func WriteJSON(w io.Writer, rs *ResultSet) error { return campaign.WriteJSON(w, rs) }
 
-// NewJSONLSink returns a RecordSink streaming one JSON object per episode
-// to w as records complete — a durable per-episode log whose memory
-// footprint is independent of campaign size. Set it as
-// CampaignConfig.Sink (typically with DiscardRecords) for million-episode
-// sweeps. The caller keeps ownership of w.
-func NewJSONLSink(w io.Writer) RecordSink { return campaign.NewJSONLSink(w) }
-
 // NewBinarySink returns a RecordSink streaming one compact binary frame
-// per episode to w — the hot-path counterpart of NewJSONLSink (several
-// times cheaper to encode and decode, and auto-detected by every record
-// reader). JSONL remains the interchange form; convert losslessly with
-// avfi-records or MergeRecords. The caller keeps ownership of w.
+// per episode to w — the durable record log that OpenRecordsPath resumes
+// from and MergeRecords merges. The caller keeps ownership of w.
 func NewBinarySink(w io.Writer) RecordSink { return campaign.NewBinarySink(w) }
 
-// Record log formats (see RecordFormat).
+// Record stream encodings (see RecordFormat).
 const (
-	// FormatAuto detects per file on read; writers treat it as binary.
-	FormatAuto = campaign.FormatAuto
-	// FormatJSONL is the text interchange encoding.
-	FormatJSONL = campaign.FormatJSONL
-	// FormatBinary is the compact hot-path encoding.
+	// FormatBinary is the record log encoding, the only one read back.
 	FormatBinary = campaign.FormatBinary
+	// FormatJSONL is the text export encoding: written, never read.
+	FormatJSONL = campaign.FormatJSONL
 )
 
-// ParseRecordFormat parses a record-format flag value: "auto", "jsonl",
-// or "binary".
+// ParseRecordFormat parses an output format name: "binary" or "jsonl".
 func ParseRecordFormat(s string) (RecordFormat, error) {
 	return campaign.ParseRecordFormat(s)
-}
-
-// SniffRecordFormat reports a record log's format from its leading bytes:
-// FormatBinary on the frame magic, FormatAuto on an empty prefix,
-// FormatJSONL otherwise.
-func SniffRecordFormat(prefix []byte) RecordFormat {
-	return campaign.SniffRecordFormat(prefix)
 }
 
 // NewSimWorker builds a standalone simulator worker serving w's episodes
@@ -540,93 +521,49 @@ func NewSimWorker(w *World) *SimWorker {
 	return simserver.NewWorker(simserver.WorldFactory(w), w.Config().Hash())
 }
 
-// ShardLogName names shard i's JSONL record log inside a sharded
-// -stream-records directory ("records-<i>.jsonl").
-func ShardLogName(i int) string { return campaign.ShardLogName(i) }
-
 // BinaryShardLogName names shard i's binary record log inside a sharded
 // -stream-records directory ("records-<i>.bin").
 func BinaryShardLogName(i int) string { return campaign.BinaryShardLogName(i) }
 
-// LoadRecordsDir reads every shard log (records-*.jsonl and
-// records-*.bin, format auto-detected per file) in a sharded record
-// directory, in the canonical campaign order — the directory counterpart
-// of LoadRecords. To resume a campaign from the directory, stream it with
-// OpenRecordsPath instead.
-func LoadRecordsDir(dir string) ([]EpisodeRecord, error) {
-	return campaign.LoadRecordsDir(dir)
-}
-
-// MergeRecordsJSONL merges any set of episode logs — shard logs, single
-// logs, or a mix, in either record format — into the canonical sorted
-// JSONL record stream on w, returning the record count. Sharded and
-// single-sink runs of the same campaign merge to byte-identical output.
-func MergeRecordsJSONL(w io.Writer, sources ...io.Reader) (int, error) {
-	return campaign.MergeRecordsJSONL(w, sources...)
-}
-
-// MergeRecords merges any set of episode logs (formats auto-detected per
-// source) into the canonical sorted record stream on w in the chosen
-// output format — the format-general MergeRecordsJSONL, and the engine of
-// the avfi-records converter. Merging streams one sorted run per source;
-// memory is O(records) per source, never a combined copy.
+// MergeRecords merges any set of binary episode logs — shard logs, single
+// logs, or a mix — into the canonical sorted record stream on w in the
+// chosen output format, returning the record count: FormatBinary for a
+// log, FormatJSONL for the export. Sharded and single-sink runs of the
+// same campaign merge to byte-identical output. A source that is not a
+// binary log is an error naming it. Merging streams one sorted run per
+// source; memory is O(records) per source, never a combined copy.
 func MergeRecords(w io.Writer, format RecordFormat, sources ...io.Reader) (int, error) {
 	return campaign.MergeRecords(w, format, sources...)
 }
 
-// OpenRecordsPath opens an episode record log for streaming: a file
-// streams its records, a directory streams every shard log it holds, one
-// file descriptor and one record of memory at a time. Format is
-// auto-detected per file. Set the stream as CampaignConfig.ResumeFrom to
-// resume a campaign of any size in O(1) memory — the first Run consumes
-// it — and Close it after the run.
+// OpenRecordsPath opens a binary episode record log for streaming: a file
+// streams its records, a directory streams every shard log it holds
+// (records-*.bin), one file descriptor and one record of memory at a
+// time. Set the stream as CampaignConfig.ResumeFrom to resume a campaign
+// of any size in O(1) memory — the first Run consumes it — and Close it
+// after the run.
 func OpenRecordsPath(path string) (*RecordStream, error) {
 	return campaign.OpenRecordsPath(path)
 }
 
-// LoadRecords reads every record from one log in either format — the
-// auto-detecting counterpart of LoadRecordsJSONL, with the same
-// truncated-tail tolerance.
+// LoadRecords reads every record from one binary log. A truncated final
+// frame (crash mid-write) is tolerated and dropped; a log that is not
+// binary is an error, naming it when r is a file.
 func LoadRecords(r io.Reader) ([]EpisodeRecord, error) {
 	return campaign.LoadRecords(r)
 }
 
 // CompleteBinaryPrefixLen returns the byte length of the longest prefix
 // of a binary record log holding only complete frames — what to truncate
-// to before appending to a log that may end in a crash-truncated frame
-// (the binary counterpart of clamping JSONL to its last newline).
+// to before appending to a log that may end in a crash-truncated frame.
 func CompleteBinaryPrefixLen(r io.Reader) (int64, error) {
 	return campaign.CompleteBinaryPrefixLen(r)
 }
-
-// LoadRecordsJSONL reads the episode records of a JSONL record sink — the
-// durable log of a partial campaign. A truncated final line (crash
-// mid-write) is tolerated and dropped. To continue the campaign without
-// re-running recorded episodes, stream the log with OpenRecordsPath into
-// CampaignConfig.ResumeFrom instead.
-func LoadRecordsJSONL(r io.Reader) ([]EpisodeRecord, error) {
-	return campaign.LoadRecordsJSONL(r)
-}
-
-// UniformPolicy spreads every adaptive round's budget evenly over all
-// cells with remaining capacity — the exhaustive-sweep baseline.
-func UniformPolicy() AdaptivePolicy { return adaptive.Uniform{} }
-
-// SuccessiveHalvingPolicy prunes the scenario space geometrically: round k
-// spends its budget on only the ceil(n/2^k) riskiest cells.
-func SuccessiveHalvingPolicy() AdaptivePolicy { return adaptive.SuccessiveHalving{} }
-
-// UCBPolicy allocates by upper confidence bound on each cell's violation
-// rate; c scales the exploration bonus (0 means the default).
-func UCBPolicy(c float64) AdaptivePolicy { return adaptive.UCB{C: c} }
 
 // ParseAdaptivePolicy resolves a policy name (uniform|halving|ucb).
 func ParseAdaptivePolicy(name string) (AdaptivePolicy, error) {
 	return adaptive.ParsePolicy(name)
 }
-
-// AdaptivePolicies lists the built-in adaptive policy names.
-func AdaptivePolicies() []string { return adaptive.Policies() }
 
 // NewReportBuilder starts an empty incremental aggregator for one scenario
 // column — for hand-rolled episode loops that want campaign-grade reports

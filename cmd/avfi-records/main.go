@@ -1,19 +1,18 @@
-// Command avfi-records converts and merges AVFI episode record logs
-// between the binary hot-path format and JSONL, preserving the canonical
-// sorted-merge semantics: any set of logs — single-sink files, shard
-// directories, either format, any mix — merges into the one canonical
-// record stream, byte-identical for identical episode sets regardless of
-// how (or in what format) the campaign streamed them.
+// Command avfi-records merges AVFI binary episode record logs and exports
+// them: any set of logs — single-sink files, shard directories, any mix —
+// merges into the one canonical record stream, byte-identical for
+// identical episode sets regardless of how the campaign sharded them. The
+// output is the JSONL export (the default) or a canonical binary log.
 //
 // Usage:
 //
-//	avfi-records logs/                       # shard dir -> canonical JSONL on stdout
-//	avfi-records -format binary -o records.bin records.jsonl
+//	avfi-records logs/                       # shard dir -> JSONL export on stdout
+//	avfi-records -format binary -o merged.bin run1/ run2/ extra.bin
 //	avfi-records -o merged.jsonl run1/ run2/ extra.bin
 //
-// Input formats are auto-detected per file (binary frames open with 0xAF,
-// which no JSON line can). Crash-truncated tails are dropped, exactly as
-// -resume drops them.
+// Inputs must be binary record logs; anything else (a JSONL export
+// included) is refused with an error naming the file. Crash-truncated
+// tails are dropped, exactly as -resume drops them.
 package main
 
 import (
@@ -100,9 +99,9 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // expandInputs resolves each argument to record log paths: a file names
-// itself, a directory contributes every shard log it holds (both
-// formats, sorted), so whole -stream-records directories convert in one
-// command.
+// itself, a directory contributes every shard log it holds
+// (records-*.bin, sorted), so whole -stream-records directories merge in
+// one command.
 func expandInputs(args []string) ([]string, error) {
 	var paths []string
 	for _, arg := range args {
@@ -114,13 +113,9 @@ func expandInputs(args []string) ([]string, error) {
 			paths = append(paths, arg)
 			continue
 		}
-		var shards []string
-		for _, pattern := range []string{"records-*.jsonl", "records-*.bin"} {
-			part, err := filepath.Glob(filepath.Join(arg, pattern))
-			if err != nil {
-				return nil, err
-			}
-			shards = append(shards, part...)
+		shards, err := filepath.Glob(filepath.Join(arg, "records-*.bin"))
+		if err != nil {
+			return nil, err
 		}
 		sort.Strings(shards)
 		paths = append(paths, shards...)

@@ -21,32 +21,17 @@ func testRecords() []avfi.EpisodeRecord {
 	}
 }
 
-func writeLog(t *testing.T, path string, format avfi.RecordFormat, recs []avfi.EpisodeRecord) {
+func writeLog(t *testing.T, path string, recs []avfi.EpisodeRecord) {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := format.NewRecordSink(f)
-	for _, r := range recs {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, binaryLog(t, recs), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// canonicalJSONL is the reference output: the canonical sorted merge of
-// the given records as JSONL.
-func canonicalJSONL(t *testing.T, recs []avfi.EpisodeRecord) []byte {
+func binaryLog(t *testing.T, recs []avfi.EpisodeRecord) []byte {
 	t.Helper()
-	var in bytes.Buffer
-	sink := avfi.NewBinarySink(&in)
+	var buf bytes.Buffer
+	sink := avfi.NewBinarySink(&buf)
 	for _, r := range recs {
 		if err := sink.Consume(r); err != nil {
 			t.Fatal(err)
@@ -55,39 +40,47 @@ func canonicalJSONL(t *testing.T, recs []avfi.EpisodeRecord) []byte {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// canonical is the reference output: the canonical sorted merge of the
+// given records in format.
+func canonical(t *testing.T, format avfi.RecordFormat, recs []avfi.EpisodeRecord) []byte {
+	t.Helper()
 	var out bytes.Buffer
-	if _, err := avfi.MergeRecords(&out, avfi.FormatJSONL, bytes.NewReader(in.Bytes())); err != nil {
+	if _, err := avfi.MergeRecords(&out, format, bytes.NewReader(binaryLog(t, recs))); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
 }
 
-// TestRunMergesShardDirToStdout: a mixed-format shard directory merges to
-// the canonical JSONL stream on stdout.
+// TestRunMergesShardDirToStdout: a shard directory merges to the canonical
+// JSONL export on stdout.
 func TestRunMergesShardDirToStdout(t *testing.T) {
 	recs := testRecords()
 	dir := t.TempDir()
-	writeLog(t, filepath.Join(dir, avfi.ShardLogName(0)), avfi.FormatJSONL, recs[:1])
-	writeLog(t, filepath.Join(dir, avfi.BinaryShardLogName(1)), avfi.FormatBinary, recs[1:])
+	writeLog(t, filepath.Join(dir, avfi.BinaryShardLogName(0)), recs[:1])
+	writeLog(t, filepath.Join(dir, avfi.BinaryShardLogName(1)), recs[1:])
 
 	var out bytes.Buffer
 	if err := run([]string{dir}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if want := canonicalJSONL(t, recs); !bytes.Equal(out.Bytes(), want) {
+	if want := canonical(t, avfi.FormatJSONL, recs); !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("merged dir = %q, want %q", out.Bytes(), want)
 	}
 }
 
-// TestRunConvertsRoundTrip: JSONL -> binary file -> JSONL through the
-// command is byte-lossless.
+// TestRunConvertsRoundTrip: an unsorted binary log -> canonical binary
+// file -> JSONL export through the command is byte-lossless, and the
+// canonical binary log is a fixed point of the merge.
 func TestRunConvertsRoundTrip(t *testing.T) {
 	recs := testRecords()
 	dir := t.TempDir()
-	src := filepath.Join(dir, "records.jsonl")
-	writeLog(t, src, avfi.FormatJSONL, recs)
+	src := filepath.Join(dir, "records.bin")
+	writeLog(t, src, recs)
 
-	bin := filepath.Join(dir, "records.bin")
+	bin := filepath.Join(dir, "merged.bin")
 	if err := run([]string{"-format", "binary", "-o", bin, src}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +88,15 @@ func TestRunConvertsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avfi.SniffRecordFormat(data) != avfi.FormatBinary {
-		t.Fatalf("converted log does not open with a binary frame: %x", data[:1])
+	if want := canonical(t, avfi.FormatBinary, recs); !bytes.Equal(data, want) {
+		t.Errorf("binary merge = %x, want %x", data, want)
 	}
 
 	var back bytes.Buffer
 	if err := run([]string{bin}, &back); err != nil {
 		t.Fatal(err)
 	}
-	if want := canonicalJSONL(t, recs); !bytes.Equal(back.Bytes(), want) {
+	if want := canonical(t, avfi.FormatJSONL, recs); !bytes.Equal(back.Bytes(), want) {
 		t.Errorf("binary round trip = %q, want %q", back.Bytes(), want)
 	}
 }
@@ -112,8 +105,8 @@ func TestRunConvertsRoundTrip(t *testing.T) {
 // refused before os.Create truncates it.
 func TestRunRefusesOutputOverInput(t *testing.T) {
 	dir := t.TempDir()
-	src := filepath.Join(dir, "records.jsonl")
-	writeLog(t, src, avfi.FormatJSONL, testRecords())
+	src := filepath.Join(dir, "records.bin")
+	writeLog(t, src, testRecords())
 
 	err := run([]string{"-o", src, src}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "also an input") {
@@ -129,7 +122,9 @@ func TestRunRefusesOutputOverInput(t *testing.T) {
 }
 
 // TestRunRejectsEmptyAndMissingInputs pins the error paths: no args, a
-// directory with no shard logs, and a nonexistent path.
+// directory with no shard logs, a nonexistent path, and an input that is
+// not a binary log — the command's own JSONL export — which must be
+// refused by name rather than merged as zero records.
 func TestRunRejectsEmptyAndMissingInputs(t *testing.T) {
 	if err := run(nil, &bytes.Buffer{}); err == nil {
 		t.Error("no arguments accepted")
@@ -137,7 +132,22 @@ func TestRunRejectsEmptyAndMissingInputs(t *testing.T) {
 	if err := run([]string{t.TempDir()}, &bytes.Buffer{}); err == nil {
 		t.Error("shard-less directory accepted")
 	}
-	if err := run([]string{filepath.Join(t.TempDir(), "absent.jsonl")}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{filepath.Join(t.TempDir(), "absent.bin")}, &bytes.Buffer{}); err == nil {
 		t.Error("nonexistent input accepted")
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "records.bin")
+	writeLog(t, good, testRecords())
+	export := filepath.Join(dir, "records.jsonl")
+	if err := os.WriteFile(export, canonical(t, avfi.FormatJSONL, testRecords()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{good, export}, &out)
+	if err == nil || !strings.Contains(err.Error(), export) {
+		t.Errorf("JSONL input: err = %v, want a refusal naming %s", err, export)
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused merge wrote %d bytes", out.Len())
 	}
 }

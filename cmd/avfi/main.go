@@ -7,9 +7,9 @@
 //	avfi -injectors taxonomy,class:comm -matrix -activations 0,30
 //	avfi -agent model.avfi -seed 7
 //	avfi -matrix -weathers clear,rain -densities 0x0,8x4 -aeb both
-//	avfi -engines 4 -retries 2 -stream-records records.jsonl
+//	avfi -engines 4 -retries 2 -stream-records records.bin
 //	avfi -matrix -weathers clear,rain,fog -adaptive -policy ucb -budget 256
-//	avfi -resume records.jsonl -stream-records records.jsonl
+//	avfi -resume records.bin -stream-records records.bin
 //	avfi -serve 0.0.0.0:7070                      # simulator worker
 //	avfi -backends host1:7070,host2:7070 -retries 3 -stream-records logs/
 //	avfi -resume logs/ -stream-records logs/ -backends host1:7070,host2:7070
@@ -40,17 +40,15 @@
 // with -backends) for the entire campaign, with least-loaded dispatch,
 // bounded episode retry (-retries) and replacement of dead backends.
 // Results are identical at any pool size for the same seed.
-// -stream-records streams every episode to a record log as it completes;
-// given a directory (trailing slash, or an existing directory) it shards
-// the stream instead — one log per engine slot,
+// -stream-records streams every episode to a binary record log as it
+// completes; given a directory (trailing slash, or an existing directory)
+// it shards the stream instead — one records-<i>.bin log per engine slot,
 // written by independent aggregation goroutines, mergeable back into the
-// canonical single log with avfi-records (or MergeRecords). Fresh runs
-// write the compact binary record format by default; -record-format jsonl
-// keeps the text encoding, and every reader (-resume, avfi-records)
-// auto-detects the format per file, so logs of both kinds mix freely.
-// Combined with neither -records-csv nor -json, the campaign aggregates
-// incrementally, keeping only a small fixed-size statistics digest per
-// episode instead of full records.
+// canonical single log with avfi-records (or MergeRecords), which also
+// exports it as JSONL. Binary is the only format -resume and avfi-records
+// read. Combined with neither -records-csv nor -json, the campaign
+// aggregates incrementally, keeping only a small fixed-size statistics
+// digest per episode instead of full records.
 //
 // -adaptive replaces the exhaustive sweep with the risk-driven
 // orchestrator: rounds of -round episodes are allocated over scenario
@@ -58,20 +56,19 @@
 // observed so far, within a total budget of -budget episodes (0 = the
 // full grid). A per-round progress line reports where the budget went.
 //
-// -resume streams an episode log — or a whole shard directory — from an
-// earlier partial run (crash-truncated tails are dropped, format detected
-// per file): recorded episodes are not re-run, their statistics seed the
-// reports — and, with -adaptive, the allocation posteriors — one record at
-// a time, so resuming costs O(1) memory at any campaign size. Resuming
-// into the same -stream-records file or directory appends the fresh
-// episodes to the log(s) instead of truncating them.
+// -resume streams a binary episode log — or a whole shard directory — from
+// an earlier partial run (crash-truncated tails are dropped; a log that is
+// not binary is refused): recorded episodes are not re-run, their
+// statistics seed the reports — and, with -adaptive, the allocation
+// posteriors — one record at a time, so resuming costs O(1) memory at any
+// campaign size. Resuming into the same -stream-records file or directory
+// appends the fresh episodes to the log(s) instead of truncating them.
 //
 // Without -agent, the driving agent is trained in-process from the oracle
 // autopilot first (about a minute); save one with avfi-train to skip that.
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -82,7 +79,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -124,13 +120,12 @@ func run(ctx context.Context) error {
 		parallel   = flag.Int("parallel", 0, "concurrent episodes (0 = NumCPU)")
 		engines    = flag.Int("engines", 0, "persistent engines in the pool, each its own server+connection (0 = auto: one per -backends worker, else 1)")
 		retries    = flag.Int("retries", 0, "per-episode retries after transient engine failures")
-		streamPath = flag.String("stream-records", "", "stream per-episode records to this JSONL file as they complete; without -records-csv/-json, records are not retained in memory")
+		streamPath = flag.String("stream-records", "", "stream per-episode records to this binary record log as they complete (a directory: one records-<i>.bin shard per engine slot); without -records-csv/-json, records are not retained in memory")
 		adaptiveOn = flag.Bool("adaptive", false, "risk-driven episode allocation instead of the exhaustive sweep")
 		policyName = flag.String("policy", "ucb", "adaptive allocation policy: uniform|halving|ucb")
 		budget     = flag.Int("budget", 0, "adaptive total episode budget (0 = the full scenario grid)")
 		roundSize  = flag.Int("round", 0, "adaptive episodes per plan/observe/reallocate round (0 = auto)")
-		resumePath = flag.String("resume", "", "resume from this episode log (or shard directory, either record format): recorded episodes are not re-run")
-		recordFmt  = flag.String("record-format", "auto", "record log format for -stream-records: jsonl|binary (auto = binary for a fresh run, the existing log's format when appending)")
+		resumePath = flag.String("resume", "", "resume from this binary episode log (or shard directory): recorded episodes are not re-run")
 		serveAddr  = flag.String("serve", "", "run as a simulator worker on this address (e.g. :7070) instead of a campaign")
 		joinURL    = flag.String("join", "", "with -serve: announce this worker to a campaign service at this base URL (e.g. http://host:8080), retrying until the service is up")
 		svcAddr    = flag.String("service", "", "run as a long-lived campaign service on this address (e.g. :8080): workers announce via POST /workers, campaigns submit via POST /campaigns, all sharing /metrics and /statusz")
@@ -228,9 +223,8 @@ func run(ctx context.Context) error {
 	var resumeCount int
 	if *resumePath != "" {
 		// Stream the prior log instead of materializing it: the campaign
-		// seeds its builders record by record (format auto-detected per
-		// file), so resuming a million-episode log costs one fd and one
-		// record of memory.
+		// seeds its builders record by record, so resuming a
+		// million-episode log costs one fd and one record of memory.
 		stream, err := avfi.OpenRecordsPath(*resumePath)
 		if err != nil {
 			return err
@@ -241,14 +235,7 @@ func run(ctx context.Context) error {
 	}
 	var streamFiles []*os.File
 	if *streamPath != "" {
-		format, err := avfi.ParseRecordFormat(*recordFmt)
-		if err != nil {
-			return err
-		}
 		appendMode := *resumePath != "" && sameFile(*streamPath, *resumePath)
-		if format, err = resolveStreamFormat(format, *streamPath, appendMode); err != nil {
-			return err
-		}
 		if isDirPath(*streamPath) {
 			// A fresh sharded run clears the directory's old shard logs —
 			// which would destroy a resume source living inside it before
@@ -266,14 +253,14 @@ func run(ctx context.Context) error {
 			if workers <= 0 {
 				workers = runtime.NumCPU()
 			}
-			files, err := openShardLogs(*streamPath, cfg.Pool.PoolSize(workers), appendMode, format)
+			files, err := openShardLogs(*streamPath, cfg.Pool.PoolSize(workers), appendMode)
 			if err != nil {
 				return err
 			}
 			for _, f := range files {
 				defer f.Close()
 				streamFiles = append(streamFiles, f)
-				cfg.ShardSinks = append(cfg.ShardSinks, format.NewRecordSink(f))
+				cfg.ShardSinks = append(cfg.ShardSinks, avfi.NewBinarySink(f))
 			}
 		} else {
 			var f *os.File
@@ -282,7 +269,7 @@ func run(ctx context.Context) error {
 				// crash-truncated partial tail (the resume reader dropped it
 				// too), then append the fresh episodes — the recorded ones
 				// are streamed into the builders and not re-sunk.
-				f, err = openClampedForAppend(*streamPath, format)
+				f, err = openClampedForAppend(*streamPath)
 			} else {
 				f, err = os.Create(*streamPath)
 			}
@@ -294,7 +281,7 @@ func run(ctx context.Context) error {
 			// surface at close, and these files are the durable episode log).
 			defer f.Close()
 			streamFiles = append(streamFiles, f)
-			cfg.Sink = format.NewRecordSink(f)
+			cfg.Sink = avfi.NewBinarySink(f)
 		}
 		// With the records streamed to disk and no consumer of the
 		// in-memory copy, aggregate incrementally instead of retaining
@@ -616,93 +603,25 @@ func (c countSource) Read() (avfi.EpisodeRecord, error) {
 	return rec, err
 }
 
-// resolveStreamFormat pins down the record format a -stream-records run
-// writes. A fresh run defaults to binary (the hot-path encoding); an
-// appending run adopts the existing log's format — and refuses an
-// explicit -record-format that contradicts it, since the clamp-and-append
-// machinery assumes one format per log file.
-func resolveStreamFormat(format avfi.RecordFormat, path string, appendMode bool) (avfi.RecordFormat, error) {
-	existing := avfi.FormatAuto
-	if appendMode {
-		var err error
-		if existing, err = sniffStreamFormat(path); err != nil {
-			return format, err
-		}
-	}
-	switch {
-	case existing == avfi.FormatAuto:
-		// Nothing on disk to adopt: the writer's default is binary.
-		if format == avfi.FormatAuto {
-			format = avfi.FormatBinary
-		}
-	case format == avfi.FormatAuto:
-		format = existing
-	case format != existing:
-		return format, fmt.Errorf("-record-format %s contradicts the existing %s log %s; convert it with avfi-records or stream elsewhere",
-			format, existing, path)
-	}
-	return format, nil
-}
-
-// sniffStreamFormat detects the record format already on disk at a
-// -stream-records target: the file's own leading byte, or a shard
-// directory's first shard log's. FormatAuto means nothing is there yet.
-func sniffStreamFormat(path string) (avfi.RecordFormat, error) {
-	target := path
-	if isDirPath(path) {
-		var shards []string
-		for _, pattern := range []string{"records-*.jsonl", "records-*.bin"} {
-			part, err := filepath.Glob(filepath.Join(path, pattern))
-			if err != nil {
-				return avfi.FormatAuto, err
-			}
-			shards = append(shards, part...)
-		}
-		if len(shards) == 0 {
-			return avfi.FormatAuto, nil
-		}
-		sort.Strings(shards)
-		target = shards[0]
-	}
-	f, err := os.Open(target)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return avfi.FormatAuto, nil
-		}
-		return avfi.FormatAuto, err
-	}
-	defer f.Close()
-	prefix := make([]byte, 1)
-	n, err := f.Read(prefix)
-	if err != nil && err != io.EOF {
-		return avfi.FormatAuto, err
-	}
-	return avfi.SniffRecordFormat(prefix[:n]), nil
-}
-
-// openShardLogs opens n shard logs inside dir (named by the format),
-// creating it as needed. In append mode existing shards are clamped to
-// their last complete record boundary and appended to (the resume reader
-// dropped the partial tail too). Otherwise this is a fresh campaign:
-// every existing shard log — both formats — is removed first. Truncating
-// only the first n would leave a previous, larger run's higher-numbered
-// shards on disk for a later -resume or merge to silently ingest, and a
-// prior run of the other format would survive a same-format-only sweep
-// the same way. On any failure the already-opened files are closed.
-func openShardLogs(dir string, n int, appendMode bool, format avfi.RecordFormat) ([]*os.File, error) {
+// openShardLogs opens n binary shard logs inside dir, creating it as
+// needed. In append mode existing shards are clamped to their last
+// complete frame and appended to (the resume reader dropped the partial
+// tail too). Otherwise this is a fresh campaign: every existing shard log
+// is removed first. Truncating only the first n would leave a previous,
+// larger run's higher-numbered shards on disk for a later -resume or merge
+// to silently ingest. On any failure the already-opened files are closed.
+func openShardLogs(dir string, n int, appendMode bool) ([]*os.File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if !appendMode {
-		for _, pattern := range []string{"records-*.jsonl", "records-*.bin"} {
-			stale, err := filepath.Glob(filepath.Join(dir, pattern))
-			if err != nil {
+		stale, err := filepath.Glob(filepath.Join(dir, "records-*.bin"))
+		if err != nil {
+			return nil, err
+		}
+		for _, path := range stale {
+			if err := os.Remove(path); err != nil {
 				return nil, err
-			}
-			for _, path := range stale {
-				if err := os.Remove(path); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}
@@ -714,15 +633,11 @@ func openShardLogs(dir string, n int, appendMode bool, format avfi.RecordFormat)
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		path := filepath.Join(dir, format.ShardLogName(i))
+		path := filepath.Join(dir, avfi.BinaryShardLogName(i))
 		var f *os.File
 		var err error
-		if appendMode {
-			if _, statErr := os.Stat(path); statErr == nil {
-				f, err = openClampedForAppend(path, format)
-			} else {
-				f, err = os.Create(path)
-			}
+		if _, statErr := os.Stat(path); appendMode && statErr == nil {
+			f, err = openClampedForAppend(path)
 		} else {
 			f, err = os.Create(path)
 		}
@@ -734,39 +649,27 @@ func openShardLogs(dir string, n int, appendMode bool, format avfi.RecordFormat)
 	return files, nil
 }
 
-// openClampedForAppend opens an existing log for appending after clamping
-// away any crash-truncated partial tail.
-func openClampedForAppend(path string, format avfi.RecordFormat) (*os.File, error) {
+// openClampedForAppend opens an existing binary log for appending after
+// truncating it to its last complete frame: fresh frames appended after a
+// crash-truncated partial one would read back as mid-file corruption. A
+// file that is not a binary log is refused, naming it.
+func openClampedForAppend(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if format == avfi.FormatBinary {
-		err = clampToCompleteFrames(f)
-	} else {
-		err = clampToCompleteLines(f)
+	good, err := avfi.CompleteBinaryPrefixLen(f)
+	if err == nil {
+		err = f.Truncate(good)
 	}
 	if err == nil {
 		_, err = f.Seek(0, io.SeekEnd)
 	}
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, nil
-}
-
-// clampToCompleteFrames truncates f to the end of its last complete
-// binary record frame — the binary counterpart of clampToCompleteLines.
-func clampToCompleteFrames(f *os.File) error {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	good, err := avfi.CompleteBinaryPrefixLen(f)
-	if err != nil {
-		return err
-	}
-	return f.Truncate(good)
 }
 
 // parseMatrix assembles the -matrix scenario space from its flag values.
@@ -850,35 +753,6 @@ func sameFile(a, b string) bool {
 		return false
 	}
 	return os.SameFile(ai, bi)
-}
-
-// clampToCompleteLines truncates f to the end of its last complete
-// (newline-terminated) line, so appending after a crash mid-write cannot
-// concatenate a fresh record onto a partial one and corrupt the log
-// mid-file. The partial tail holds no complete record by definition —
-// dropping it loses nothing the resume loader kept.
-func clampToCompleteLines(f *os.File) error {
-	info, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := info.Size()
-	const chunk = 64 * 1024
-	buf := make([]byte, chunk)
-	for end := size; end > 0; {
-		n := int64(chunk)
-		if end < n {
-			n = end
-		}
-		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-			return f.Truncate(end - n + int64(i) + 1)
-		}
-		end -= n
-	}
-	return f.Truncate(0)
 }
 
 func writeFile(path string, write func(*os.File) error) error {

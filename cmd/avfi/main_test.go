@@ -18,43 +18,9 @@ import (
 	"github.com/avfi/avfi"
 )
 
-func TestClampToCompleteLines(t *testing.T) {
-	cases := []struct {
-		name, in, want string
-	}{
-		{"empty", "", ""},
-		{"clean", "{\"a\":1}\n{\"b\":2}\n", "{\"a\":1}\n{\"b\":2}\n"},
-		{"truncated tail", "{\"a\":1}\n{\"b\":2}\n{\"c\":", "{\"a\":1}\n{\"b\":2}\n"},
-		{"no newline at all", "{\"a\":", ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "log.jsonl")
-			if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := clampToCompleteLines(f); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != tc.want {
-				t.Errorf("clamped to %q, want %q", got, tc.want)
-			}
-		})
-	}
-}
-
 func TestSameFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "log.jsonl")
+	path := filepath.Join(dir, "log.bin")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +31,7 @@ func TestSameFile(t *testing.T) {
 	if !sameFile(path, rel) {
 		t.Error("absolute and relative spellings of one file not detected as the same")
 	}
-	if sameFile(path, filepath.Join(dir, "other.jsonl")) {
+	if sameFile(path, filepath.Join(dir, "other.bin")) {
 		t.Error("nonexistent file reported same")
 	}
 }
@@ -206,45 +172,51 @@ func TestIsDirPath(t *testing.T) {
 	if !isDirPath(filepath.Join(dir, "new-logs") + "/") {
 		t.Error("trailing-slash path not treated as a directory")
 	}
-	if isDirPath(filepath.Join(dir, "records.jsonl")) {
+	if isDirPath(filepath.Join(dir, "records.bin")) {
 		t.Error("nonexistent plain file path treated as a directory")
 	}
 }
 
 // TestOpenShardLogsAppendClampsTails: append mode must clamp each existing
-// shard to its last complete line (dropping a crash-truncated tail) and
-// create shards that don't exist yet.
+// shard to its last complete frame (dropping a crash-truncated tail, here
+// cut inside the frame header) and create shards that don't exist yet.
 func TestOpenShardLogsAppendClampsTails(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, avfi.ShardLogName(0)),
-		[]byte("{\"a\":1}\n{\"b\":2}\n{\"c\":"), 0o644); err != nil {
+	complete := binaryLog(t, []avfi.EpisodeRecord{
+		{Injector: "noinject", Mission: 0, Seed: 1},
+		{Injector: "noinject", Mission: 1, Seed: 2},
+	})
+	tail := binaryLog(t, []avfi.EpisodeRecord{{Injector: "noinject", Mission: 2, Seed: 3}})[:3]
+	if err := os.WriteFile(filepath.Join(dir, avfi.BinaryShardLogName(0)),
+		append(append([]byte(nil), complete...), tail...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	files, err := openShardLogs(dir, 2, true, avfi.FormatJSONL)
+	files, err := openShardLogs(dir, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := binaryLog(t, []avfi.EpisodeRecord{{Injector: "gaussian", Mission: 0, Seed: 9}})
 	for _, f := range files {
-		if _, err := f.WriteString("{\"fresh\":true}\n"); err != nil {
+		if _, err := f.Write(fresh); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	shard0, err := os.ReadFile(filepath.Join(dir, avfi.ShardLogName(0)))
+	shard0, err := os.ReadFile(filepath.Join(dir, avfi.BinaryShardLogName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := string(shard0), "{\"a\":1}\n{\"b\":2}\n{\"fresh\":true}\n"; got != want {
-		t.Errorf("shard 0 after clamped append = %q, want %q", got, want)
+	if want := append(append([]byte(nil), complete...), fresh...); !bytes.Equal(shard0, want) {
+		t.Errorf("shard 0 after clamped append = %x, want %x", shard0, want)
 	}
-	shard1, err := os.ReadFile(filepath.Join(dir, avfi.ShardLogName(1)))
+	shard1, err := os.ReadFile(filepath.Join(dir, avfi.BinaryShardLogName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := string(shard1), "{\"fresh\":true}\n"; got != want {
-		t.Errorf("fresh shard 1 = %q, want %q", got, want)
+	if !bytes.Equal(shard1, fresh) {
+		t.Errorf("fresh shard 1 = %x, want %x", shard1, fresh)
 	}
 }
 
@@ -254,8 +226,8 @@ func TestOpenShardLogsAppendClampsTails(t *testing.T) {
 // episodes (never re-sunk) would vanish from the durable log.
 func TestFreshShardRunRefusesInDirResumeSource(t *testing.T) {
 	dir := t.TempDir()
-	resume := filepath.Join(dir, avfi.ShardLogName(0))
-	if err := os.WriteFile(resume, []byte("{\"Injector\":\"noinject\"}\n"), 0o644); err != nil {
+	resume := filepath.Join(dir, avfi.BinaryShardLogName(0))
+	if err := os.WriteFile(resume, binaryLog(t, []avfi.EpisodeRecord{{Injector: "noinject"}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	os.Args = []string{"avfi", "-resume", resume, "-stream-records", dir, "-missions", "1", "-reps", "1"}
@@ -269,19 +241,58 @@ func TestFreshShardRunRefusesInDirResumeSource(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesNonBinaryLog: -resume of a JSONL log fails before any
+// training, naming the file — whether the log is resumed into itself
+// (append mode), into another stream, or is one shard of a directory
+// being appended to — and the log is left untouched.
+func TestResumeRefusesNonBinaryLog(t *testing.T) {
+	const jsonl = "{\"Injector\":\"noinject\",\"Mission\":0}\n{\"Injector\":\"noinj"
+	dir := t.TempDir()
+	log := filepath.Join(dir, "records.jsonl")
+	shardDir := filepath.Join(dir, "shards")
+	shard := filepath.Join(shardDir, avfi.BinaryShardLogName(0))
+	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{log, shard} {
+		if err := os.WriteFile(path, []byte(jsonl), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name, resume, stream, bad string
+	}{
+		{"append", log, log, log},
+		{"fresh stream", log, filepath.Join(dir, "out.bin"), log},
+		{"shard dir append", shardDir, shardDir, shard},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			os.Args = []string{"avfi", "-resume", tc.resume, "-stream-records", tc.stream, "-missions", "1", "-reps", "1"}
+			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+			err := run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), tc.bad) || !strings.Contains(err.Error(), "not a binary record log") {
+				t.Fatalf("run = %v, want a refusal naming %s", err, tc.bad)
+			}
+			if data, _ := os.ReadFile(tc.bad); string(data) != jsonl {
+				t.Errorf("refused log was modified: %q", data)
+			}
+		})
+	}
+}
+
 // TestOpenShardLogsFreshRemovesStaleShards: a fresh (non-resume) sharded
-// run must clear every previous records-*.jsonl, not just truncate its
-// own n — a prior larger run's higher-numbered shards would otherwise be
+// run must clear every previous records-*.bin, not just truncate its own
+// n — a prior larger run's higher-numbered shards would otherwise be
 // silently ingested by a later -resume or merge of the directory.
 func TestOpenShardLogsFreshRemovesStaleShards(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 4; i++ {
-		if err := os.WriteFile(filepath.Join(dir, avfi.ShardLogName(i)),
-			[]byte("{\"stale\":true}\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, avfi.BinaryShardLogName(i)),
+			binaryLog(t, []avfi.EpisodeRecord{{Injector: "stale"}}), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	files, err := openShardLogs(dir, 2, false, avfi.FormatJSONL)
+	files, err := openShardLogs(dir, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +301,7 @@ func TestOpenShardLogsFreshRemovesStaleShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	left, err := filepath.Glob(filepath.Join(dir, "records-*.jsonl"))
+	left, err := filepath.Glob(filepath.Join(dir, "records-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +314,7 @@ func TestOpenShardLogsFreshRemovesStaleShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(data) != 0 {
-			t.Errorf("%s not truncated: %q", filepath.Base(path), data)
+			t.Errorf("%s not truncated: %x", filepath.Base(path), data)
 		}
 	}
 }
@@ -340,7 +351,7 @@ func TestOpenShardLogsBinaryAppendClampsFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	files, err := openShardLogs(dir, 2, true, avfi.FormatBinary)
+	files, err := openShardLogs(dir, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,81 +377,5 @@ func TestOpenShardLogsBinaryAppendClampsFrames(t *testing.T) {
 	}
 	if len(recs) != 2 {
 		t.Errorf("clamped-and-appended shard holds %d records, want 2", len(recs))
-	}
-}
-
-// TestOpenShardLogsFreshRemovesBothFormats: a fresh sharded run must clear
-// stale shard logs of BOTH formats — a prior run of the other encoding
-// would otherwise be silently ingested by a later -resume or merge.
-func TestOpenShardLogsFreshRemovesBothFormats(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 3; i++ {
-		if err := os.WriteFile(filepath.Join(dir, avfi.ShardLogName(i)),
-			[]byte("{\"stale\":true}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, avfi.BinaryShardLogName(i)),
-			binaryLog(t, []avfi.EpisodeRecord{{Injector: "stale"}}), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files, err := openShardLogs(dir, 2, false, avfi.FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	left, err := filepath.Glob(filepath.Join(dir, "records-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 2 {
-		t.Errorf("fresh run left %d shard logs (%v), want exactly its own 2", len(left), left)
-	}
-	for _, path := range left {
-		if filepath.Ext(path) != ".bin" {
-			t.Errorf("stale shard log survived the fresh run: %s", path)
-		}
-	}
-}
-
-// TestResolveStreamFormat pins the format-selection policy: binary for
-// fresh runs, adoption of the existing log's format when appending, and a
-// refusal when an explicit flag contradicts what is on disk.
-func TestResolveStreamFormat(t *testing.T) {
-	if got, err := resolveStreamFormat(avfi.FormatAuto, "fresh.log", false); err != nil || got != avfi.FormatBinary {
-		t.Errorf("fresh auto = %v, %v; want binary", got, err)
-	}
-	if got, err := resolveStreamFormat(avfi.FormatJSONL, "fresh.log", false); err != nil || got != avfi.FormatJSONL {
-		t.Errorf("fresh explicit jsonl = %v, %v; want jsonl", got, err)
-	}
-
-	dir := t.TempDir()
-	jsonlLog := filepath.Join(dir, "records.jsonl")
-	if err := os.WriteFile(jsonlLog, []byte("{\"Injector\":\"noinject\"}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := resolveStreamFormat(avfi.FormatAuto, jsonlLog, true); err != nil || got != avfi.FormatJSONL {
-		t.Errorf("append auto over jsonl = %v, %v; want adopted jsonl", got, err)
-	}
-	if _, err := resolveStreamFormat(avfi.FormatBinary, jsonlLog, true); err == nil {
-		t.Error("appending binary to an existing jsonl log accepted")
-	}
-
-	shardDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(shardDir, avfi.BinaryShardLogName(0)),
-		binaryLog(t, []avfi.EpisodeRecord{{Injector: "noinject"}}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := resolveStreamFormat(avfi.FormatAuto, shardDir, true); err != nil || got != avfi.FormatBinary {
-		t.Errorf("append auto over binary shard dir = %v, %v; want adopted binary", got, err)
-	}
-
-	// Nothing on disk to adopt: appending still defaults to binary.
-	if got, err := resolveStreamFormat(avfi.FormatAuto, filepath.Join(dir, "absent.log"), true); err != nil || got != avfi.FormatBinary {
-		t.Errorf("append auto over nothing = %v, %v; want binary", got, err)
 	}
 }

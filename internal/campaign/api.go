@@ -6,7 +6,7 @@
 //	POST /campaigns             submit a CampaignSpec       -> {"id": "c1"}
 //	GET  /campaigns             list campaigns              -> [CampaignInfo]
 //	GET  /campaigns/{id}         one campaign's status       -> CampaignInfo
-//	GET  /campaigns/{id}/results stream records (?format=jsonl|binary)
+//	GET  /campaigns/{id}/results stream records (?format=jsonl export|binary log)
 //	POST /workers               announce a worker           -> WorkerInfo
 //	GET  /workers               list registered workers     -> [WorkerInfo]
 package campaign
@@ -94,7 +94,7 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	case "results":
 		name := r.URL.Query().Get("format")
 		if name == "" {
-			name = "jsonl" // curl-friendly default; ?format=binary for the compact stream
+			name = "jsonl" // the export by default; ?format=binary for a mergeable record log
 		}
 		format, err := ParseRecordFormat(name)
 		if err != nil {

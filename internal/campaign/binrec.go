@@ -1,12 +1,11 @@
-// Binary episode records: the hot-path encoding of the durable episode
-// log. JSONL (sink.go) pays text encoding and reflection on every episode;
-// a million-episode sweep spends more time marshaling records than some
-// injectors spend perturbing frames. The binary format is a
-// length-prefixed, versioned frame per record — compact, reflection-free,
-// and detectable by its first byte (0xAF, never the start of a JSON line),
-// so every reader in the package auto-detects the format and the two can
-// coexist in one shard directory. JSONL remains the export/interchange
-// form; cmd/avfi-records converts between them losslessly.
+// Binary episode records: the encoding of the durable episode log, and the
+// only one that is written to disk, read back, resumed from or merged. It
+// is a length-prefixed, versioned frame per record — compact and
+// reflection-free, so a million-episode sweep spends its time in episodes,
+// not in marshaling records. Every log opens with the frame magic (0xAF,
+// which no JSON text can start with), so a log in any other encoding is
+// refused on read instead of being mistaken for an empty one. JSONL
+// (FormatJSONL) is an export form only; cmd/avfi-records writes it.
 //
 // Frame layout (big-endian):
 //
@@ -28,8 +27,9 @@
 //	    flags           uint8  (bit0 = accident)
 //
 // A crash mid-write leaves a prefix of a frame; readers treat any
-// incomplete trailing frame as the truncated tail (dropped, like a partial
-// JSONL line) and any complete-but-invalid frame as corruption (an error).
+// incomplete trailing frame as the truncated tail (dropped) and any bytes
+// that cannot start a frame, or a complete-but-invalid frame, as
+// corruption (an error).
 // The version byte is per-frame, so a future layout change can mix
 // versions in one log without a file header.
 
@@ -54,9 +54,8 @@ const (
 	BinaryRecordVersion = 1
 	// binHeaderLen is magic (2) + version (1) + payload length (4).
 	binHeaderLen = 7
-	// maxBinaryPayload bounds one record's payload — matches the JSONL
-	// loader's line cap, so a corrupt length prefix is detected instead of
-	// honored as an allocation request.
+	// maxBinaryPayload bounds one record's payload, so a corrupt length
+	// prefix is detected instead of honored as an allocation request.
 	maxBinaryPayload = 16 << 20
 )
 
@@ -64,6 +63,12 @@ const (
 // holds — the signature of a crash-truncated tail, which loaders tolerate.
 // Any other decode failure is corruption.
 var errShortRecord = errors.New("campaign: short binary record frame")
+
+// notBinaryLog is the error for a log whose first byte cannot start a
+// frame — typically a JSONL export handed back to a reader.
+func notBinaryLog(first byte) error {
+	return fmt.Errorf("not a binary record log (first byte %#02x); JSONL is an export format and is never read back", first)
+}
 
 // EncodeBinaryRecord serializes one episode record as a binary frame.
 func EncodeBinaryRecord(rec metrics.EpisodeRecord) ([]byte, error) {
@@ -124,18 +129,19 @@ func recFlags(b bool) byte {
 // DecodeBinaryRecord parses one binary frame from the front of buf,
 // returning the record and the frame's total length. It never panics on
 // arbitrary input: a buffer holding only a prefix of a frame returns
-// errShortRecord (the truncated-tail signature), any other malformation an
-// ordinary error.
+// errShortRecord (the truncated-tail signature), any other malformation —
+// a short buffer included, when its magic or version is already wrong —
+// an ordinary error.
 func DecodeBinaryRecord(buf []byte) (metrics.EpisodeRecord, int, error) {
 	var rec metrics.EpisodeRecord
+	if len(buf) > 0 && buf[0] != binMagic0 || len(buf) > 1 && buf[1] != binMagic1 {
+		return rec, 0, fmt.Errorf("campaign: binary record: bad magic %#x", buf[:min(len(buf), 2)])
+	}
+	if len(buf) > 2 && buf[2] != BinaryRecordVersion {
+		return rec, 0, fmt.Errorf("campaign: binary record: version %d, want %d", buf[2], BinaryRecordVersion)
+	}
 	if len(buf) < binHeaderLen {
 		return rec, 0, errShortRecord
-	}
-	if buf[0] != binMagic0 || buf[1] != binMagic1 {
-		return rec, 0, fmt.Errorf("campaign: binary record: bad magic %#02x%02x", buf[0], buf[1])
-	}
-	if buf[2] != BinaryRecordVersion {
-		return rec, 0, fmt.Errorf("campaign: binary record: version %d, want %d", buf[2], BinaryRecordVersion)
 	}
 	payload := int(binary.BigEndian.Uint32(buf[3:]))
 	if payload > maxBinaryPayload {
@@ -261,27 +267,27 @@ func (r *binReader) bytes(n int) []byte {
 }
 
 // CompleteBinaryPrefixLen reads a binary record log and returns the byte
-// length of its longest prefix holding only complete frames — the binary
-// counterpart of clamping a JSONL log to its last newline before
-// appending. An incomplete trailing frame (crash mid-write) is excluded
-// from the prefix; a malformed header is corruption and an error, since
-// appending after it would bury the damage mid-file.
+// length of its longest prefix holding only complete frames — what to
+// truncate to before appending to a log that may end in a crash-truncated
+// frame. An incomplete trailing frame is excluded from the prefix; a log
+// that does not open with a frame, or a malformed header, is an error,
+// since appending after it would bury the damage mid-file.
 func CompleteBinaryPrefixLen(r io.Reader) (int64, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	var good int64
 	for {
 		header, err := br.Peek(binHeaderLen)
-		if err == io.EOF && len(header) == 0 {
-			return good, nil
-		}
 		if err != nil && err != io.EOF {
 			return good, err
 		}
-		if len(header) < binHeaderLen {
-			return good, nil // truncated trailing header
+		if good == 0 && len(header) > 0 && header[0] != binMagic0 {
+			return good, notBinaryLog(header[0])
 		}
 		if _, _, err := DecodeBinaryRecord(header); err != nil && err != errShortRecord {
 			return good, err
+		}
+		if len(header) < binHeaderLen {
+			return good, nil // clean end or truncated trailing header
 		}
 		frame := int64(binHeaderLen) + int64(binary.BigEndian.Uint32(header[3:]))
 		if n, err := io.CopyN(io.Discard, br, frame); err != nil {
@@ -294,17 +300,15 @@ func CompleteBinaryPrefixLen(r io.Reader) (int64, error) {
 	}
 }
 
-// binarySink streams records as binary frames through a buffered writer —
-// the hot-path counterpart of NewJSONLSink, byte-compatible with every
-// binary-aware reader in the package.
+// binarySink streams records as binary frames through a buffered writer.
 type binarySink struct {
 	bw  *bufio.Writer
 	buf []byte // frame scratch, reused across records
 }
 
 // NewBinarySink returns a RecordSink writing one binary frame per episode
-// to w. Like NewJSONLSink, the caller keeps ownership of w: Close flushes
-// buffering but does not close the underlying writer.
+// to w. The caller keeps ownership of w: Close flushes buffering but does
+// not close the underlying writer.
 func NewBinarySink(w io.Writer) RecordSink {
 	return &binarySink{bw: bufio.NewWriter(w)}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/avfi/avfi/internal/metrics"
@@ -62,8 +63,8 @@ func TestBinaryRecordRejectsOversizedFields(t *testing.T) {
 	}
 }
 
-// TestLoadRecordsBinary mirrors TestLoadRecordsJSONL through the binary
-// sink and the auto-detecting loader.
+// TestLoadRecordsBinary: records written through the binary sink load
+// back unchanged.
 func TestLoadRecordsBinary(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewBinarySink(&buf)
@@ -134,6 +135,12 @@ func TestLoadRecordsBinaryMidFileCorruption(t *testing.T) {
 	if _, err := LoadRecords(bytes.NewReader(data)); err == nil {
 		t.Error("mid-file corruption accepted")
 	}
+	// A tail shorter than a header is dropped only if it could begin a
+	// frame: stray bytes after the last frame are corruption too.
+	junk := append(append([]byte(nil), buf.Bytes()...), '{', '}')
+	if _, err := LoadRecords(bytes.NewReader(junk)); err == nil {
+		t.Error("non-frame tail accepted as a truncated frame")
+	}
 }
 
 func TestCompleteBinaryPrefixLen(t *testing.T) {
@@ -168,6 +175,12 @@ func TestCompleteBinaryPrefixLen(t *testing.T) {
 	}
 	if got, err := CompleteBinaryPrefixLen(bytes.NewReader(nil)); err != nil || got != 0 {
 		t.Errorf("empty log prefix = %d, %v; want 0, nil", got, err)
+	}
+	// A log that is not binary is an error, however short.
+	for _, notBinary := range []string{"{\"Injector\":\"noinject\"}\n", "{}", "x"} {
+		if _, err := CompleteBinaryPrefixLen(strings.NewReader(notBinary)); err == nil {
+			t.Errorf("non-binary log %q clamped instead of erroring", notBinary)
+		}
 	}
 }
 

@@ -91,15 +91,15 @@ type Config struct {
 	// Sink, when non-nil, receives every episode record as it completes
 	// (completion order, from a single aggregation goroutine). Combine with
 	// DiscardRecords for campaigns too large to retain in memory; see
-	// NewJSONLSink.
+	// NewBinarySink.
 	Sink RecordSink
 	// ShardSinks, when non-empty, shards the streaming results pipeline:
 	// one aggregation goroutine and one RecordSink per entry, with scenario
 	// cells routed to shards round-robin in cell order. Each shard streams
-	// a disjoint slice of the campaign to its own sink (typically one JSONL
+	// a disjoint slice of the campaign to its own sink (typically one binary
 	// log per engine — see cmd/avfi's -stream-records directory mode), so
 	// the single aggregation goroutine stops being the throughput ceiling;
-	// MergeRecordsJSONL reassembles the canonical single log. Mutually
+	// MergeRecords reassembles the canonical single log. Mutually
 	// exclusive with Sink. Each sink sees only its own shard's records, in
 	// that shard's completion order.
 	ShardSinks []RecordSink

@@ -7,14 +7,57 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/avfi/avfi/internal/metrics"
 )
 
+// encodeLog encodes records through format's sink.
+func encodeLog(t *testing.T, format RecordFormat, recs []metrics.EpisodeRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := format.NewRecordSink(&buf)
+	for _, r := range recs {
+		if err := sink.Consume(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeLog writes records to path through format's sink.
+func writeLog(t *testing.T, path string, format RecordFormat, recs []metrics.EpisodeRecord) {
+	t.Helper()
+	if err := os.WriteFile(path, encodeLog(t, format, recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// loadDir streams every shard log in dir and returns the records in the
+// canonical campaign order.
+func loadDir(t *testing.T, dir string) []metrics.EpisodeRecord {
+	t.Helper()
+	stream, err := OpenRecordsPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	recs, err := drainSource(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortRecords(recs)
+	return recs
+}
+
 // TestResumeFromStreamMatchesMaterialized: resuming through a streaming
-// RecordSource over an on-disk log (either format) reproduces the
-// uninterrupted run, re-running only the episodes not on record.
+// RecordSource over an on-disk binary log — one file, or the same records
+// split over a shard directory — reproduces the uninterrupted run,
+// re-running only the episodes not on record.
 func TestResumeFromStreamMatchesMaterialized(t *testing.T) {
 	full, err := NewRunner(resumeBase(t))
 	if err != nil {
@@ -26,27 +69,23 @@ func TestResumeFromStreamMatchesMaterialized(t *testing.T) {
 	}
 	half := want.Records[:len(want.Records)/2]
 
-	for _, format := range []RecordFormat{FormatJSONL, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "records.log")
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink := format.NewRecordSink(f)
-			for _, r := range half {
-				if err := sink.Consume(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sink.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			stream, err := OpenRecordsPath(path)
+	for _, tc := range []struct {
+		name  string
+		write func(dir string) string // returns the path to resume from
+	}{
+		{"binary", func(dir string) string {
+			path := filepath.Join(dir, "records.bin")
+			writeLog(t, path, FormatBinary, half)
+			return path
+		}},
+		{"shards", func(dir string) string {
+			writeLog(t, filepath.Join(dir, BinaryShardLogName(0)), FormatBinary, half[:len(half)/2])
+			writeLog(t, filepath.Join(dir, BinaryShardLogName(1)), FormatBinary, half[len(half)/2:])
+			return dir
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream, err := OpenRecordsPath(tc.write(t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,50 +111,89 @@ func TestResumeFromStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestLoadRecordsDirMixedFormats: JSONL and binary shard logs coexist in
-// one directory and load as a single sorted record set.
-func TestLoadRecordsDirMixedFormats(t *testing.T) {
-	dir := t.TempDir()
-	recs := []metrics.EpisodeRecord{
-		{Injector: "a", Mission: 0, Repetition: 0, Seed: 1},
-		{Injector: "a", Mission: 1, Repetition: 0, Seed: 2},
-		{Injector: "b", Mission: 0, Repetition: 0, Seed: 3,
-			Violations: []metrics.ViolationRecord{{Kind: "lane", TimeSec: 2}}},
-	}
-	write := func(name string, format RecordFormat, rs []metrics.EpisodeRecord) {
-		var buf bytes.Buffer
-		sink := format.NewRecordSink(&buf)
-		for _, r := range rs {
-			if err := sink.Consume(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(ShardLogName(0), FormatJSONL, recs[:1])
-	write(BinaryShardLogName(1), FormatBinary, recs[1:])
-
-	got, err := LoadRecordsDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]metrics.EpisodeRecord(nil), recs...)
-	sortRecords(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mixed-format dir:\n got  %+v\n want %+v", got, want)
+// notBinaryLogs are logs every reader must refuse: a JSONL export, one
+// shorter than a frame header, and one stray byte.
+func notBinaryLogs(t *testing.T) map[string][]byte {
+	return map[string][]byte{
+		"export.jsonl": encodeLog(t, FormatJSONL, codecRecords()),
+		"short.jsonl":  []byte("{}\n"),
+		"stray.bin":    []byte("x"),
 	}
 }
 
-// TestResumeFromBinaryShardDirectory is the binary mirror of
-// TestResumeFromShardDirectory: a binary-sharded campaign crashes (one
-// shard's tail truncated mid-frame), is resumed by streaming the shard
-// directory, and must finish with logs that merge bit-identically to the
-// uninterrupted run's.
+// TestLoadRecordsRejectsJSONL is the reader contract: a log that is not
+// binary — a JSONL export above all — fails every read path with an error
+// naming the file. It never reads as zero records.
+func TestLoadRecordsRejectsJSONL(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range notBinaryLogs(t) {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check := func(via string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("%s(%s): err = %v, want an error naming the file", via, name, err)
+			}
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := LoadRecords(f)
+		f.Close()
+		check("LoadRecords", err)
+		if recs != nil {
+			t.Errorf("LoadRecords(%s) returned %d records alongside its error", name, len(recs))
+		}
+
+		_, err = OpenRecordsPath(path)
+		check("OpenRecordsPath", err)
+
+		good := bytes.NewReader(encodeLog(t, FormatBinary, codecRecords()))
+		f, err = os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = MergeRecords(io.Discard, FormatJSONL, good, f)
+		f.Close()
+		check("MergeRecords", err)
+	}
+	// Unnamed readers are named by position.
+	_, err := MergeRecords(io.Discard, FormatJSONL, strings.NewReader("{}\n"))
+	if err == nil || !strings.Contains(err.Error(), "merge source 0") {
+		t.Errorf("MergeRecords(reader): err = %v, want one naming merge source 0", err)
+	}
+}
+
+// TestOpenRecordsDirRejectsNonBinaryShard: a shard directory streams its
+// binary shards until it reaches one that is not binary, which fails the
+// stream naming that shard.
+func TestOpenRecordsDirRejectsNonBinaryShard(t *testing.T) {
+	for name, data := range notBinaryLogs(t) {
+		dir := t.TempDir()
+		writeLog(t, filepath.Join(dir, BinaryShardLogName(0)), FormatBinary, codecRecords())
+		bad := filepath.Join(dir, BinaryShardLogName(1))
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stream, err := OpenRecordsPath(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := drainSource(stream)
+		stream.Close()
+		if err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%s as shard 1: err = %v (%d records), want an error naming %s", name, err, len(recs), bad)
+		}
+	}
+}
+
+// TestResumeFromBinaryShardDirectory: a binary-sharded campaign crashes
+// (one shard's tail truncated mid-frame), is resumed by streaming the
+// shard directory, and must finish with logs that merge bit-identically to
+// the uninterrupted run's.
 func TestResumeFromBinaryShardDirectory(t *testing.T) {
 	const nShards = 2
 	runSharded := func(dir string, resume RecordSource, appendMode bool) *ResultSet {
@@ -177,29 +255,13 @@ func TestResumeFromBinaryShardDirectory(t *testing.T) {
 		}
 	}
 
-	resumed, err := LoadRecordsDir(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := loadDir(t, crashDir)
 	if len(resumed) >= len(want.Records) {
 		t.Fatalf("crash fabrication failed: resumed %d of %d records", len(resumed), len(want.Records))
 	}
-	for i := 0; i < nShards; i++ {
-		path := filepath.Join(crashDir, BinaryShardLogName(i))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		good, err := CompleteBinaryPrefixLen(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:good], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	clampShardTails(t, crashDir, nShards)
 
-	stream, err := OpenRecordsDir(crashDir)
+	stream, err := OpenRecordsPath(crashDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +280,8 @@ func TestResumeFromBinaryShardDirectory(t *testing.T) {
 
 	// No slot sunk twice, and the resumed directory's canonical merge is
 	// byte-identical to the uninterrupted run's.
-	finalRecs, err := LoadRecordsDir(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	slots := map[string]int{}
-	for _, rec := range finalRecs {
+	for _, rec := range loadDir(t, crashDir) {
 		slots[fmt.Sprintf("%s|%d|%d", rec.Injector, rec.Mission, rec.Repetition)]++
 	}
 	for slot, n := range slots {
@@ -231,89 +289,79 @@ func TestResumeFromBinaryShardDirectory(t *testing.T) {
 			t.Errorf("slot %s sunk %d times after resume", slot, n)
 		}
 	}
-	mergeDir := func(dir string) []byte {
-		var files []io.Reader
-		for i := 0; i < nShards; i++ {
-			data, err := os.ReadFile(filepath.Join(dir, BinaryShardLogName(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, bytes.NewReader(data))
-		}
-		var out bytes.Buffer
-		if _, err := MergeRecords(&out, FormatJSONL, files...); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
-	if !bytes.Equal(mergeDir(crashDir), mergeDir(fullDir)) {
+	if !bytes.Equal(mergeShardDir(t, crashDir, nShards), mergeShardDir(t, fullDir, nShards)) {
 		t.Error("merged resumed binary shards are not byte-identical to the uninterrupted run's merge")
 	}
 }
 
+// mergeShardDir merges dir's n shard logs into the canonical JSONL export.
+func mergeShardDir(t *testing.T, dir string, n int) []byte {
+	t.Helper()
+	var files []io.Reader
+	for i := 0; i < n; i++ {
+		data, err := os.ReadFile(filepath.Join(dir, BinaryShardLogName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, bytes.NewReader(data))
+	}
+	var out bytes.Buffer
+	if _, err := MergeRecords(&out, FormatJSONL, files...); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // TestBinaryBatchedCampaignBitIdentical is the hot-path determinism
-// contract: the same campaign streamed through a binary sink with batched
-// episode dispatch merges to the byte-identical canonical JSONL stream as
-// the plain in-process JSONL baseline, with identical reports.
+// contract: the same campaign streamed through a binary sink over two
+// engines with batched episode dispatch merges to the byte-identical
+// canonical stream as the single-engine baseline, with identical reports.
 func TestBinaryBatchedCampaignBitIdentical(t *testing.T) {
-	base := func() Config {
+	run := func(engines int) ([]byte, []metrics.Report) {
+		var log bytes.Buffer
 		cfg := shardBase(t)
 		cfg.DiscardRecords = true
-		return cfg
+		cfg.Sink = NewBinarySink(&log)
+		cfg.Pool = PoolConfig{Engines: engines}
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log.Bytes(), rs.Reports
 	}
-
-	jsonl := &bytes.Buffer{}
-	cfg := base()
-	cfg.Sink = NewJSONLSink(jsonl)
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	binary := &bytes.Buffer{}
-	cfg = base()
-	cfg.Sink = NewBinarySink(binary)
-	cfg.Pool = PoolConfig{Engines: 2}
-	r, err = NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Reports, want.Reports) {
+	baseLog, want := run(1)
+	gotLog, got := run(2)
+	if !reflect.DeepEqual(got, want) {
 		t.Error("batched binary campaign reports diverged from the baseline")
 	}
 
-	var wantMerged, gotMerged bytes.Buffer
-	if _, err := MergeRecords(&wantMerged, FormatJSONL, bytes.NewReader(jsonl.Bytes())); err != nil {
-		t.Fatal(err)
+	merge := func(format RecordFormat, log []byte) []byte {
+		var out bytes.Buffer
+		if _, err := MergeRecords(&out, format, bytes.NewReader(log)); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
 	}
-	if _, err := MergeRecords(&gotMerged, FormatJSONL, bytes.NewReader(binary.Bytes())); err != nil {
-		t.Fatal(err)
+	for _, format := range []RecordFormat{FormatJSONL, FormatBinary} {
+		wantMerged := merge(format, baseLog)
+		if len(wantMerged) == 0 {
+			t.Fatal("baseline merge is empty")
+		}
+		if !bytes.Equal(merge(format, gotLog), wantMerged) {
+			t.Errorf("binary+batched record stream does not merge byte-identically to the baseline as %s", format)
+		}
 	}
-	if wantMerged.Len() == 0 {
-		t.Fatal("baseline merge is empty")
+	// The canonical binary merge is a fixed point, and exports to the same
+	// JSONL as the raw log.
+	canon := merge(FormatBinary, gotLog)
+	if !bytes.Equal(merge(FormatBinary, canon), canon) {
+		t.Error("re-merging the canonical binary log changed it")
 	}
-	if !bytes.Equal(gotMerged.Bytes(), wantMerged.Bytes()) {
-		t.Error("binary+batched record stream does not merge byte-identically to the JSONL baseline")
-	}
-
-	// And the binary-to-binary merge round-trips through the converter
-	// direction too: JSONL -> binary -> JSONL is lossless.
-	var rebin, back bytes.Buffer
-	if _, err := MergeRecords(&rebin, FormatBinary, bytes.NewReader(jsonl.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeRecords(&back, FormatJSONL, bytes.NewReader(rebin.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back.Bytes(), wantMerged.Bytes()) {
-		t.Error("JSONL -> binary -> JSONL conversion is not byte-lossless")
+	if !bytes.Equal(merge(FormatJSONL, canon), merge(FormatJSONL, gotLog)) {
+		t.Error("binary -> binary -> JSONL is not byte-lossless")
 	}
 }

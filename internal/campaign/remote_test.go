@@ -137,7 +137,7 @@ func TestChaosBackendKillMidCampaign(t *testing.T) {
 
 	baseCfg := base()
 	singleLog := &bytes.Buffer{}
-	baseCfg.Sink = NewJSONLSink(singleLog)
+	baseCfg.Sink = NewBinarySink(singleLog)
 	undisturbed, err := NewRunner(baseCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestChaosBackendKillMidCampaign(t *testing.T) {
 	cfg.Pool = PoolConfig{Backends: addrs, MaxRetries: 6}
 	shardLogs := []*bytes.Buffer{{}, {}, {}}
 	for _, buf := range shardLogs {
-		cfg.ShardSinks = append(cfg.ShardSinks, NewJSONLSink(buf))
+		cfg.ShardSinks = append(cfg.ShardSinks, NewBinarySink(buf))
 	}
 	// Kill the middle worker once a few episodes are on the books: its
 	// engine's connection collapses under in-flight sessions, which must
@@ -202,14 +202,14 @@ func TestChaosBackendKillMidCampaign(t *testing.T) {
 	// The shard logs of the disturbed distributed run merge to exactly the
 	// undisturbed run's log — a lost backend cost nothing durable either.
 	var wantMerged, gotMerged bytes.Buffer
-	if _, err := MergeRecordsJSONL(&wantMerged, bytes.NewReader(singleLog.Bytes())); err != nil {
+	if _, err := MergeRecords(&wantMerged, FormatJSONL, bytes.NewReader(singleLog.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	readers := make([]io.Reader, len(shardLogs))
 	for i, buf := range shardLogs {
 		readers[i] = bytes.NewReader(buf.Bytes())
 	}
-	if _, err := MergeRecordsJSONL(&gotMerged, readers...); err != nil {
+	if _, err := MergeRecords(&gotMerged, FormatJSONL, readers...); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotMerged.Bytes(), wantMerged.Bytes()) {

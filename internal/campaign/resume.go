@@ -1,12 +1,12 @@
-// Campaign resume: the JSONL record sink is a durable per-episode log, so
+// Campaign resume: the binary record log is a durable per-episode log, so
 // a partial campaign — killed mid-sweep, crashed mid-write — can be picked
 // up where it stopped instead of re-running finished episodes.
-// Config.ResumeFrom streams the partial log into the runner, which seeds
-// its aggregates (and, for adaptive campaigns, its posteriors) from the
-// recorded episodes and dispatches only the (cell, mission, repetition)
-// slots not yet on record. Episodes are pure functions of
-// their seeds, so a resumed campaign finishes with results bit-identical
-// to an uninterrupted run.
+// Config.ResumeFrom streams the partial log (OpenRecordsPath: one file or
+// a shard directory) into the runner, which seeds its aggregates (and, for
+// adaptive campaigns, its posteriors) from the recorded episodes and
+// dispatches only the (cell, mission, repetition) slots not yet on record.
+// Episodes are pure functions of their seeds, so a resumed campaign
+// finishes with results bit-identical to an uninterrupted run.
 
 package campaign
 
@@ -15,15 +15,6 @@ import (
 
 	"github.com/avfi/avfi/internal/metrics"
 )
-
-// LoadRecordsJSONL reads episode records from a JSONL record sink (see
-// NewJSONLSink) — the durable episode log of a partial campaign. A
-// truncated or corrupt final line is tolerated and dropped (the signature
-// of a crash mid-write); corruption anywhere earlier is an error.
-// LoadRecords is the format-agnostic counterpart.
-func LoadRecordsJSONL(r io.Reader) ([]metrics.EpisodeRecord, error) {
-	return drainSource(newJSONLSource(r))
-}
 
 // pairKey identifies one episode slot of the campaign grid.
 type pairKey struct {

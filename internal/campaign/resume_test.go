@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/avfi/avfi/internal/adaptive"
@@ -26,65 +24,6 @@ func (s *sliceSource) Read() (metrics.EpisodeRecord, error) {
 	rec := s.recs[0]
 	s.recs = s.recs[1:]
 	return rec, nil
-}
-
-func TestLoadRecordsJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	want := []metrics.EpisodeRecord{
-		{Injector: "noinject", Mission: 0, Repetition: 1, Seed: 7, Success: true, DistanceKM: 0.4},
-		{Injector: "gaussian", Mission: 2, Repetition: 0, Seed: 8, DistanceKM: 0.1,
-			Violations: []metrics.ViolationRecord{{Kind: "lane", TimeSec: 3}}},
-	}
-	for _, r := range want {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadRecordsJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip mangled:\n got  %+v\n want %+v", got, want)
-	}
-}
-
-// TestLoadRecordsJSONLTruncatedTail: a crash mid-write leaves a partial
-// final line; the loader must keep every complete record and drop the
-// tail without erroring.
-func TestLoadRecordsJSONLTruncatedTail(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	for m := 0; m < 3; m++ {
-		if err := sink.Consume(metrics.EpisodeRecord{Injector: "noinject", Mission: m}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cut := buf.Len() - 10 // chop into the last record's JSON
-	got, err := LoadRecordsJSONL(bytes.NewReader(buf.Bytes()[:cut]))
-	if err != nil {
-		t.Fatalf("truncated tail not tolerated: %v", err)
-	}
-	if len(got) != 2 {
-		t.Errorf("loaded %d records from a log truncated mid-third, want 2", len(got))
-	}
-}
-
-func TestLoadRecordsJSONLMidFileCorruption(t *testing.T) {
-	log := `{"Injector":"noinject","Mission":0}
-{"Injector":"noinject","Mission":1,
-{"Injector":"noinject","Mission":2}
-`
-	if _, err := LoadRecordsJSONL(strings.NewReader(log)); err == nil {
-		t.Error("mid-file corruption accepted")
-	}
 }
 
 // resumeBase is the campaign both resume tests continue.

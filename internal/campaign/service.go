@@ -600,9 +600,9 @@ func (s *Service) Results(id string) ([]metrics.EpisodeRecord, error) {
 }
 
 // WriteResults streams the campaign's records to w in the requested
-// format (FormatAuto writes binary) — canonical order, so two fetches of
-// a finished campaign are byte-identical and format conversion is
-// lossless (the avfi-records contract).
+// format — canonical order, so two fetches of a finished campaign are
+// byte-identical, and the binary stream merges with avfi-records into the
+// same JSONL export the service writes.
 func (s *Service) WriteResults(w io.Writer, id string, format RecordFormat) error {
 	records, err := s.Results(id)
 	if err != nil {

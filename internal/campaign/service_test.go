@@ -705,8 +705,12 @@ func TestServiceHTTPAPI(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET results binary = %d", code)
 	}
-	if SniffRecordFormat(bin) != FormatBinary {
-		t.Error("binary results do not sniff as the binary record format")
+	var export strings.Builder
+	if n, err := MergeRecords(&export, FormatJSONL, strings.NewReader(string(bin))); err != nil || n != 8 {
+		t.Fatalf("merging binary results = %d, %v; want 8 records", n, err)
+	}
+	if export.String() != string(jsonl) {
+		t.Error("binary results do not export to the service's JSONL results")
 	}
 
 	// An adaptive submission runs through the same fleet.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/avfi/avfi/internal/fault"
@@ -26,12 +25,12 @@ func shardBase(t *testing.T) Config {
 
 // TestShardedSinkMergeByteIdentical is the shard-log contract: a campaign
 // streamed through three shard sinks and the same campaign streamed
-// through one sink must merge (MergeRecordsJSONL) to byte-identical
-// canonical record streams.
+// through one sink must merge (MergeRecords) to byte-identical canonical
+// record streams.
 func TestShardedSinkMergeByteIdentical(t *testing.T) {
 	single := &bytes.Buffer{}
 	cfg := shardBase(t)
-	cfg.Sink = NewJSONLSink(single)
+	cfg.Sink = NewBinarySink(single)
 	cfg.DiscardRecords = true
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -44,7 +43,7 @@ func TestShardedSinkMergeByteIdentical(t *testing.T) {
 	shards := []*bytes.Buffer{{}, {}, {}}
 	cfg = shardBase(t)
 	for _, buf := range shards {
-		cfg.ShardSinks = append(cfg.ShardSinks, NewJSONLSink(buf))
+		cfg.ShardSinks = append(cfg.ShardSinks, NewBinarySink(buf))
 	}
 	cfg.DiscardRecords = true
 	r, err = NewRunner(cfg)
@@ -66,7 +65,7 @@ func TestShardedSinkMergeByteIdentical(t *testing.T) {
 	}
 
 	var wantMerged bytes.Buffer
-	wantN, err := MergeRecordsJSONL(&wantMerged, bytes.NewReader(single.Bytes()))
+	wantN, err := MergeRecords(&wantMerged, FormatJSONL, bytes.NewReader(single.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestShardedSinkMergeByteIdentical(t *testing.T) {
 	for i, buf := range shards {
 		readers[i] = bytes.NewReader(buf.Bytes())
 	}
-	gotN, err := MergeRecordsJSONL(&gotMerged, readers...)
+	gotN, err := MergeRecords(&gotMerged, FormatJSONL, readers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +86,42 @@ func TestShardedSinkMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadRecordsDir: shard logs written to disk load back as one sorted
-// record set, tolerating a crash-truncated tail in any one shard.
+// TestMergeRecordsGolden pins MergeRecords' output bytes in both formats
+// for a fixed record set split over two unsorted sources. The golden files
+// predate routing the merge through RecordFormat.NewRecordSink; any
+// change to either encoding fails here.
+func TestMergeRecordsGolden(t *testing.T) {
+	recs := codecRecords()
+	a := encodeLog(t, FormatBinary, recs[2:])
+	b := encodeLog(t, FormatBinary, recs[:2])
+	for _, tc := range []struct {
+		format RecordFormat
+		golden string
+	}{
+		{FormatJSONL, "merge.jsonl"},
+		{FormatBinary, "merge.bin"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		n, err := MergeRecords(&out, tc.format, bytes.NewReader(a), bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(recs) {
+			t.Errorf("%s: merged %d records, want %d", tc.format, n, len(recs))
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s merge diverged from testdata/%s:\n got  %q\n want %q", tc.format, tc.golden, out.Bytes(), want)
+		}
+	}
+}
+
+// TestLoadRecordsDir: binary shard logs written to disk load back as one
+// sorted record set, tolerating a crash-truncated final frame in any one
+// shard.
 func TestLoadRecordsDir(t *testing.T) {
 	dir := t.TempDir()
 	recs := []metrics.EpisodeRecord{
@@ -97,55 +130,38 @@ func TestLoadRecordsDir(t *testing.T) {
 		{Injector: "b", Mission: 0, Repetition: 0, Seed: 3},
 		{Injector: "c", Mission: 0, Repetition: 1, Seed: 4},
 	}
-	// Shard 0 gets a+c, shard 1 gets b plus a partial trailing record.
-	writeShard := func(name string, rs []metrics.EpisodeRecord, tail string) {
-		var buf bytes.Buffer
-		sink := NewJSONLSink(&buf)
-		for _, r := range rs {
-			if err := sink.Consume(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		buf.WriteString(tail)
-		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeShard(ShardLogName(0), []metrics.EpisodeRecord{recs[0], recs[1], recs[3]}, "")
-	writeShard(ShardLogName(1), []metrics.EpisodeRecord{recs[2]}, `{"Injector":"b","Missi`)
-
-	got, err := LoadRecordsDir(dir)
-	if err != nil {
+	// Shard 0 gets a+c, shard 1 gets b plus half of a trailing frame.
+	writeLog(t, filepath.Join(dir, BinaryShardLogName(0)), FormatBinary, []metrics.EpisodeRecord{recs[0], recs[1], recs[3]})
+	partial := encodeLog(t, FormatBinary, []metrics.EpisodeRecord{{Injector: "b", Mission: 1}})
+	shard1 := append(encodeLog(t, FormatBinary, recs[2:3]), partial[:len(partial)/2]...)
+	if err := os.WriteFile(filepath.Join(dir, BinaryShardLogName(1)), shard1, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
 	want := append([]metrics.EpisodeRecord(nil), recs...)
 	sortRecords(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("LoadRecordsDir:\n got  %+v\n want %+v", got, want)
+	if got := loadDir(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("shard dir:\n got  %+v\n want %+v", got, want)
 	}
 
 	// An empty directory is an empty log, not an error.
-	empty, err := LoadRecordsDir(t.TempDir())
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty dir = %d records, %v; want 0, nil", len(empty), err)
+	if empty := loadDir(t, t.TempDir()); len(empty) != 0 {
+		t.Errorf("empty dir = %d records, want 0", len(empty))
 	}
 }
 
 // TestResumeFromShardDirectory is the sharded resume satellite: a sharded
-// campaign crashes (one shard's tail truncated mid-record, later episodes
-// lost), is resumed from the shard directory, and must finish with logs
-// whose merge is bit-identical to the uninterrupted run — with no episode
-// re-sunk twice.
+// campaign crashes (one shard's tail truncated mid-frame, later episodes
+// lost), is resumed from the shard directory's records, and must finish
+// with logs whose merge is bit-identical to the uninterrupted run — with
+// no episode re-sunk twice.
 func TestResumeFromShardDirectory(t *testing.T) {
 	const nShards = 2
 	runSharded := func(dir string, resume []metrics.EpisodeRecord, appendMode bool) *ResultSet {
 		cfg := shardBase(t)
 		cfg.ResumeFrom = &sliceSource{recs: resume}
 		for i := 0; i < nShards; i++ {
-			path := filepath.Join(dir, ShardLogName(i))
+			path := filepath.Join(dir, BinaryShardLogName(i))
 			var f *os.File
 			var err error
 			if appendMode {
@@ -157,7 +173,7 @@ func TestResumeFromShardDirectory(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			cfg.ShardSinks = append(cfg.ShardSinks, NewJSONLSink(f))
+			cfg.ShardSinks = append(cfg.ShardSinks, NewBinarySink(f))
 		}
 		r, err := NewRunner(cfg)
 		if err != nil {
@@ -174,31 +190,30 @@ func TestResumeFromShardDirectory(t *testing.T) {
 	want := runSharded(fullDir, nil, false)
 
 	// Fabricate the crash: copy the full shard logs, drop the second
-	// shard's last complete record and leave a partial line in its place —
-	// a run killed mid-write.
+	// shard's last complete frame and leave a few bytes of it in its place
+	// — a run killed mid-write, inside the frame header.
 	crashDir := t.TempDir()
 	for i := 0; i < nShards; i++ {
-		data, err := os.ReadFile(filepath.Join(fullDir, ShardLogName(i)))
+		data, err := os.ReadFile(filepath.Join(fullDir, BinaryShardLogName(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
-			lines := strings.SplitAfter(string(data), "\n")
-			if len(lines) < 3 {
-				t.Fatalf("shard 1 has %d lines; need >= 2 records to truncate meaningfully", len(lines))
+			boundary, err := CompleteBinaryPrefixLen(bytes.NewReader(data[:len(data)-1]))
+			if err != nil {
+				t.Fatal(err)
 			}
-			last := lines[len(lines)-2] // final complete record
-			data = []byte(strings.Join(lines[:len(lines)-2], "") + last[:len(last)/2])
+			if boundary == 0 {
+				t.Fatal("shard 1 has one record; need >= 2 to truncate meaningfully")
+			}
+			data = data[:boundary+3]
 		}
-		if err := os.WriteFile(filepath.Join(crashDir, ShardLogName(i)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(crashDir, BinaryShardLogName(i)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	resumed, err := LoadRecordsDir(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := loadDir(t, crashDir)
 	if len(resumed) >= len(want.Records) {
 		t.Fatalf("crash fabrication failed: resumed %d of %d records", len(resumed), len(want.Records))
 	}
@@ -219,10 +234,7 @@ func TestResumeFromShardDirectory(t *testing.T) {
 
 	// The resumed directory's merge is bit-identical to the full run's
 	// merge, and no (cell, mission, repetition) slot appears twice.
-	finalRecs, err := LoadRecordsDir(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	finalRecs := loadDir(t, crashDir)
 	slots := map[string]int{}
 	for _, rec := range finalRecs {
 		slots[fmt.Sprintf("%s|%d|%d", rec.Injector, rec.Mission, rec.Repetition)]++
@@ -235,42 +247,26 @@ func TestResumeFromShardDirectory(t *testing.T) {
 	if !reflect.DeepEqual(finalRecs, want.Records) {
 		t.Error("resumed shard directory does not reload to the uninterrupted run's records")
 	}
-	mergeDir := func(dir string) []byte {
-		var files []io.Reader
-		for i := 0; i < nShards; i++ {
-			data, err := os.ReadFile(filepath.Join(dir, ShardLogName(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, bytes.NewReader(data))
-		}
-		var out bytes.Buffer
-		if _, err := MergeRecordsJSONL(&out, files...); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
-	if !bytes.Equal(mergeDir(crashDir), mergeDir(fullDir)) {
+	if !bytes.Equal(mergeShardDir(t, crashDir, nShards), mergeShardDir(t, fullDir, nShards)) {
 		t.Error("merged resumed shards are not byte-identical to the uninterrupted run's merge")
 	}
 }
 
-// clampShardTails truncates each shard log to its last complete line —
+// clampShardTails truncates each shard log to its last complete frame —
 // the append-mode preparation cmd/avfi performs.
 func clampShardTails(t *testing.T, dir string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		path := filepath.Join(dir, ShardLogName(i))
+		path := filepath.Join(dir, BinaryShardLogName(i))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cut := bytes.LastIndexByte(data, '\n'); cut >= 0 {
-			data = data[:cut+1]
-		} else {
-			data = nil
+		good, err := CompleteBinaryPrefixLen(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, data[:good], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,17 +29,15 @@ type RecordSink interface {
 	Close() error
 }
 
-// jsonlSink streams records as JSON Lines through a buffered writer.
+// jsonlSink writes the JSONL export (FormatJSONL.NewRecordSink): one JSON
+// object per record, through a buffered writer. The caller keeps ownership
+// of w: Close flushes buffering but does not close the underlying writer.
 type jsonlSink struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
 }
 
-// NewJSONLSink returns a RecordSink writing one JSON object per line to w —
-// a durable per-episode log whose memory footprint is independent of
-// campaign size. The caller keeps ownership of w: Close flushes buffering
-// but does not close the underlying writer.
-func NewJSONLSink(w io.Writer) RecordSink {
+func newJSONLSink(w io.Writer) RecordSink {
 	bw := bufio.NewWriter(w)
 	return &jsonlSink{bw: bw, enc: json.NewEncoder(bw)}
 }
@@ -60,12 +58,12 @@ func (s *jsonlSink) Close() error { return s.bw.Flush() }
 // streams through the sinks at O(1) memory.
 //
 // The classic shape is one shard — one goroutine, one sink, the single
-// JSONL log. Sharded campaigns (Config.ShardSinks) run one shard per sink:
+// record log. Sharded campaigns (Config.ShardSinks) run one shard per sink:
 // scenario cells are routed to shards round-robin in cell order, so each
 // cell's builder has exactly one writer and each shard streams a disjoint
 // slice of the campaign to its own log. Because records sort into a total
-// schedule-independent order, MergeRecordsJSONL over the shard logs
-// reproduces the single log byte-for-byte.
+// schedule-independent order, MergeRecords over the shard logs reproduces
+// the single log's merge byte-for-byte.
 type sinkPipeline struct {
 	shards []*sinkShard
 	route  map[string]*sinkShard // cell key -> owning shard; read-only

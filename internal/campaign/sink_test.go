@@ -245,7 +245,7 @@ func TestWedgedSinkDoesNotDefeatCancellation(t *testing.T) {
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := FormatJSONL.NewRecordSink(&buf)
 	recs := []metrics.EpisodeRecord{
 		{Injector: "noinject", Mission: 1, Seed: 7, Success: true, DistanceKM: 0.4},
 		{Injector: "gaussian", Mission: 2, Seed: 8, DistanceKM: 0.1,

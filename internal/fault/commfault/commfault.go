@@ -7,11 +7,8 @@
 // every injector is a pure function of the control sequence and its
 // rng.Stream, so campaigns are bit-identical at any pool size.
 //
-// The injectors here model the link at the frame granularity the campaign
-// pipeline sees (fault.TimingInjector). The Link type in this package
-// additionally faults the wire path itself, wrapping a transport.Conn so
-// the encoded bytes — envelopes, controls, frames — cross a perturbed
-// link.
+// The injectors model the link at the frame granularity the campaign
+// pipeline sees (fault.TimingInjector).
 package commfault
 
 import (

@@ -133,8 +133,9 @@ func (d *FaultedDriver) Drive(frame *proto.SensorFrame) (physics.Control, error)
 			li.InjectLidar(lidar, fnum, d.Rand)
 		}
 	}
-	_ = gpsX // the IL agent does not consume GPS directly; localization
-	_ = gpsY // faults matter to GPS-dependent planners (see examples)
+	// Nothing consumes the faulted GPS fix: the IL agent reads only the
+	// image and speed, so GPS-role faults cannot change an episode yet.
+	_, _ = gpsX, gpsY
 
 	ctl, err := d.Agent.Act(img, speed, world.TurnKind(frame.Command))
 	if err != nil {

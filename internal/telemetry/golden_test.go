@@ -26,8 +26,6 @@ func TestGoldenMetricNames(t *testing.T) {
 		"avfi_client_sessions_failed_total",
 		"avfi_client_sessions_in_flight",
 		"avfi_client_sessions_opened_total",
-		"avfi_commfault_msgs_flushed_total",
-		"avfi_commfault_msgs_held_total",
 		`avfi_frames_decoded_total{kind="delta"}`,
 		`avfi_frames_decoded_total{kind="key"}`,
 		"avfi_frames_encoded_bytes_total",

@@ -25,14 +25,6 @@ var (
 		"Buffers returned to the transport pool via Recycle.")
 )
 
-// Communication-fault injection: the transport-layer wire fault (Link).
-var (
-	CommLinkHeld = Default.Counter("avfi_commfault_msgs_held_total",
-		"Messages parked in flight by comm-fault transport links.")
-	CommLinkFlushed = Default.Counter("avfi_commfault_msgs_flushed_total",
-		"Held messages released to the wire by comm-fault transport links.")
-)
-
 // Frame codec: delta negotiation and wire cost. The compression ratio
 // is derived at scrape time as encoded bytes over raw pixel bytes.
 var (
