@@ -539,7 +539,7 @@ func MergeRecords(w io.Writer, format RecordFormat, sources ...io.Reader) (int, 
 // OpenRecordsPath opens a binary episode record log for streaming: a file
 // streams its records, a directory streams every shard log it holds
 // (records-*.bin), one file descriptor and one record of memory at a
-// time. Set the stream as CampaignConfig.ResumeFrom to resume a campaign
+// time. A directory holding no shard log is an error naming it. Set the stream as CampaignConfig.ResumeFrom to resume a campaign
 // of any size in O(1) memory — the first Run consumes it — and Close it
 // after the run.
 func OpenRecordsPath(path string) (*RecordStream, error) {

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"github.com/avfi/avfi/internal/metrics"
 )
@@ -158,11 +159,13 @@ type RecordStream struct {
 // OpenRecordsPath opens a binary record log for streaming: a file streams
 // its records (a file that is not a binary log fails here, naming it), a
 // directory streams every shard log it holds (records-*.bin, in sorted
-// name order). The directory stream's record order is per-shard completion
-// order, not the canonical campaign order; resume seeding is
-// order-independent, and MergeRecords sorts. Reading holds at most one
-// file open at a time, so resuming a million-episode shard directory costs
-// one fd and one record of memory.
+// name order). A directory holding no shard log fails, naming it and any
+// other records-* files in it, so that a resume from the wrong directory
+// never silently re-runs the whole campaign. The directory stream's record
+// order is per-shard completion order, not the canonical campaign order;
+// resume seeding is order-independent, and MergeRecords sorts. Reading
+// holds at most one file open at a time, so resuming a million-episode
+// shard directory costs one fd and one record of memory.
 func OpenRecordsPath(path string) (*RecordStream, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -172,6 +175,9 @@ func OpenRecordsPath(path string) (*RecordStream, error) {
 	if info.IsDir() {
 		if s.paths, err = shardLogPaths(path); err != nil {
 			return nil, err
+		}
+		if len(s.paths) == 0 {
+			return nil, noShardLogs(path)
 		}
 		return s, nil
 	}
@@ -235,6 +241,22 @@ func shardLogPaths(dir string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
+}
+
+// noShardLogs is OpenRecordsPath's error for a directory without shard
+// logs; it lists the directory's other records-* files, such as JSONL
+// exports or logs from before binary was the only log format.
+func noShardLogs(dir string) error {
+	others, _ := filepath.Glob(filepath.Join(dir, "records-*"))
+	if len(others) == 0 {
+		return fmt.Errorf("campaign: directory %s holds no binary shard log (%s)", dir, binShardLogPattern)
+	}
+	names := make([]string, len(others))
+	for i, p := range others {
+		names[i] = filepath.Base(p)
+	}
+	return fmt.Errorf("campaign: directory %s holds no binary shard log (%s), only %s, which are not binary record logs",
+		dir, binShardLogPattern, strings.Join(names, ", "))
 }
 
 // LoadRecords reads every record from one binary log, with the stream's

@@ -365,3 +365,50 @@ func TestBinaryBatchedCampaignBitIdentical(t *testing.T) {
 		t.Error("binary -> binary -> JSONL is not byte-lossless")
 	}
 }
+
+// TestOpenRecordsDirWithoutShardLogs: resuming from a directory with no
+// binary shard log — a mistyped one, an empty one, or one holding only
+// JSONL shards — fails naming the directory (and the JSONL shards), rather
+// than streaming zero records and silently re-running the campaign.
+func TestOpenRecordsDirWithoutShardLogs(t *testing.T) {
+	t.Run("mistyped", func(t *testing.T) {
+		// The parent of the shard directory, one level too high.
+		parent := t.TempDir()
+		shards := filepath.Join(parent, "shards")
+		if err := os.Mkdir(shards, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeLog(t, filepath.Join(shards, BinaryShardLogName(0)), FormatBinary, codecRecords())
+		_, err := OpenRecordsPath(parent)
+		if err == nil || !strings.Contains(err.Error(), parent) {
+			t.Errorf("err = %v, want an error naming %s", err, parent)
+		}
+		missing := filepath.Join(parent, "shrads")
+		if _, err := OpenRecordsPath(missing); err == nil || !strings.Contains(err.Error(), missing) {
+			t.Errorf("missing directory: err = %v, want an error naming %s", err, missing)
+		}
+	})
+	t.Run("empty", func(t *testing.T) {
+		dir := t.TempDir()
+		_, err := OpenRecordsPath(dir)
+		if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), binShardLogPattern) {
+			t.Errorf("err = %v, want an error naming %s and %s", err, dir, binShardLogPattern)
+		}
+		// Merging the same empty directory stays legal: zero logs, zero
+		// records.
+		if n, err := MergeRecords(io.Discard, FormatBinary); n != 0 || err != nil {
+			t.Errorf("MergeRecords of no logs = %d, %v", n, err)
+		}
+	})
+	t.Run("jsonl-only", func(t *testing.T) {
+		dir := t.TempDir()
+		for i := 0; i < 2; i++ {
+			writeLog(t, filepath.Join(dir, fmt.Sprintf("records-%d.jsonl", i)), FormatJSONL, codecRecords())
+		}
+		_, err := OpenRecordsPath(dir)
+		if err == nil || !strings.Contains(err.Error(), dir) ||
+			!strings.Contains(err.Error(), "records-0.jsonl, records-1.jsonl") {
+			t.Errorf("err = %v, want an error naming %s and both JSONL shards", err, dir)
+		}
+	})
+}

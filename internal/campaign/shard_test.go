@@ -144,9 +144,10 @@ func TestLoadRecordsDir(t *testing.T) {
 		t.Errorf("shard dir:\n got  %+v\n want %+v", got, want)
 	}
 
-	// An empty directory is an empty log, not an error.
-	if empty := loadDir(t, t.TempDir()); len(empty) != 0 {
-		t.Errorf("empty dir = %d records, want 0", len(empty))
+	// A directory without shard logs is an error, not an empty log (see
+	// TestOpenRecordsDirWithoutShardLogs).
+	if _, err := OpenRecordsPath(t.TempDir()); err == nil {
+		t.Error("empty dir streamed as an empty log, want an error")
 	}
 }
 

@@ -42,13 +42,6 @@ type SessionError struct {
 // envelope's own version/kind header plus the session ID.
 const EnvelopeOverhead = 2 + 4
 
-// AppendEnvelope appends an envelope wrapping inner to dst — the
-// allocation-free variant of EncodeEnvelope.
-func AppendEnvelope(dst []byte, session uint32, inner []byte) []byte {
-	dst = AppendEnvelopeHeader(dst, session)
-	return append(dst, inner...)
-}
-
 // AppendEnvelopeHeader appends only the envelope framing for session, so
 // hot paths can append the inner message directly behind it (via
 // AppendSensorFrame and friends) without materializing it separately.
@@ -59,7 +52,8 @@ func AppendEnvelopeHeader(dst []byte, session uint32) []byte {
 
 // EncodeEnvelope wraps an already-encoded inner message with a session ID.
 func EncodeEnvelope(session uint32, inner []byte) []byte {
-	return AppendEnvelope(make([]byte, 0, EnvelopeOverhead+len(inner)), session, inner)
+	dst := AppendEnvelopeHeader(make([]byte, 0, EnvelopeOverhead+len(inner)), session)
+	return append(dst, inner...)
 }
 
 // DecodeEnvelope unwraps an envelope, returning the session ID and the

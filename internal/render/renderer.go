@@ -3,6 +3,7 @@ package render
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/avfi/avfi/internal/geom"
 	"github.com/avfi/avfi/internal/rng"
@@ -64,14 +65,43 @@ type Scene struct {
 	Frame int
 }
 
-// Renderer draws camera frames of one town. It is safe for concurrent use
-// by multiple goroutines (it holds no mutable state).
+// Renderer draws camera frames of one town. Its ray tables depend only on
+// the Config; the first Render fills them, so that constructing a
+// renderer (and with it a world) stays as cheap as it was before them.
+// After that it holds no mutable state, so it is safe for concurrent use by
+// multiple goroutines.
 type Renderer struct {
 	cfg   Config
 	town  *world.Town
 	focal float64 // pixels
 	cx    float64
 	cy    float64
+
+	raysOnce sync.Once
+	rays     *rayTables
+}
+
+// rayTables holds every ray of the camera in its own frame.
+type rayTables struct {
+	// colAtan is each column's ray angle off the camera heading.
+	colAtan []float64
+	rows    []rowRay
+	// ground holds each ground pixel's ray, column-major (x*Height + y).
+	ground []groundRay
+}
+
+// rowRay is one image row: rows above the horizon are sky, with their
+// colour in clear air and in fog.
+type rowRay struct {
+	sky      bool
+	skyClear [3]float64
+	skyFog   [3]float64
+}
+
+// groundRay is where one ground pixel's ray meets the road: dist meters
+// out horizontally, with fog blending fogFactor(dist) of the fog colour in.
+type groundRay struct {
+	dist, fog float64
 }
 
 // New constructs a renderer.
@@ -83,6 +113,44 @@ func New(cfg Config, town *world.Town) *Renderer {
 		cx:    float64(cfg.Width)/2 - 0.5,
 		cy:    float64(cfg.Height)/2 - 0.5,
 	}
+}
+
+// tables returns the ray tables, filling them on first use.
+func (r *Renderer) tables() *rayTables {
+	r.raysOnce.Do(func() { r.rays = r.newRayTables() })
+	return r.rays
+}
+
+func (r *Renderer) newRayTables() *rayTables {
+	w, h := max(r.cfg.Width, 0), max(r.cfg.Height, 0)
+	t := &rayTables{
+		colAtan: make([]float64, w),
+		rows:    make([]rowRay, h),
+		ground:  make([]groundRay, w*h),
+	}
+	groundT := make([]float64, h)
+	for y := range t.rows {
+		b := (r.cy - float64(y)) / r.focal // + = up
+		if b >= -1e-6 {
+			// Sky gradient toward the horizon.
+			c := lerpColor(colSkyHorizon, colSkyTop, geom.Clamp(b*3, 0, 1))
+			t.rows[y] = rowRay{sky: true, skyClear: c, skyFog: lerpColor(c, colFog, 0.85)}
+			continue
+		}
+		// Ground intersection: ray (1, a, b) scaled so z drops CamHeight.
+		groundT[y] = r.cfg.CamHeight / -b
+	}
+	for x := range t.colAtan {
+		// Camera-frame lateral slope of this column's rays: +a = left.
+		a := (r.cx - float64(x)) / r.focal
+		t.colAtan[x] = math.Atan(a)
+		norm := math.Hypot(1, a)
+		for y, gt := range groundT {
+			dist := gt * norm
+			t.ground[x*h+y] = groundRay{dist: dist, fog: fogFactor(dist)}
+		}
+	}
+	return t
 }
 
 // Config returns the renderer's camera configuration.
@@ -107,22 +175,25 @@ var (
 	centerDashOn     = 3.5
 )
 
+// maxStackObstacles is how many obstacles Render holds on its stack; a
+// scene with more allocates one more slice per frame.
+const maxStackObstacles = 32
+
 // Render draws one frame.
 func (r *Renderer) Render(scene Scene) *Image {
 	im := NewImage(r.cfg.Width, r.cfg.Height)
-	fogRange := math.Inf(1)
-	if scene.Weather == world.WeatherFog {
-		fogRange = 35
+	fog := scene.Weather == world.WeatherFog
+	// Every column casts against the same obstacle walls: find them once.
+	var edgeBuf [maxStackObstacles][4]geom.Segment
+	edges := edgeBuf[:0]
+	for _, ob := range scene.Obstacles {
+		edges = append(edges, ob.Box.Edges())
 	}
-
-	for x := 0; x < r.cfg.Width; x++ {
-		// Camera-frame lateral slope of this column's rays: +a = left.
-		a := (r.cx - float64(x)) / r.focal
-		norm := math.Hypot(1, a)
-		dirWorld := geom.FromAngle(scene.CamPose.Heading + math.Atan(a))
-
-		r.renderSkyAndGround(im, scene, x, a, norm, dirWorld, fogRange)
-		r.renderWalls(im, scene, x, a, norm, dirWorld, fogRange)
+	rays := r.tables()
+	for x, atan := range rays.colAtan {
+		dirWorld := geom.FromAngle(scene.CamPose.Heading + atan)
+		r.renderSkyAndGround(im, scene, rays, x, dirWorld, fog)
+		r.renderWalls(im, scene, edges, x, dirWorld, fog)
 	}
 
 	if scene.Weather == world.WeatherRain {
@@ -132,30 +203,28 @@ func (r *Renderer) Render(scene Scene) *Image {
 }
 
 // renderSkyAndGround fills one column's sky gradient and classified ground.
-func (r *Renderer) renderSkyAndGround(im *Image, scene Scene, x int, a, norm float64, dirWorld geom.Vec, fogRange float64) {
-	for y := 0; y < r.cfg.Height; y++ {
-		b := (r.cy - float64(y)) / r.focal // + = up
-		if b >= -1e-6 {
-			// Sky gradient toward the horizon.
-			t := geom.Clamp(b*3, 0, 1)
-			c := lerpColor(colSkyHorizon, colSkyTop, t)
-			if !math.IsInf(fogRange, 1) {
-				c = lerpColor(c, colFog, 0.85)
+func (r *Renderer) renderSkyAndGround(im *Image, scene Scene, rays *rayTables, x int, dirWorld geom.Vec, fog bool) {
+	ground := rays.ground[x*len(rays.rows):]
+	for y := range rays.rows {
+		row := &rays.rows[y]
+		if row.sky {
+			c := row.skyClear
+			if fog {
+				c = row.skyFog
 			}
 			im.SetRGB(y, x, c[0], c[1], c[2])
 			continue
 		}
-		// Ground intersection: ray (1, a, b) scaled so z drops CamHeight.
-		t := r.cfg.CamHeight / -b
-		horizDist := t * norm
-		if horizDist > r.cfg.MaxViewDist {
-			c := applyFog(colGrass, horizDist, fogRange)
-			im.SetRGB(y, x, c[0], c[1], c[2])
-			continue
+		g := ground[y]
+		var c [3]float64
+		if g.dist > r.cfg.MaxViewDist {
+			c = colGrass
+		} else {
+			c = r.classifyGround(scene.CamPose.Pos.Add(dirWorld.Scale(g.dist)), scene.Weather)
 		}
-		ground := scene.CamPose.Pos.Add(dirWorld.Scale(horizDist))
-		c := r.classifyGround(ground, scene.Weather)
-		c = applyFog(c, horizDist, fogRange)
+		if fog {
+			c = lerpColor(c, colFog, g.fog)
+		}
 		im.SetRGB(y, x, c[0], c[1], c[2])
 	}
 }
@@ -167,11 +236,18 @@ type wallHit struct {
 	color  [3]float64
 }
 
+// maxSortedHits is how many hits a column sorts in place. It equals
+// sort.Slice's insertion-sort cutoff: up to 12 elements sort.Slice runs a
+// stable insertion sort, so the in-place one below draws equal-distance
+// hits in the same order. Busier columns spill to sort.Slice itself.
+const maxSortedHits = 12
+
 // renderWalls raycasts buildings and obstacles for one column and draws
-// vertical spans far-to-near.
-func (r *Renderer) renderWalls(im *Image, scene Scene, x int, a, norm float64, dirWorld geom.Vec, fogRange float64) {
+// vertical spans far-to-near. edges[i] are the walls of scene.Obstacles[i].
+func (r *Renderer) renderWalls(im *Image, scene Scene, edges [][4]geom.Segment, x int, dirWorld geom.Vec, fog bool) {
 	ray := geom.NewRay(scene.CamPose.Pos, dirWorld)
-	var hits []wallHit
+	var buf [maxSortedHits]wallHit
+	hits := buf[:0]
 
 	if d, b, ok := r.town.RaycastBuildings(ray, r.cfg.MaxViewDist); ok {
 		c := [3]float64{
@@ -182,8 +258,8 @@ func (r *Renderer) renderWalls(im *Image, scene Scene, x int, a, norm float64, d
 		hits = append(hits, wallHit{dist: d, height: b.Height, color: c})
 	}
 
-	for _, ob := range scene.Obstacles {
-		d, ok := raycastOBB(ray, ob.Box, r.cfg.MaxViewDist)
+	for i, ob := range scene.Obstacles {
+		d, ok := raycastEdges(ray, &edges[i], r.cfg.MaxViewDist)
 		if !ok {
 			continue
 		}
@@ -193,10 +269,19 @@ func (r *Renderer) renderWalls(im *Image, scene Scene, x int, a, norm float64, d
 		}
 		hits = append(hits, wallHit{dist: d, height: ob.Height, color: c})
 	}
-	if len(hits) == 0 {
-		return
+	if len(hits) <= maxSortedHits {
+		// Farthest first; a hit moves only past strictly nearer ones.
+		for i := 1; i < len(hits); i++ {
+			for j := i; j > 0 && hits[j].dist > hits[j-1].dist; j-- {
+				hits[j], hits[j-1] = hits[j-1], hits[j]
+			}
+		}
+	} else {
+		// A copy, so that buf itself never escapes to the heap.
+		spill := append([]wallHit(nil), hits...)
+		sort.Slice(spill, func(i, j int) bool { return spill[i].dist > spill[j].dist })
+		hits = spill
 	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].dist > hits[j].dist })
 
 	for _, h := range hits {
 		if h.dist < 0.3 {
@@ -209,7 +294,10 @@ func (r *Renderer) renderWalls(im *Image, scene Scene, x int, a, norm float64, d
 		bottom := r.cy + r.focal*r.cfg.CamHeight/h.dist
 		y0 := int(math.Max(0, math.Ceil(top)))
 		y1 := int(math.Min(float64(r.cfg.Height-1), math.Floor(bottom)))
-		c := applyFog(h.color, h.dist, fogRange)
+		c := h.color
+		if fog {
+			c = lerpColor(c, colFog, fogFactor(h.dist))
+		}
 		for y := y0; y <= y1; y++ {
 			im.SetRGB(y, x, c[0], c[1], c[2])
 		}
@@ -269,11 +357,11 @@ func (r *Renderer) renderRainStreaks(im *Image, scene Scene) {
 	}
 }
 
-// raycastOBB returns the nearest ray hit distance against the box edges.
-func raycastOBB(ray geom.Ray, box geom.OBB, maxDist float64) (float64, bool) {
+// raycastEdges returns the nearest ray hit distance against a box's edges.
+func raycastEdges(ray geom.Ray, edges *[4]geom.Segment, maxDist float64) (float64, bool) {
 	best := maxDist
 	ok := false
-	for _, e := range box.Edges() {
+	for _, e := range edges {
 		if t, hit := ray.IntersectSegment(e); hit && t < best {
 			best = t
 			ok = true
@@ -293,12 +381,10 @@ func lerpColor(a, b [3]float64, t float64) [3]float64 {
 	}
 }
 
-func applyFog(c [3]float64, dist, fogRange float64) [3]float64 {
-	if math.IsInf(fogRange, 1) {
-		return c
-	}
-	f := 1 - math.Exp(-dist/fogRange)
-	return lerpColor(c, colFog, f)
-}
+// fogRange is the fog's attenuation length in meters.
+const fogRange = 35
+
+// fogFactor is the share of fog colour at dist meters.
+func fogFactor(dist float64) float64 { return 1 - math.Exp(-dist/fogRange) }
 
 func mix(a, b, t float64) float64 { return a + (b-a)*t }

@@ -16,6 +16,7 @@ package world
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/avfi/avfi/internal/geom"
 )
@@ -30,6 +31,18 @@ type Node struct {
 }
 
 // Network is the road graph: intersections plus undirected street segments.
+//
+// NearestRoad, OnRoad and InIntersection answer from a uniform grid index
+// over the streets and junction pads, so a query costs a short list of
+// nearby streets rather than the whole network. The index is built once,
+// by the first of those queries (never by construction), and it changes
+// no answer: every result is bit-identical to a scan of all streets in
+// segment order. Queries are safe for concurrent use. AddEdge drops the
+// index, so the next query sees the new street and rebuilds it (a node
+// changes no answer until a street reaches it); like any mutation, AddNode
+// and AddEdge must not run concurrently with queries. Changing LaneWidth
+// after a query sends the junction-pad checks back to a full scan, with the
+// same answers.
 type Network struct {
 	// LaneWidth is the width of one driving lane in meters.
 	LaneWidth float64
@@ -43,6 +56,10 @@ type Network struct {
 	// segs caches one geom.Segment per undirected edge for geometric
 	// queries, deduplicated with A < B.
 	segs []edgeSeg
+
+	// idx is the grid index behind the geometric queries; see index.
+	idx     *roadIndex
+	idxOnce sync.Once
 }
 
 type edgeSeg struct {
@@ -84,6 +101,13 @@ func (n *Network) AddEdge(a, b NodeID) {
 		lo, hi = hi, lo
 	}
 	n.segs = append(n.segs, edgeSeg{a: lo, b: hi, seg: geom.Seg(n.nodes[lo].Pos, n.nodes[hi].Pos)})
+	n.idx, n.idxOnce = nil, sync.Once{} // the next query rebuilds it
+}
+
+// index returns the grid index, building it on first use.
+func (n *Network) index() *roadIndex {
+	n.idxOnce.Do(func() { n.idx = buildRoadIndex(n) })
+	return n.idx
 }
 
 // NodeCount returns the number of intersections.
@@ -112,16 +136,18 @@ func (n *Network) Segments() []geom.Segment {
 func (n *Network) RoadHalfWidth() float64 { return n.LaneWidth }
 
 // NearestRoad returns the distance from p to the nearest street centerline
-// and that street's segment. ok is false for an empty network.
+// and that street's segment; of equidistant streets, the first added. ok is
+// false for an empty network.
 func (n *Network) NearestRoad(p geom.Vec) (seg geom.Segment, dist float64, ok bool) {
 	if len(n.segs) == 0 {
 		return geom.Segment{}, 0, false
 	}
 	best := math.MaxFloat64
-	for _, e := range n.segs {
-		if d := e.seg.Dist(p); d < best {
+	for _, i := range n.index().segsNear(p) {
+		s := &n.segs[i].seg
+		if d := s.Dist(p); d < best {
 			best = d
-			seg = e.seg
+			seg = *s
 		}
 	}
 	return seg, best, true
@@ -139,29 +165,25 @@ func (n *Network) OnRoad(p geom.Vec) bool {
 	}
 	// Intersection pads are squares slightly larger than the road width so
 	// corner cutting across a junction doesn't read as off-road.
-	for _, node := range n.nodes {
-		if len(n.adj[node.ID]) == 0 {
-			continue
-		}
-		dp := p.Sub(node.Pos)
-		if math.Abs(dp.X) <= n.RoadHalfWidth() && math.Abs(dp.Y) <= n.RoadHalfWidth() {
-			return true
-		}
-	}
-	return false
+	return n.inPad(p, 1)
 }
 
 // InIntersection reports whether p lies within the junction square of any
 // intersection (used to suppress lane-marking rendering and lane-violation
-// checks inside junctions, where there are no markings).
-func (n *Network) InIntersection(p geom.Vec) bool {
-	for _, node := range n.nodes {
-		if len(n.adj[node.ID]) < 3 {
-			// Straight-through or dead-end nodes do not form a junction box.
+// checks inside junctions, where there are no markings). Straight-through
+// and dead-end nodes do not form a junction box.
+func (n *Network) InIntersection(p geom.Vec) bool { return n.inPad(p, 3) }
+
+// inPad reports whether p lies within the ±RoadHalfWidth square of an
+// intersection with at least minDegree streets.
+func (n *Network) inPad(p geom.Vec, minDegree int) bool {
+	half := n.RoadHalfWidth()
+	for _, id := range n.index().padsNear(p, half) {
+		if len(n.adj[id]) < minDegree {
 			continue
 		}
-		dp := p.Sub(node.Pos)
-		if math.Abs(dp.X) <= n.RoadHalfWidth() && math.Abs(dp.Y) <= n.RoadHalfWidth() {
+		dp := p.Sub(n.nodes[id].Pos)
+		if math.Abs(dp.X) <= half && math.Abs(dp.Y) <= half {
 			return true
 		}
 	}

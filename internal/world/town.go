@@ -277,6 +277,9 @@ func (t *Town) CollidesBuilding(box geom.OBB) bool {
 func (t *Town) RaycastBuildings(ray geom.Ray, maxDist float64) (dist float64, b Building, ok bool) {
 	best := maxDist
 	for _, bd := range t.Buildings {
+		if !rayMayHit(ray, bd.Box, best) {
+			continue
+		}
 		for _, s := range aabbEdges(bd.Box) {
 			if tHit, hit := ray.IntersectSegment(s); hit && tHit < best {
 				best = tHit
@@ -290,6 +293,40 @@ func (t *Town) RaycastBuildings(ray geom.Ray, maxDist float64) (dist float64, b 
 	}
 	return best, b, true
 }
+
+// rayMayHit is a slab test: false only when the ray stays outside box,
+// grown by rayBoxSlack, for every t in [0, best]. Any wall hit the edge
+// intersections could report nearer than best lies on the box boundary, so
+// skipping a box it rejects changes no answer.
+func rayMayHit(ray geom.Ray, box geom.AABB, best float64) bool {
+	lo, hi := 0.0, best
+	return slab(ray.Origin.X, ray.Dir.X, box.Min.X, box.Max.X, &lo, &hi) &&
+		slab(ray.Origin.Y, ray.Dir.Y, box.Min.Y, box.Max.Y, &lo, &hi)
+}
+
+// slab narrows [lo, hi] to the ray parameters inside one axis's slab of
+// the grown box and reports whether any remain.
+func slab(o, d, bmin, bmax float64, lo, hi *float64) bool {
+	bmin, bmax = bmin-rayBoxSlack, bmax+rayBoxSlack
+	if d == 0 {
+		return o >= bmin && o <= bmax
+	}
+	t0, t1 := (bmin-o)/d, (bmax-o)/d
+	if t0 > t1 {
+		t0, t1 = t1, t0
+	}
+	if t0 > *lo {
+		*lo = t0
+	}
+	if t1 < *hi {
+		*hi = t1
+	}
+	return *lo <= *hi
+}
+
+// rayBoxSlack (meters) absorbs the rounding in rayMayHit and in the edge
+// intersections, so a grazing hit is never skipped.
+const rayBoxSlack = 1e-6
 
 func aabbEdges(b geom.AABB) [4]geom.Segment {
 	p1 := b.Min
