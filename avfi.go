@@ -166,7 +166,7 @@ type (
 	// export).
 	RecordFormat = campaign.RecordFormat
 	// CellProgress is one cell's running aggregate (VPK stats plus
-	// violation tallies), delivered to CampaignConfig.ProgressV2.
+	// violation tallies), delivered to CampaignConfig.Progress.
 	CellProgress = campaign.CellProgress
 	// SimWorker is a standalone remote simulator backend: it accepts many
 	// campaign connections over its lifetime, each served by its own
@@ -244,8 +244,6 @@ type (
 	TimingInjector = fault.TimingInjector
 	// ModelInjector corrupts the agent's network parameters.
 	ModelInjector = fault.ModelInjector
-	// Window is a fault activation interval in frames.
-	Window = fault.Window
 	// Image is the camera frame fault models operate on.
 	Image = render.Image
 	// Control is a vehicle actuation command.
@@ -467,7 +465,8 @@ func Fig4Frames() []int { return append([]int(nil), campaign.Fig4Frames...) }
 
 // Windowed delays an injector's activation to startFrame (frames at FPS),
 // enabling mid-episode injection and meaningful Time-To-Violation
-// measurement.
+// measurement. Every per-frame role is gated; a model (ML) fault still
+// corrupts the network at frame 0.
 func Windowed(src InjectorSource, startFrame int) InjectorSource {
 	return campaign.Windowed(src, startFrame)
 }

@@ -136,7 +136,7 @@ func (r *Runner) RunAdaptive(ctx context.Context, acfg AdaptiveConfig) (*ResultS
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	pipe := newSinkPipeline(r.cells, r.sinkLanes(), !r.cfg.DiscardRecords,
-		func(err error) { cancel(err) }, r.cfg.Progress, r.cfg.ProgressV2)
+		func(err error) { cancel(err) }, r.cfg.Progress)
 
 	// Posteriors start from the resumed episodes, folded in stream order
 	// as they seed the pipeline — one pass, no materialized record slice.

@@ -49,6 +49,9 @@ type InjectorSource struct {
 	// InjectionFrame is when the fault activates (frames); 0 means the
 	// fault is active from episode start. Used for TTV accounting.
 	InjectionFrame int
+
+	// err is a resolution failure Windowed found; Validate reports it.
+	err error
 }
 
 // Registry resolves a registered injector name into a source.
@@ -104,19 +107,14 @@ type Config struct {
 	// that shard's completion order.
 	ShardSinks []RecordSink
 	// Progress, when non-nil, is called after each episode is folded into
-	// its cell's aggregate, with the cell label, episodes aggregated so
-	// far, and the cell's Welford running VPK mean/stddev — the live
-	// per-cell signal adaptive sampling hooks into. Called from the cell's
-	// aggregation goroutine: one cell's updates are ordered, but with
-	// ShardSinks different cells' shards call concurrently, so the hook
-	// must be safe for concurrent use. Keep it fast.
-	Progress func(cell string, episodes int, meanVPK, stdVPK float64)
-	// ProgressV2, when non-nil, is called at the same points as Progress
-	// (and under the same concurrency contract) with the full per-cell
-	// running aggregate — violation tallies alongside the Welford VPK
-	// statistics. Both hooks may be set; episodes seeded via ResumeFrom
-	// fire neither.
-	ProgressV2 func(CellProgress)
+	// its cell's aggregate, with the cell's running aggregate: episodes so
+	// far, the Welford running VPK mean/stddev and the violation tallies —
+	// the live per-cell signal adaptive sampling hooks into. Called from
+	// the cell's aggregation goroutine: one cell's updates are ordered, but
+	// with ShardSinks different cells' shards call concurrently, so the
+	// hook must be safe for concurrent use. Keep it fast. Episodes seeded
+	// via ResumeFrom do not fire it.
+	Progress func(CellProgress)
 	// ResumeFrom seeds the campaign with episodes recorded by a prior
 	// partial run. Their (cell, mission, repetition) slots are not
 	// re-dispatched; their records are folded into reports — and retained,
@@ -165,7 +163,7 @@ type Config struct {
 }
 
 // CellProgress is one cell's running aggregate, delivered to
-// Config.ProgressV2 after each episode is folded in.
+// Config.Progress after each episode is folded in.
 type CellProgress struct {
 	// Cell is the scenario column label.
 	Cell string
@@ -240,10 +238,8 @@ func (c Config) Validate() error {
 		if src.Name == "" {
 			return fmt.Errorf("campaign: injector %d has no name", i)
 		}
-		if src.New == nil {
-			if _, err := fault.Lookup(src.Name); err != nil {
-				return fmt.Errorf("campaign: %w", err)
-			}
+		if _, err := factory(src); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	return nil
@@ -450,20 +446,14 @@ func (r *Runner) runEpisode(eng *engine, j job) (metrics.EpisodeRecord, error) {
 	pair := r.missions[j.mission]
 	seed := r.episodeSeed(cell.key, j.mission, j.repetition)
 
-	// Instantiate the injector and slot it into every role it implements.
-	inst := instantiate(cell.src)
-	driver := simclient.NewFaultedDriver(r.agent.Clone(), nil, nil, nil, rng.New(seed).Split("fault"))
-	if in, ok := inst.(fault.InputInjector); ok {
-		driver.Input = in
+	inst, err := Instantiate(cell.src)
+	if err != nil {
+		return metrics.EpisodeRecord{}, fmt.Errorf("campaign: %s: %w", cell.key, err)
 	}
-	if out, ok := inst.(fault.OutputInjector); ok {
-		driver.Output = out
-	}
-	if tm, ok := inst.(fault.TimingInjector); ok {
-		driver.Timing = tm
-	}
-	if mi, ok := inst.(fault.ModelInjector); ok {
-		driver.ApplyModelFault(mi, rng.New(seed).Split("mlfault"))
+	roles := fault.RolesOf(inst)
+	driver := &simclient.FaultedDriver{Agent: r.agent.Clone(), Roles: *roles, Rand: rng.New(seed).Split("fault")}
+	if roles.Model != nil {
+		driver.ApplyModelFault(roles.Model, rng.New(seed).Split("mlfault"))
 	}
 	if cell.aeb {
 		driver.AEB = safety.NewAEB(r.world.EgoParams())
@@ -495,29 +485,30 @@ func (r *Runner) runEpisode(eng *engine, j job) (metrics.EpisodeRecord, error) {
 	return metrics.FromSimResult(cell.key, j.mission, j.repetition, seed, res, injTime), nil
 }
 
-// instantiate builds the injector instance for one episode.
-func instantiate(src InjectorSource) interface{} {
+// factory resolves a source to its per-episode constructor: New, or the
+// registry spec's constructor for a bare name. It is the package's one
+// registry lookup.
+func factory(src InjectorSource) (func() interface{}, error) {
+	if src.err != nil {
+		return nil, src.err
+	}
 	if src.New != nil {
-		return src.New()
+		return src.New, nil
 	}
 	spec, err := fault.Lookup(src.Name)
 	if err != nil {
-		// Validate() checked registration; this is unreachable.
-		panic(err)
+		return nil, err
 	}
-	return spec.New()
+	return spec.New, nil
 }
 
 // Instantiate builds one injector instance from a source, resolving
 // registry names; exported for tools and examples that drive episodes
 // outside the campaign runner.
 func Instantiate(src InjectorSource) (interface{}, error) {
-	if src.New != nil {
-		return src.New(), nil
-	}
-	spec, err := fault.Lookup(src.Name)
+	newInst, err := factory(src)
 	if err != nil {
 		return nil, err
 	}
-	return spec.New(), nil
+	return newInst(), nil
 }

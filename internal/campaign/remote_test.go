@@ -162,7 +162,7 @@ func TestChaosBackendKillMidCampaign(t *testing.T) {
 	var mu sync.Mutex
 	var once sync.Once
 	aggregated := 0
-	cfg.Progress = func(string, int, float64, float64) {
+	cfg.Progress = func(CellProgress) {
 		mu.Lock()
 		aggregated++
 		kill := aggregated == 3
@@ -309,9 +309,8 @@ func TestDistributedDeterminismMatrix(t *testing.T) {
 	// The new fault families (comm, actuator, localization, perception)
 	// must hold the same bit-identity contract — their injectors draw
 	// randomness per frame, so any draw-order drift between in-process and
-	// remote execution shows up here. The windowed phantom also rides the
-	// Multi/WindowedInput wrappers, pinning the LIDAR role forwarding
-	// end-to-end.
+	// remote execution shows up here. The windowed phantom also rides a
+	// windowed fault.Roles bundle, pinning its LIDAR role end-to-end.
 	t.Run("new-families", func(t *testing.T) {
 		famCfg := func() Config {
 			cfg := tinyConfig(t, []InjectorSource{

@@ -264,7 +264,7 @@ func (r *Runner) RunContext(ctx context.Context) (*ResultSet, error) {
 	// A broken sink cancels dispatch: finishing thousands of episodes whose
 	// streamed records are being dropped would be pure waste.
 	pipe := newSinkPipeline(r.cells, r.sinkLanes(), !r.cfg.DiscardRecords,
-		func(err error) { cancel(err) }, r.cfg.Progress, r.cfg.ProgressV2)
+		func(err error) { cancel(err) }, r.cfg.Progress)
 	// Resume records stream through the pipeline's seed one at a time —
 	// only their slot keys are retained here — before the shard goroutines
 	// take ownership of the builders.

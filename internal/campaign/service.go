@@ -440,7 +440,7 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 	// registration cannot collide.
 	episodes := telemetry.Default.Counter("avfi_service_campaign_episodes_total",
 		"Episodes completed per submitted campaign.", "campaign", id)
-	cfg.Progress = func(string, int, float64, float64) {
+	cfg.Progress = func(CellProgress) {
 		episodes.Inc()
 		n := int(c.episodes.Add(1))
 		s.mu.Lock()

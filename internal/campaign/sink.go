@@ -74,11 +74,10 @@ type sinkPipeline struct {
 	seeded   []metrics.EpisodeRecord // resumed records retained for finish
 	started  bool                    // start ran: shard goroutines own the builders
 
-	mu         sync.Mutex
-	err        error
-	onErr      func(error) // called once, on the first sink failure
-	progress   func(cell string, episodes int, meanVPK, stdVPK float64)
-	progressV2 func(CellProgress)
+	mu       sync.Mutex
+	err      error
+	onErr    func(error) // called once, on the first sink failure
+	progress func(CellProgress)
 }
 
 // sinkShard is one aggregation lane: a hand-off channel, the goroutine
@@ -97,21 +96,19 @@ type sinkShard struct {
 // may stream resume records through seed first, then calls start. keep
 // retains records for ResultSet.Records; onErr (may be nil) is notified of
 // the first sink failure so the caller can stop dispatching episodes whose
-// streamed records would be lost; progress and progressV2 (either may be
-// nil) see each cell's running aggregate as episodes land — from the
-// cell's owning shard goroutine, so updates for one cell are ordered but
-// different cells may report concurrently.
+// streamed records would be lost; progress (may be nil) sees each cell's
+// running aggregate as episodes land — from the cell's owning shard
+// goroutine, so updates for one cell are ordered but different cells may
+// report concurrently.
 func newSinkPipeline(cells []runCell, sinks []RecordSink, keep bool,
-	onErr func(error), progress func(string, int, float64, float64),
-	progressV2 func(CellProgress)) *sinkPipeline {
+	onErr func(error), progress func(CellProgress)) *sinkPipeline {
 	p := &sinkPipeline{
-		cells:      cells,
-		builders:   make(map[string]*metrics.ReportBuilder, len(cells)),
-		route:      make(map[string]*sinkShard, len(cells)),
-		keep:       keep,
-		onErr:      onErr,
-		progress:   progress,
-		progressV2: progressV2,
+		cells:    cells,
+		builders: make(map[string]*metrics.ReportBuilder, len(cells)),
+		route:    make(map[string]*sinkShard, len(cells)),
+		keep:     keep,
+		onErr:    onErr,
+		progress: progress,
 	}
 	if len(sinks) == 0 {
 		sinks = []RecordSink{nil}
@@ -199,12 +196,8 @@ func (sh *sinkShard) loop() {
 			b.Add(rec)
 			if p.progress != nil {
 				mean, std, n := b.RunningVPK()
-				p.progress(rec.Injector, n, mean, std)
-			}
-			if p.progressV2 != nil {
-				mean, std, n := b.RunningVPK()
 				violations, violEpisodes := b.RunningViolations()
-				p.progressV2(CellProgress{
+				p.progress(CellProgress{
 					Cell:              rec.Injector,
 					Episodes:          n,
 					MeanVPK:           mean,

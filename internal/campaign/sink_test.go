@@ -107,9 +107,9 @@ func TestProgressHookSeesEveryEpisode(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var updates []update
-	cfg.Progress = func(cell string, episodes int, meanVPK, stdVPK float64) {
+	cfg.Progress = func(p CellProgress) {
 		mu.Lock()
-		updates = append(updates, update{cell, episodes, meanVPK})
+		updates = append(updates, update{p.Cell, p.Episodes, p.MeanVPK})
 		mu.Unlock()
 	}
 	r, err := NewRunner(cfg)
@@ -132,15 +132,15 @@ func TestProgressHookSeesEveryEpisode(t *testing.T) {
 	}
 }
 
-// TestProgressV2ReportsViolations pins the extended progress hook: every
-// aggregated episode fires with the cell's running violation tallies, and
-// the final update matches the report exactly.
-func TestProgressV2ReportsViolations(t *testing.T) {
+// TestProgressReportsViolations pins the violation half of the progress
+// hook: every aggregated episode fires with the cell's running violation
+// tallies, and the final update matches the report exactly.
+func TestProgressReportsViolations(t *testing.T) {
 	cfg := tinyConfig(t, []InjectorSource{Registry("gaussian")})
 	cfg.Parallelism = 2
 	var mu sync.Mutex
 	var updates []CellProgress
-	cfg.ProgressV2 = func(p CellProgress) {
+	cfg.Progress = func(p CellProgress) {
 		mu.Lock()
 		updates = append(updates, p)
 		mu.Unlock()
@@ -154,7 +154,7 @@ func TestProgressV2ReportsViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(updates) != len(rs.Records) {
-		t.Fatalf("ProgressV2 fired %d times for %d episodes", len(updates), len(rs.Records))
+		t.Fatalf("Progress fired %d times for %d episodes", len(updates), len(rs.Records))
 	}
 	last := updates[len(updates)-1]
 	if last.Cell != "gaussian" || last.Episodes != len(rs.Records) {

@@ -72,61 +72,29 @@ func TaxonomySuite() []InjectorSource {
 	return out
 }
 
-// ClassSuite returns every registered injector of one fault class as
-// campaign columns, in sorted-name order.
-func ClassSuite(c fault.Class) []InjectorSource {
-	names := fault.NamesByClass(c)
-	out := make([]InjectorSource, 0, len(names))
-	for _, n := range names {
-		out = append(out, Registry(n))
-	}
-	return out
-}
-
 // Windowed wraps an injector source so its fault activates at startFrame
 // rather than episode start — the campaign-level localizer choosing *when*
 // a fault strikes, which makes the TTV metric meaningful (time from
-// injection to first violation). Model (ML) faults apply at episode start
-// by construction and pass through unwrapped.
+// injection to first violation). Each episode's instance is resolved into
+// its fault.Roles and the window narrowed to start no earlier than
+// startFrame, so windowing a windowed source intersects the two. The model
+// role is applied at episode start regardless of the window.
 func Windowed(src InjectorSource, startFrame int) InjectorSource {
-	inner := src.New
-	if inner == nil {
-		name := src.Name
-		inner = func() interface{} {
-			spec, err := fault.Lookup(name)
-			if err != nil {
-				panic(err) // Validate() checks registration before running
-			}
-			return spec.New()
-		}
-	}
-	return InjectorSource{
+	out := InjectorSource{
 		Name:           fmt.Sprintf("%s@%d", src.Name, startFrame),
 		InjectionFrame: startFrame,
-		New: func() interface{} {
-			inst := inner()
-			w := fault.Window{StartFrame: startFrame}
-			// Wrap every injector role the instance implements; Multi
-			// keeps serving all roles through the wrappers.
-			multi := &fault.Multi{InjectorName: src.Name}
-			any := false
-			if in, ok := inst.(fault.InputInjector); ok {
-				multi.Input = &fault.WindowedInput{Inner: in, Window: w}
-				any = true
-			}
-			if out, ok := inst.(fault.OutputInjector); ok {
-				multi.Output = &fault.WindowedOutput{Inner: out, Window: w}
-				any = true
-			}
-			if tm, ok := inst.(fault.TimingInjector); ok {
-				multi.Timing = &fault.WindowedTiming{Inner: tm, Window: w}
-				any = true
-			}
-			if !any {
-				// Model faults (or exotic injectors): unwrapped.
-				return inst
-			}
-			return multi
-		},
 	}
+	newInst, err := factory(src)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	out.New = func() interface{} {
+		roles := fault.RolesOf(newInst())
+		if roles.Window.StartFrame < startFrame {
+			roles.Window.StartFrame = startFrame
+		}
+		return roles
+	}
+	return out
 }

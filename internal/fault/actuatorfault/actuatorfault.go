@@ -25,8 +25,7 @@ const (
 // can still fight the runaway.
 type StuckThrottle struct {
 	// Value is the stuck pedal position in [0, 1].
-	Value  float64
-	Window fault.Window
+	Value float64
 }
 
 var _ fault.OutputInjector = (*StuckThrottle)(nil)
@@ -38,10 +37,7 @@ func NewStuckThrottle() *StuckThrottle { return &StuckThrottle{Value: 0.7} }
 func (s *StuckThrottle) Name() string { return StuckThrottleName }
 
 // InjectControl implements fault.OutputInjector.
-func (s *StuckThrottle) InjectControl(ctl physics.Control, frame int, _ *rng.Stream) physics.Control {
-	if !s.Window.Active(frame) {
-		return ctl
-	}
+func (s *StuckThrottle) InjectControl(ctl physics.Control, _ int, _ *rng.Stream) physics.Control {
 	ctl.Throttle = s.Value
 	return ctl
 }
@@ -51,8 +47,7 @@ func (s *StuckThrottle) InjectControl(ctl physics.Control, frame int, _ *rng.Str
 // intact, so the fault only shows when the vehicle needs to stop.
 type BrakeFade struct {
 	// Gain scales the commanded brake (0.3 = 30% of commanded force).
-	Gain   float64
-	Window fault.Window
+	Gain float64
 }
 
 var _ fault.OutputInjector = (*BrakeFade)(nil)
@@ -64,10 +59,7 @@ func NewBrakeFade() *BrakeFade { return &BrakeFade{Gain: 0.3} }
 func (b *BrakeFade) Name() string { return BrakeFadeName }
 
 // InjectControl implements fault.OutputInjector.
-func (b *BrakeFade) InjectControl(ctl physics.Control, frame int, _ *rng.Stream) physics.Control {
-	if !b.Window.Active(frame) {
-		return ctl
-	}
+func (b *BrakeFade) InjectControl(ctl physics.Control, _ int, _ *rng.Stream) physics.Control {
 	ctl.Brake *= b.Gain
 	return ctl
 }
@@ -81,7 +73,6 @@ type SteerBias struct {
 	Bias float64
 	// Jitter is additive Gaussian noise stddev on the steering channel.
 	Jitter float64
-	Window fault.Window
 }
 
 var _ fault.OutputInjector = (*SteerBias)(nil)
@@ -93,10 +84,7 @@ func NewSteerBias() *SteerBias { return &SteerBias{Bias: 0.15, Jitter: 0.02} }
 func (s *SteerBias) Name() string { return SteerBiasName }
 
 // InjectControl implements fault.OutputInjector.
-func (s *SteerBias) InjectControl(ctl physics.Control, frame int, r *rng.Stream) physics.Control {
-	if !s.Window.Active(frame) {
-		return ctl
-	}
+func (s *SteerBias) InjectControl(ctl physics.Control, _ int, r *rng.Stream) physics.Control {
 	v := ctl.Steer + s.Bias
 	if s.Jitter > 0 {
 		v += r.NormScaled(0, s.Jitter)

@@ -67,13 +67,13 @@ func TestActuatorFaultsWindowAndRegistry(t *testing.T) {
 		}
 	}
 	// Windowed variants pass through before activation.
-	gated := []fault.OutputInjector{
-		&StuckThrottle{Value: 0.7, Window: fault.Window{StartFrame: 10}},
-		&BrakeFade{Gain: 0.3, Window: fault.Window{StartFrame: 10}},
-		&SteerBias{Bias: 0.5, Window: fault.Window{StartFrame: 10}},
-	}
-	for _, inj := range gated {
-		if inj.InjectControl(in, 5, r) != in {
+	for _, inj := range []fault.OutputInjector{
+		&StuckThrottle{Value: 0.7},
+		&BrakeFade{Gain: 0.3},
+		&SteerBias{Bias: 0.5},
+	} {
+		gated := &fault.Roles{InjectorName: inj.Name(), Output: inj, Window: fault.Window{StartFrame: 10}}
+		if gated.InjectControl(in, 5, r) != in {
 			t.Errorf("%s fired before its window", inj.Name())
 		}
 	}

@@ -35,7 +35,6 @@ type Delay struct {
 	BaseFrames int
 	// JitterFrames widens the latency to BaseFrames..BaseFrames+JitterFrames.
 	JitterFrames int
-	Window       fault.Window
 
 	pending    []inFlight
 	current    physics.Control
@@ -68,12 +67,6 @@ func (d *Delay) Reset() {
 
 // Transform implements fault.TimingInjector.
 func (d *Delay) Transform(ctl physics.Control, frame int, r *rng.Stream) physics.Control {
-	if !d.Window.Active(frame) {
-		// Healthy link: commands pass through and in-flight state drains.
-		d.pending = d.pending[:0]
-		d.current, d.hasCurrent, d.currentSeq = ctl, true, frame
-		return ctl
-	}
 	lat := d.BaseFrames
 	if d.JitterFrames > 0 {
 		lat += r.Intn(d.JitterFrames + 1)
@@ -114,7 +107,6 @@ type Drop struct {
 	PGoodBad, PBadGood float64
 	// PLossGood and PLossBad are the per-frame loss probabilities in each state.
 	PLossGood, PLossBad float64
-	Window              fault.Window
 
 	bad     bool
 	last    physics.Control
@@ -140,11 +132,7 @@ func (d *Drop) Reset() {
 }
 
 // Transform implements fault.TimingInjector.
-func (d *Drop) Transform(ctl physics.Control, frame int, r *rng.Stream) physics.Control {
-	if !d.Window.Active(frame) {
-		d.last, d.hasLast = ctl, true
-		return ctl
-	}
+func (d *Drop) Transform(ctl physics.Control, _ int, r *rng.Stream) physics.Control {
 	if d.bad {
 		d.bad = !r.Bool(d.PBadGood)
 	} else {
@@ -168,8 +156,7 @@ func (d *Drop) Transform(ctl physics.Control, frame int, r *rng.Stream) physics.
 // fills, the actuator holds its last setpoint.
 type Reorder struct {
 	// Depth is the in-flight buffer size and the displacement bound.
-	Depth  int
-	Window fault.Window
+	Depth int
 
 	buf     []buffered
 	last    physics.Control
@@ -199,11 +186,6 @@ func (d *Reorder) Reset() {
 
 // Transform implements fault.TimingInjector.
 func (d *Reorder) Transform(ctl physics.Control, frame int, r *rng.Stream) physics.Control {
-	if !d.Window.Active(frame) {
-		d.buf = d.buf[:0]
-		d.last, d.hasLast = ctl, true
-		return ctl
-	}
 	d.buf = append(d.buf, buffered{seq: frame, ctl: ctl})
 	if len(d.buf) < d.Depth {
 		if d.hasLast {

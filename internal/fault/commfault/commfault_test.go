@@ -146,11 +146,12 @@ func TestCommInjectorsDeterministic(t *testing.T) {
 
 func TestCommInjectorsPassThroughOutsideWindow(t *testing.T) {
 	in := ctlSeq(50)
-	for _, inj := range []fault.TimingInjector{
-		&Delay{BaseFrames: 4, JitterFrames: 4, Window: fault.Window{StartFrame: 1000}},
-		&Drop{PGoodBad: 1, PLossBad: 1, Window: fault.Window{StartFrame: 1000}},
-		&Reorder{Depth: 4, Window: fault.Window{StartFrame: 1000}},
+	for _, inner := range []fault.TimingInjector{
+		&Delay{BaseFrames: 4, JitterFrames: 4},
+		&Drop{PGoodBad: 1, PLossBad: 1},
+		&Reorder{Depth: 4},
 	} {
+		inj := &fault.Roles{InjectorName: inner.Name(), Timing: inner, Window: fault.Window{StartFrame: 1000}}
 		out := runTiming(inj, 8, in)
 		for i := range out {
 			if out[i] != in[i] {

@@ -32,9 +32,11 @@
 //     obstacles injected into the LIDAR scan — the fault family that
 //     turns the AEB safety monitor against the vehicle.
 //
-// This parent package defines the injector interfaces, the activation
-// windows ("fault plans") shared by all classes, and the registry the
-// campaign runner and CLI use to instantiate injectors by name.
+// This parent package defines the injector interfaces; Roles, which
+// resolves an injector instance into its pipeline roles and gates them
+// behind one activation window (the localizer's "when"; the injectors
+// themselves only decide "what"); and the registry the campaign runner and
+// CLI use to instantiate injectors by name.
 package fault
 
 import (
@@ -56,9 +58,6 @@ type Window struct {
 	// EndFrame is exclusive; 0 means "until episode end".
 	EndFrame int
 }
-
-// Always is the whole-episode window.
-var Always = Window{}
 
 // Active reports whether the window covers the frame.
 func (w Window) Active(frame int) bool {
@@ -84,8 +83,7 @@ type InputInjector interface {
 }
 
 // LidarInjector is an optional extra role for input injectors: corrupting
-// the planar LIDAR scan in place. The client driver applies it when the
-// episode's input injector also implements this interface.
+// the planar LIDAR scan in place. RolesOf finds it on the instance.
 type LidarInjector interface {
 	// InjectLidar corrupts the scan in place (beam 0 = forward).
 	InjectLidar(ranges []float64, frame int, r *rng.Stream)

@@ -14,8 +14,8 @@ func TestWindowActive(t *testing.T) {
 		frame int
 		want  bool
 	}{
-		{Always, 0, true},
-		{Always, 1 << 20, true},
+		{Window{}, 0, true},
+		{Window{}, 1 << 20, true},
 		{Window{StartFrame: 10}, 9, false},
 		{Window{StartFrame: 10}, 10, true},
 		{Window{StartFrame: 10, EndFrame: 20}, 19, true},

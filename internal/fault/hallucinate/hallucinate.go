@@ -46,7 +46,6 @@ type PhantomAhead struct {
 	MinRange, MaxRange float64
 	// WidthBeams is the phantom's half-width in beams around forward.
 	WidthBeams int
-	Window     fault.Window
 
 	dist    float64
 	started bool
@@ -75,10 +74,7 @@ func (p *PhantomAhead) InjectMeasurements(speed, gpsX, gpsY float64, _ int, _ *r
 }
 
 // InjectLidar implements fault.LidarInjector.
-func (p *PhantomAhead) InjectLidar(ranges []float64, frame int, r *rng.Stream) {
-	if !p.Window.Active(frame) {
-		return
-	}
+func (p *PhantomAhead) InjectLidar(ranges []float64, _ int, r *rng.Stream) {
 	if !p.started {
 		p.dist = r.Range(p.MinRange, p.MaxRange)
 		p.started = true
@@ -97,7 +93,6 @@ type PhantomFlicker struct {
 	MinRange, MaxRange float64
 	// WidthBeams is the phantom's half-width in beams around forward.
 	WidthBeams int
-	Window     fault.Window
 }
 
 var (
@@ -122,10 +117,7 @@ func (p *PhantomFlicker) InjectMeasurements(speed, gpsX, gpsY float64, _ int, _ 
 }
 
 // InjectLidar implements fault.LidarInjector.
-func (p *PhantomFlicker) InjectLidar(ranges []float64, frame int, r *rng.Stream) {
-	if !p.Window.Active(frame) {
-		return
-	}
+func (p *PhantomFlicker) InjectLidar(ranges []float64, _ int, r *rng.Stream) {
 	if !r.Bool(p.Prob) {
 		return
 	}

@@ -100,7 +100,10 @@ func TestHallucinationsRegisteredWindowedDeterministic(t *testing.T) {
 		}
 	}
 	// Window gating.
-	p := &PhantomAhead{MinRange: 1, MaxRange: 2, WidthBeams: 1, Window: fault.Window{StartFrame: 5}}
+	p := &fault.Roles{
+		Lidar:  &PhantomAhead{MinRange: 1, MaxRange: 2, WidthBeams: 1},
+		Window: fault.Window{StartFrame: 5},
+	}
 	r := rng.New(4)
 	scan := clearScan(8)
 	p.InjectLidar(scan, 0, r)

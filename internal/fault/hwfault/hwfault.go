@@ -56,8 +56,7 @@ type ControlBitFlip struct {
 	// Prob is the per-frame probability of a flip event.
 	Prob float64
 	// Bits is how many bits flip per event.
-	Bits   int
-	Window fault.Window
+	Bits int
 }
 
 var _ fault.OutputInjector = (*ControlBitFlip)(nil)
@@ -69,8 +68,8 @@ func NewControlBitFlip() *ControlBitFlip { return &ControlBitFlip{Prob: 0.10, Bi
 func (c *ControlBitFlip) Name() string { return ControlBitFlipName }
 
 // InjectControl implements fault.OutputInjector.
-func (c *ControlBitFlip) InjectControl(ctl physics.Control, frame int, r *rng.Stream) physics.Control {
-	if !c.Window.Active(frame) || !r.Bool(c.Prob) {
+func (c *ControlBitFlip) InjectControl(ctl physics.Control, _ int, r *rng.Stream) physics.Control {
+	if !r.Bool(c.Prob) {
 		return ctl
 	}
 	// Pick one of the three command fields uniformly.
@@ -92,8 +91,7 @@ type ControlStuck struct {
 	// Field selects which command channel sticks.
 	Field StuckField
 	// Value is the stuck reading.
-	Value  float64
-	Window fault.Window
+	Value float64
 }
 
 // StuckField enumerates control channels. Enums start at one.
@@ -116,10 +114,7 @@ func NewControlStuck() *ControlStuck { return &ControlStuck{Field: StuckSteer, V
 func (c *ControlStuck) Name() string { return ControlStuckName }
 
 // InjectControl implements fault.OutputInjector.
-func (c *ControlStuck) InjectControl(ctl physics.Control, frame int, _ *rng.Stream) physics.Control {
-	if !c.Window.Active(frame) {
-		return ctl
-	}
+func (c *ControlStuck) InjectControl(ctl physics.Control, _ int, _ *rng.Stream) physics.Control {
 	switch c.Field {
 	case StuckSteer:
 		ctl.Steer = c.Value
@@ -137,7 +132,6 @@ func (c *ControlStuck) InjectControl(ctl physics.Control, frame int, _ *rng.Stre
 type PixelBitFlip struct {
 	// FlipsPerFrame is how many byte-level bit flips strike each frame.
 	FlipsPerFrame int
-	Window        fault.Window
 }
 
 var _ fault.InputInjector = (*PixelBitFlip)(nil)
@@ -151,10 +145,7 @@ func (p *PixelBitFlip) Name() string { return PixelBitFlipName }
 // InjectImage implements fault.InputInjector. The image is quantized to
 // bytes, bit-flipped, and dequantized — the same transformation the frame
 // experiences on the wire.
-func (p *PixelBitFlip) InjectImage(img *render.Image, frame int, r *rng.Stream) {
-	if !p.Window.Active(frame) {
-		return
-	}
+func (p *PixelBitFlip) InjectImage(img *render.Image, _ int, r *rng.Stream) {
 	data := img.ToBytes()
 	for i := 0; i < p.FlipsPerFrame; i++ {
 		idx := r.Intn(len(data))

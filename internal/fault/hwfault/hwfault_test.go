@@ -61,9 +61,9 @@ func TestControlBitFlipRate(t *testing.T) {
 }
 
 func TestControlBitFlipWindow(t *testing.T) {
-	c := NewControlBitFlip()
-	c.Prob = 1
-	c.Window = fault.Window{StartFrame: 50}
+	flip := NewControlBitFlip()
+	flip.Prob = 1
+	c := &fault.Roles{Output: flip, Window: fault.Window{StartFrame: 50}}
 	ctl := physics.Control{Steer: 0.5}
 	if got := c.InjectControl(ctl, 10, rng.New(3)); got != ctl {
 		t.Error("flip fired before window")

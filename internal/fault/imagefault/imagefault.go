@@ -32,8 +32,7 @@ const (
 // Gaussian adds zero-mean Gaussian noise to every channel.
 type Gaussian struct {
 	// Sigma is the noise stddev in intensity units ([0,1] scale).
-	Sigma  float64
-	Window fault.Window
+	Sigma float64
 }
 
 var _ fault.InputInjector = (*Gaussian)(nil)
@@ -45,10 +44,7 @@ func NewGaussian() *Gaussian { return &Gaussian{Sigma: 0.28} }
 func (g *Gaussian) Name() string { return GaussianName }
 
 // InjectImage implements fault.InputInjector.
-func (g *Gaussian) InjectImage(img *render.Image, frame int, r *rng.Stream) {
-	if !g.Window.Active(frame) {
-		return
-	}
+func (g *Gaussian) InjectImage(img *render.Image, _ int, r *rng.Stream) {
 	for i := range img.Pix {
 		img.Pix[i] = geom.Clamp(img.Pix[i]+r.NormScaled(0, g.Sigma), 0, 1)
 	}
@@ -62,8 +58,7 @@ func (g *Gaussian) InjectMeasurements(speed, gpsX, gpsY float64, _ int, _ *rng.S
 // SaltPepper flips a fraction of pixels to pure black or white.
 type SaltPepper struct {
 	// Prob is the per-pixel corruption probability.
-	Prob   float64
-	Window fault.Window
+	Prob float64
 }
 
 var _ fault.InputInjector = (*SaltPepper)(nil)
@@ -75,10 +70,7 @@ func NewSaltPepper() *SaltPepper { return &SaltPepper{Prob: 0.20} }
 func (s *SaltPepper) Name() string { return SaltPepperName }
 
 // InjectImage implements fault.InputInjector.
-func (s *SaltPepper) InjectImage(img *render.Image, frame int, r *rng.Stream) {
-	if !s.Window.Active(frame) {
-		return
-	}
+func (s *SaltPepper) InjectImage(img *render.Image, _ int, r *rng.Stream) {
 	n := img.W * img.H
 	for p := 0; p < n; p++ {
 		if !r.Bool(s.Prob) {
@@ -103,7 +95,6 @@ func (s *SaltPepper) InjectMeasurements(speed, gpsX, gpsY float64, _ int, _ *rng
 type SolidOcclusion struct {
 	// FracW, FracH are the occluded fraction of each image dimension.
 	FracW, FracH float64
-	Window       fault.Window
 
 	placed         bool
 	x0, y0, x1, y1 int
@@ -118,10 +109,7 @@ func NewSolidOcclusion() *SolidOcclusion { return &SolidOcclusion{FracW: 0.4, Fr
 func (s *SolidOcclusion) Name() string { return SolidOccName }
 
 // InjectImage implements fault.InputInjector.
-func (s *SolidOcclusion) InjectImage(img *render.Image, frame int, r *rng.Stream) {
-	if !s.Window.Active(frame) {
-		return
-	}
+func (s *SolidOcclusion) InjectImage(img *render.Image, _ int, r *rng.Stream) {
 	if !s.placed {
 		s.place(img, r)
 	}
@@ -158,8 +146,7 @@ func (s *SolidOcclusion) InjectMeasurements(speed, gpsX, gpsY float64, _ int, _ 
 type TransparentOcclusion struct {
 	FracW, FracH float64
 	// Alpha is the film opacity in [0,1].
-	Alpha  float64
-	Window fault.Window
+	Alpha float64
 
 	placed         bool
 	x0, y0, x1, y1 int
@@ -176,10 +163,7 @@ func NewTransparentOcclusion() *TransparentOcclusion {
 func (t *TransparentOcclusion) Name() string { return TranspOccName }
 
 // InjectImage implements fault.InputInjector.
-func (t *TransparentOcclusion) InjectImage(img *render.Image, frame int, r *rng.Stream) {
-	if !t.Window.Active(frame) {
-		return
-	}
+func (t *TransparentOcclusion) InjectImage(img *render.Image, _ int, r *rng.Stream) {
 	if !t.placed {
 		w := int(float64(img.W) * t.FracW)
 		h := int(float64(img.H) * t.FracH)
@@ -225,7 +209,6 @@ type WaterDrop struct {
 	// Refraction is the source-displacement factor inside a droplet:
 	// -1 samples the mirror image across the droplet center.
 	Refraction float64
-	Window     fault.Window
 
 	placed bool
 	cx, cy []float64
@@ -244,9 +227,6 @@ func (w *WaterDrop) Name() string { return WaterDropName }
 
 // InjectImage implements fault.InputInjector.
 func (w *WaterDrop) InjectImage(img *render.Image, frame int, r *rng.Stream) {
-	if !w.Window.Active(frame) {
-		return
-	}
 	if !w.placed {
 		for i := 0; i < w.Drops; i++ {
 			w.cx = append(w.cx, r.Range(0, float64(img.W)))

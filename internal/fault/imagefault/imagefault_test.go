@@ -71,8 +71,7 @@ func TestGaussianStatistics(t *testing.T) {
 func TestGaussianWindowGates(t *testing.T) {
 	im := gradientImage(16, 12)
 	orig := im.Clone()
-	g := NewGaussian()
-	g.Window = fault.Window{StartFrame: 100}
+	g := &fault.Roles{Input: NewGaussian(), Window: fault.Window{StartFrame: 100}}
 	g.InjectImage(im, 5, rng.New(2))
 	if countDiff(orig, im) != 0 {
 		t.Error("windowed injector fired outside its window")

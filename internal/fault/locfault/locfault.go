@@ -28,7 +28,6 @@ const (
 type GPSWalk struct {
 	// StepSigma is the per-frame step stddev in meters (per axis).
 	StepSigma float64
-	Window    fault.Window
 
 	offX, offY float64
 }
@@ -48,10 +47,7 @@ func (g *GPSWalk) Name() string { return GPSWalkName }
 func (g *GPSWalk) InjectImage(*render.Image, int, *rng.Stream) {}
 
 // InjectMeasurements implements fault.InputInjector.
-func (g *GPSWalk) InjectMeasurements(speed, gpsX, gpsY float64, frame int, r *rng.Stream) (float64, float64, float64) {
-	if !g.Window.Active(frame) {
-		return speed, gpsX, gpsY
-	}
+func (g *GPSWalk) InjectMeasurements(speed, gpsX, gpsY float64, _ int, r *rng.Stream) (float64, float64, float64) {
 	g.offX += r.NormScaled(0, g.StepSigma)
 	g.offY += r.NormScaled(0, g.StepSigma)
 	return speed, gpsX + g.offX, gpsY + g.offY
@@ -70,7 +66,6 @@ type FusionDiverge struct {
 	GrowthPerFrame float64
 	// SpeedDriftPerFrame linearly inflates the fused speed estimate.
 	SpeedDriftPerFrame float64
-	Window             fault.Window
 
 	dirX, dirY float64
 	started    bool
@@ -94,9 +89,6 @@ func (f *FusionDiverge) InjectImage(*render.Image, int, *rng.Stream) {}
 
 // InjectMeasurements implements fault.InputInjector.
 func (f *FusionDiverge) InjectMeasurements(speed, gpsX, gpsY float64, frame int, r *rng.Stream) (float64, float64, float64) {
-	if !f.Window.Active(frame) {
-		return speed, gpsX, gpsY
-	}
 	if !f.started {
 		angle := r.Range(0, 2*math.Pi)
 		f.dirX, f.dirY = math.Cos(angle), math.Sin(angle)

@@ -77,10 +77,11 @@ func TestLocFaultsDeterministicAndRegistered(t *testing.T) {
 }
 
 func TestLocFaultsGateOnWindow(t *testing.T) {
-	g := &GPSWalk{StepSigma: 1, Window: fault.Window{StartFrame: 100}}
-	f := &FusionDiverge{InitialMeters: 5, GrowthPerFrame: 0.5, Window: fault.Window{StartFrame: 100}}
+	g := &GPSWalk{StepSigma: 1}
+	f := &FusionDiverge{InitialMeters: 5, GrowthPerFrame: 0.5}
 	r := rng.New(3)
-	for _, inj := range []fault.InputInjector{g, f} {
+	for _, inner := range []fault.InputInjector{g, f} {
+		inj := &fault.Roles{InjectorName: inner.Name(), Input: inner, Window: fault.Window{StartFrame: 100}}
 		s, x, y := inj.InjectMeasurements(5, 1, 2, 10, r)
 		if s != 5 || x != 1 || y != 2 {
 			t.Errorf("%s fired before its window", inj.Name())

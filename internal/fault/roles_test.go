@@ -47,7 +47,7 @@ func (h *hold) Transform(ctl physics.Control, _ int, _ *rng.Stream) physics.Cont
 }
 
 func TestWindowedInputGates(t *testing.T) {
-	w := &WindowedInput{Inner: blackout{}, Window: Window{StartFrame: 10, EndFrame: 20}}
+	w := &Roles{InjectorName: "blackout", Input: blackout{}, Window: Window{StartFrame: 10, EndFrame: 20}}
 	r := rng.New(1)
 
 	img := render.NewImage(2, 2)
@@ -70,12 +70,12 @@ func TestWindowedInputGates(t *testing.T) {
 		t.Error("measurement fault inactive inside window")
 	}
 	if w.Name() != "blackout" {
-		t.Error("wrapper hides inner name")
+		t.Error("bundle hides the injector's name")
 	}
 }
 
 func TestWindowedOutputGates(t *testing.T) {
-	w := &WindowedOutput{Inner: slam{}, Window: Window{StartFrame: 100}}
+	w := &Roles{Output: slam{}, Window: Window{StartFrame: 100}}
 	r := rng.New(2)
 	ctl := physics.Control{Throttle: 1}
 	if got := w.InjectControl(ctl, 50, r); got.Brake != 0 {
@@ -88,7 +88,7 @@ func TestWindowedOutputGates(t *testing.T) {
 
 func TestWindowedTimingGates(t *testing.T) {
 	inner := &hold{}
-	w := &WindowedTiming{Inner: inner, Window: Window{StartFrame: 2}}
+	w := &Roles{Timing: inner, Window: Window{StartFrame: 2}}
 	r := rng.New(3)
 	w.Reset()
 
@@ -115,9 +115,35 @@ func TestWindowedTimingGates(t *testing.T) {
 }
 
 func TestWindowedImplementInterfaces(t *testing.T) {
-	var _ InputInjector = &WindowedInput{Inner: Noop{}}
-	var _ OutputInjector = &WindowedOutput{Inner: Noop{}}
-	var _ TimingInjector = &WindowedTiming{Inner: Noop{}}
+	var _ InputInjector = &Roles{Input: Noop{}}
+	var _ LidarInjector = &Roles{}
+	var _ OutputInjector = &Roles{Output: Noop{}}
+	var _ TimingInjector = &Roles{Timing: Noop{}}
+	var _ ModelInjector = &Roles{Model: Noop{}}
+}
+
+func TestRolesOfResolvesEveryRole(t *testing.T) {
+	r := RolesOf(Noop{})
+	if r.Input == nil || r.Output == nil || r.Timing == nil || r.Model == nil {
+		t.Errorf("RolesOf(Noop{}) = %+v, want input, output, timing and model roles", r)
+	}
+	if r.Lidar != nil {
+		t.Error("Noop has no LIDAR role")
+	}
+	if r.Name() != NoopName || r.Window != (Window{}) {
+		t.Errorf("RolesOf(Noop{}) named %q with window %+v", r.Name(), r.Window)
+	}
+	z := RolesOf(zapLidar{})
+	if z.Input == nil || z.Lidar == nil || z.Output != nil || z.Timing != nil || z.Model != nil {
+		t.Errorf("RolesOf(zapLidar{}) = %+v, want input and lidar roles only", z)
+	}
+	// A bundle is its own roles: no new bundle wrapping the old one.
+	if RolesOf(z) != z {
+		t.Error("RolesOf(*Roles) built a new bundle")
+	}
+	if e := RolesOf(nil); e.Input != nil || e.Lidar != nil || e.Output != nil || e.Timing != nil || e.Model != nil {
+		t.Errorf("RolesOf(nil) = %+v", e)
+	}
 }
 
 // zapLidar is a test injector carrying the LIDAR role: it slams every beam
@@ -140,9 +166,10 @@ func cleanScan(n int) []float64 {
 }
 
 func TestWindowedInputForwardsLidarRole(t *testing.T) {
-	// Regression: WindowedInput used to drop the optional LidarInjector
-	// role, so windowed lidar faults never reached the scan.
-	w := &WindowedInput{Inner: zapLidar{}, Window: Window{StartFrame: 10, EndFrame: 20}}
+	// Regression: the input-role window wrapper used to drop the optional
+	// LidarInjector role, so windowed lidar faults never reached the scan.
+	w := RolesOf(zapLidar{})
+	w.Window = Window{StartFrame: 10, EndFrame: 20}
 	r := rng.New(7)
 
 	scan := cleanScan(4)
@@ -161,7 +188,7 @@ func TestWindowedInputForwardsLidarRole(t *testing.T) {
 	}
 
 	// An inner injector without the role stays a safe no-op.
-	wn := &WindowedInput{Inner: blackout{}, Window: Window{}}
+	wn := RolesOf(blackout{})
 	scan = cleanScan(4)
 	wn.InjectLidar(scan, 15, r)
 	if scan[0] != 60 {
@@ -170,11 +197,13 @@ func TestWindowedInputForwardsLidarRole(t *testing.T) {
 }
 
 func TestMultiForwardsLidarRole(t *testing.T) {
-	// Regression: Multi (the campaign layer's windowed bundle) used to hide
-	// the input slot's LidarInjector role from the client's type assertion.
-	m := &Multi{
+	// Regression: the campaign layer's windowed bundle used to hide the
+	// input slot's LidarInjector role from the client's type assertion.
+	m := &Roles{
 		InjectorName: "zaplidar@10",
-		Input:        &WindowedInput{Inner: zapLidar{}, Window: Window{StartFrame: 10}},
+		Input:        zapLidar{},
+		Lidar:        zapLidar{},
+		Window:       Window{StartFrame: 10},
 	}
 	var li LidarInjector = m
 	r := rng.New(8)
@@ -191,8 +220,8 @@ func TestMultiForwardsLidarRole(t *testing.T) {
 
 	// Empty and lidar-less bundles are safe no-ops.
 	scan = cleanScan(4)
-	(&Multi{InjectorName: "empty"}).InjectLidar(scan, 10, r)
-	(&Multi{InjectorName: "img", Input: blackout{}}).InjectLidar(scan, 10, r)
+	(&Roles{InjectorName: "empty"}).InjectLidar(scan, 10, r)
+	(&Roles{InjectorName: "img", Input: blackout{}}).InjectLidar(scan, 10, r)
 	if scan[0] != 60 {
 		t.Error("lidar-less bundle mutated the scan")
 	}

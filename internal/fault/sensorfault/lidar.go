@@ -25,7 +25,6 @@ type LidarDropout struct {
 	Prob float64
 	// MaxRange is the sensor's configured maximum (reported for lost beams).
 	MaxRange float64
-	Window   fault.Window
 }
 
 var (
@@ -48,10 +47,7 @@ func (l *LidarDropout) InjectMeasurements(speed, gpsX, gpsY float64, _ int, _ *r
 }
 
 // InjectLidar implements fault.LidarInjector.
-func (l *LidarDropout) InjectLidar(ranges []float64, frame int, r *rng.Stream) {
-	if !l.Window.Active(frame) {
-		return
-	}
+func (l *LidarDropout) InjectLidar(ranges []float64, _ int, r *rng.Stream) {
 	for i := range ranges {
 		if r.Bool(l.Prob) {
 			ranges[i] = l.MaxRange
@@ -67,7 +63,6 @@ type LidarGhost struct {
 	Prob float64
 	// MinRange, MaxRange bound the phantom return distance.
 	MinRange, MaxRange float64
-	Window             fault.Window
 }
 
 var (
@@ -90,10 +85,7 @@ func (l *LidarGhost) InjectMeasurements(speed, gpsX, gpsY float64, _ int, _ *rng
 }
 
 // InjectLidar implements fault.LidarInjector.
-func (l *LidarGhost) InjectLidar(ranges []float64, frame int, r *rng.Stream) {
-	if !l.Window.Active(frame) {
-		return
-	}
+func (l *LidarGhost) InjectLidar(ranges []float64, _ int, r *rng.Stream) {
 	for i := range ranges {
 		if r.Bool(l.Prob) {
 			ranges[i] = r.Range(l.MinRange, l.MaxRange)

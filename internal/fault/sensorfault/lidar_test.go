@@ -35,8 +35,7 @@ func TestLidarDropoutSilencesBeams(t *testing.T) {
 }
 
 func TestLidarDropoutWindow(t *testing.T) {
-	d := NewLidarDropout()
-	d.Window = fault.Window{StartFrame: 100}
+	d := &fault.Roles{Lidar: NewLidarDropout(), Window: fault.Window{StartFrame: 100}}
 	ranges := fullScan(36, 8)
 	d.InjectLidar(ranges, 5, rng.New(2))
 	for _, v := range ranges {

@@ -23,7 +23,6 @@ const (
 type GPSDrift struct {
 	// RatePerFrame is the bias growth in meters per frame.
 	RatePerFrame float64
-	Window       fault.Window
 
 	dirX, dirY float64
 	started    bool
@@ -43,9 +42,6 @@ func (g *GPSDrift) InjectImage(*render.Image, int, *rng.Stream) {}
 
 // InjectMeasurements implements fault.InputInjector.
 func (g *GPSDrift) InjectMeasurements(speed, gpsX, gpsY float64, frame int, r *rng.Stream) (float64, float64, float64) {
-	if !g.Window.Active(frame) {
-		return speed, gpsX, gpsY
-	}
 	if !g.started {
 		angle := r.Range(0, 2*math.Pi)
 		g.dirX, g.dirY = math.Cos(angle), math.Sin(angle)
@@ -63,7 +59,6 @@ type SpeedCorrupt struct {
 	Scale float64
 	// Jitter is additive Gaussian noise stddev, m/s.
 	Jitter float64
-	Window fault.Window
 }
 
 var _ fault.InputInjector = (*SpeedCorrupt)(nil)
@@ -78,10 +73,7 @@ func (s *SpeedCorrupt) Name() string { return SpeedCorruptName }
 func (s *SpeedCorrupt) InjectImage(*render.Image, int, *rng.Stream) {}
 
 // InjectMeasurements implements fault.InputInjector.
-func (s *SpeedCorrupt) InjectMeasurements(speed, gpsX, gpsY float64, frame int, r *rng.Stream) (float64, float64, float64) {
-	if !s.Window.Active(frame) {
-		return speed, gpsX, gpsY
-	}
+func (s *SpeedCorrupt) InjectMeasurements(speed, gpsX, gpsY float64, _ int, r *rng.Stream) (float64, float64, float64) {
 	v := speed*s.Scale + r.NormScaled(0, s.Jitter)
 	if v < 0 {
 		v = 0

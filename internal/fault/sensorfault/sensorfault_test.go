@@ -42,8 +42,7 @@ func TestGPSDriftDirectionStable(t *testing.T) {
 }
 
 func TestGPSDriftRespectsWindow(t *testing.T) {
-	g := NewGPSDrift()
-	g.Window = fault.Window{StartFrame: 50}
+	g := &fault.Roles{Input: NewGPSDrift(), Window: fault.Window{StartFrame: 50}}
 	r := rng.New(3)
 	_, x, y := g.InjectMeasurements(5, 1, 2, 10, r)
 	if x != 1 || y != 2 {
@@ -86,8 +85,7 @@ func TestSpeedCorruptNeverNegative(t *testing.T) {
 }
 
 func TestSpeedCorruptWindow(t *testing.T) {
-	s := NewSpeedCorrupt()
-	s.Window = fault.Window{StartFrame: 10, EndFrame: 20}
+	s := &fault.Roles{Input: NewSpeedCorrupt(), Window: fault.Window{StartFrame: 10, EndFrame: 20}}
 	r := rng.New(7)
 	if v, _, _ := s.InjectMeasurements(8, 0, 0, 5, r); v != 8 {
 		t.Error("corrupt before window")

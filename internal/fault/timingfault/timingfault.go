@@ -34,7 +34,6 @@ const (
 type Delay struct {
 	// Frames is the delay k.
 	Frames int
-	Window fault.Window
 
 	queue []physics.Control
 }
@@ -51,8 +50,8 @@ func (d *Delay) Name() string { return DelayName }
 func (d *Delay) Reset() { d.queue = d.queue[:0] }
 
 // Transform implements fault.TimingInjector.
-func (d *Delay) Transform(ctl physics.Control, frame int, _ *rng.Stream) physics.Control {
-	if d.Frames <= 0 || !d.Window.Active(frame) {
+func (d *Delay) Transform(ctl physics.Control, _ int, _ *rng.Stream) physics.Control {
+	if d.Frames <= 0 {
 		return ctl
 	}
 	d.queue = append(d.queue, ctl)
@@ -69,8 +68,7 @@ func (d *Delay) Transform(ctl physics.Control, frame int, _ *rng.Stream) physics
 // replays the last successfully delivered command (a real actuator holds
 // its last setpoint when a packet is lost).
 type Drop struct {
-	P      float64
-	Window fault.Window
+	P float64
 
 	last    physics.Control
 	hasLast bool
@@ -91,12 +89,7 @@ func (d *Drop) Reset() {
 }
 
 // Transform implements fault.TimingInjector.
-func (d *Drop) Transform(ctl physics.Control, frame int, r *rng.Stream) physics.Control {
-	if !d.Window.Active(frame) {
-		d.last = ctl
-		d.hasLast = true
-		return ctl
-	}
+func (d *Drop) Transform(ctl physics.Control, _ int, r *rng.Stream) physics.Control {
 	if r.Bool(d.P) && d.hasLast {
 		return d.last
 	}
@@ -112,8 +105,7 @@ func (d *Drop) Transform(ctl physics.Control, frame int, r *rng.Stream) physics.
 // command that should have owned that slot is superseded and never applied
 // (sequence-number supersession, as a real actuator firmware would do).
 type Reorder struct {
-	P      float64
-	Window fault.Window
+	P float64
 
 	held    physics.Control
 	holding bool
@@ -139,12 +131,6 @@ func (d *Reorder) Reset() {
 
 // Transform implements fault.TimingInjector.
 func (d *Reorder) Transform(ctl physics.Control, frame int, r *rng.Stream) physics.Control {
-	if !d.Window.Active(frame) {
-		d.holding = false
-		d.last = ctl
-		d.hasLast = true
-		return ctl
-	}
 	if d.holding {
 		// The late command arrives now, superseding the fresh one.
 		out := d.held

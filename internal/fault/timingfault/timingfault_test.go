@@ -51,8 +51,7 @@ func TestDelayResetClearsQueue(t *testing.T) {
 }
 
 func TestDelayWindowGates(t *testing.T) {
-	d := NewDelay(5)
-	d.Window = fault.Window{StartFrame: 1000}
+	d := &fault.Roles{Timing: NewDelay(5), Window: fault.Window{StartFrame: 1000}}
 	r := rng.New(4)
 	for i := 0; i < 20; i++ {
 		if got := d.Transform(ctlAt(i), i, r); got != ctlAt(i) {

@@ -66,10 +66,10 @@ type FaultedDriver struct {
 	// Agent is the driving network (a per-episode clone; ML faults mutate
 	// it in place).
 	Agent *agent.Agent
-	// Input, Output, Timing are the fault hooks; nil slots are skipped.
-	Input  fault.InputInjector
-	Output fault.OutputInjector
-	Timing fault.TimingInjector
+	// Roles are the fault hooks, gated behind their window; nil roles are
+	// skipped. The model role is applied through ApplyModelFault, before
+	// the episode.
+	fault.Roles
 	// AEB, when non-nil, is the independent emergency-braking monitor; it
 	// watches the (possibly faulted) LIDAR and can override the final
 	// control with a full brake.
@@ -86,9 +86,14 @@ type FaultedDriver struct {
 
 var _ Driver = (*FaultedDriver)(nil)
 
-// NewFaultedDriver builds the standard pipeline. Any injector may be nil.
+// NewFaultedDriver builds the standard pipeline. Any injector may be nil;
+// in also serves as the LIDAR role when it has one.
 func NewFaultedDriver(a *agent.Agent, in fault.InputInjector, out fault.OutputInjector, timing fault.TimingInjector, r *rng.Stream) *FaultedDriver {
-	return &FaultedDriver{Agent: a, Input: in, Output: out, Timing: timing, Rand: r}
+	d := &FaultedDriver{Agent: a, Roles: fault.Roles{Input: in, Output: out, Timing: timing}, Rand: r}
+	if ri := fault.RolesOf(in); ri.Lidar != nil {
+		d.Lidar = ri
+	}
+	return d
 }
 
 // ApplyModelFault corrupts the driver's agent with an ML fault injector
@@ -104,9 +109,7 @@ func (d *FaultedDriver) ApplyModelFault(mi fault.ModelInjector, r *rng.Stream) {
 // Reset implements Driver.
 func (d *FaultedDriver) Reset() {
 	d.Agent.Reset()
-	if d.Timing != nil {
-		d.Timing.Reset()
-	}
+	d.Roles.Reset()
 }
 
 // Drive implements Driver: decode sensors, apply input faults, run the
@@ -124,14 +127,12 @@ func (d *FaultedDriver) Drive(frame *proto.SensorFrame) (physics.Control, error)
 	// mutable copy; the copy lives in a per-driver scratch slice so the
 	// faulted path stays allocation-free after the first frame.
 	lidar := frame.Lidar
-	if d.Input != nil {
-		d.Input.InjectImage(img, fnum, d.Rand)
-		speed, gpsX, gpsY = d.Input.InjectMeasurements(speed, gpsX, gpsY, fnum, d.Rand)
-		if li, ok := d.Input.(fault.LidarInjector); ok {
-			d.lidarScratch = append(d.lidarScratch[:0], frame.Lidar...)
-			lidar = d.lidarScratch
-			li.InjectLidar(lidar, fnum, d.Rand)
-		}
+	d.Roles.InjectImage(img, fnum, d.Rand)
+	speed, gpsX, gpsY = d.Roles.InjectMeasurements(speed, gpsX, gpsY, fnum, d.Rand)
+	if d.Lidar != nil {
+		d.lidarScratch = append(d.lidarScratch[:0], frame.Lidar...)
+		lidar = d.lidarScratch
+		d.Roles.InjectLidar(lidar, fnum, d.Rand)
 	}
 	// Nothing consumes the faulted GPS fix: the IL agent reads only the
 	// image and speed, so GPS-role faults cannot change an episode yet.
@@ -141,12 +142,8 @@ func (d *FaultedDriver) Drive(frame *proto.SensorFrame) (physics.Control, error)
 	if err != nil {
 		return physics.Control{}, err
 	}
-	if d.Output != nil {
-		ctl = d.Output.InjectControl(ctl, fnum, d.Rand)
-	}
-	if d.Timing != nil {
-		ctl = d.Timing.Transform(ctl, fnum, d.Rand)
-	}
+	ctl = d.Roles.InjectControl(ctl, fnum, d.Rand)
+	ctl = d.Roles.Transform(ctl, fnum, d.Rand)
 	if d.AEB != nil {
 		// The safety monitor sits closest to the actuators: it sees the
 		// post-fault control and the post-fault LIDAR.

@@ -13,13 +13,9 @@ import (
 // windowedDropout mirrors the exact bundle campaign.Windowed builds — the
 // shape that used to lose the LIDAR role on its way to the driver.
 func windowedDropout(start int) fault.InputInjector {
-	return &fault.Multi{
-		InjectorName: "lidardropout@window",
-		Input: &fault.WindowedInput{
-			Inner:  sensorfault.NewLidarDropout(),
-			Window: fault.Window{StartFrame: start},
-		},
-	}
+	roles := fault.RolesOf(sensorfault.NewLidarDropout())
+	roles.Window = fault.Window{StartFrame: start}
+	return roles
 }
 
 func TestWindowedLidarFaultChangesAEBOutcome(t *testing.T) {

@@ -161,14 +161,6 @@ func (w *Worker) Serve() error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (w *Worker) ListenAndServe(addr string) error {
-	if _, err := w.Listen(addr); err != nil {
-		return err
-	}
-	return w.Serve()
-}
-
 // Close stops the worker: the listener closes and every active connection
 // is torn down, so in-flight sessions on the other side fail immediately —
 // the kill switch chaos tests lean on, and the prompt path for a
