@@ -39,7 +39,7 @@
 //     shard directory), and CampaignConfig.ResumeFrom seeds a new run with
 //     it, skipping every (cell, mission, repetition) already recorded;
 //   - a distributed fleet mode: SimWorker serves episodes to remote
-//     campaigns (avfi -serve), PoolConfig.Backends dials a fleet of
+//     campaigns (avfi serve), PoolConfig.Backends dials a fleet of
 //     workers round-robin with retry and dead-worker replacement, and
 //     ShardSinks/OpenRecordsPath/MergeRecords shard the durable episode
 //     log across independent writers — all bit-identical to the single
@@ -48,7 +48,7 @@
 //
 // Binary frames are the only record log format that is written, read
 // back, resumed from or merged. JSONL is an export: MergeRecords (and
-// avfi-records) write it with FormatJSONL, and every reader refuses it.
+// avfi records) write it with FormatJSONL, and every reader refuses it.
 //
 // # Quick start
 //
@@ -263,7 +263,7 @@ const (
 
 // Campaign service: the long-lived control plane that owns one shared
 // engine fleet, lets workers announce themselves (mid-campaign included),
-// and schedules many concurrent campaigns fairly over it (avfi -service
+// and schedules many concurrent campaigns fairly over it (avfi service
 // is this, as a process; see NewCampaignService).
 type (
 	// CampaignService is the control plane: worker registry, campaign
@@ -272,7 +272,8 @@ type (
 	// CampaignServiceConfig parameterizes a CampaignService.
 	CampaignServiceConfig = campaign.ServiceConfig
 	// CampaignSpec is one declarative campaign submission (the JSON body
-	// of POST /campaigns).
+	// of POST /campaigns, and what avfi run builds from its flags);
+	// CampaignSpec.Lower resolves it into a CampaignConfig.
 	CampaignSpec = campaign.CampaignSpec
 	// MatrixSpec is CampaignSpec's scenario-matrix form.
 	MatrixSpec = campaign.MatrixSpec
@@ -292,14 +293,14 @@ type (
 // agent once, fingerprints the world for the worker handshake, and begins
 // re-dialing registered workers that are down. Mount svc.Handler() on a
 // TelemetryServer (srv.Handle("/campaigns", ...) — or just use avfi
-// -service) to expose the HTTP API, and Close it to tear the fleet down.
+// service) to expose the HTTP API, and Close it to tear the fleet down.
 func NewCampaignService(cfg CampaignServiceConfig) (*CampaignService, error) {
 	return campaign.NewService(cfg)
 }
 
 // Telemetry and observability: every AVFI process can expose its live
 // metrics (Prometheus text), a JSON status snapshot, health, and pprof on
-// one address (cmd/avfi's -status-addr does exactly this).
+// one address (avfi run -status-addr does exactly this).
 type (
 	// TelemetryServer is the status/metrics/pprof HTTP endpoint returned
 	// by ServeTelemetry; attach JSON sections with SetStatus and stop it
@@ -437,16 +438,6 @@ func FaultClasses() []string {
 	return out
 }
 
-// InjectorsByClass lists the registered injector names of one fault class
-// (see FaultClasses for the class names), sorted.
-func InjectorsByClass(class string) ([]string, error) {
-	c, err := fault.ParseClass(class)
-	if err != nil {
-		return nil, err
-	}
-	return fault.NamesByClass(c), nil
-}
-
 // FaultTaxonomySuite returns one representative injector per fault class
 // plus the fault-free baseline — the cross-family campaign sweep.
 func FaultTaxonomySuite() []InjectorSource { return campaign.TaxonomySuite() }
@@ -509,7 +500,7 @@ func ParseRecordFormat(s string) (RecordFormat, error) {
 
 // NewSimWorker builds a standalone simulator worker serving w's episodes
 // to remote campaigns: Listen/Serve accept campaign connections for the
-// worker's whole lifetime (avfi -serve is this, as a process). A campaign
+// worker's whole lifetime (avfi serve is this, as a process). A campaign
 // whose PoolConfig.Backends lists the worker's address produces results
 // bit-identical to an in-process run, provided the worker's world
 // configuration matches the campaign's. The worker announces that

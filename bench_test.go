@@ -6,8 +6,9 @@
 //	BenchmarkFigure3InputFaultVPK  — Fig 3: violations/km per input fault
 //	BenchmarkFigure4OutputDelayVPK — Fig 4: violations/km vs output delay
 //
-// Each figure bench runs its campaign (training the agent once per process,
-// cached) and reports the figure's series as benchmark metrics, so
+// Each figure bench runs its campaign (with the committed pretrained
+// agent, once per process, cached) and reports the figure's series as
+// benchmark metrics, so
 //
 //	go test -bench 'Figure' -benchmem
 //
@@ -18,7 +19,12 @@
 package avfi_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,16 +45,54 @@ var (
 	paperErr   error
 )
 
-// paperCampaigns trains the experiment agent once per process and runs the
+// The committed pretrained agent (bench/testdata, written by
+// bench/regen-agent.sh from DefaultPretrainSpec) and the digests that tie
+// it to that recipe: the file's SHA-256, and a digest of the recipe itself.
+// A recipe change fails paperCampaigns until the agent is regenerated and
+// pretrainSpecDigest updated, so the figure tests keep driving the agent
+// the recipe trains without training it in every test process.
+const (
+	agentFile          = "bench/testdata/agent-default.avfi"
+	agentSHA256File    = "bench/testdata/agent-default.sha256"
+	pretrainSpecDigest = "5b3959609e9fbdf23cd8b0b064e15459d24cb054c56ba9d63521f56076ca7b91"
+)
+
+// loadPaperAgent reads the committed agent after checking its checksum
+// and the recipe digest.
+func loadPaperAgent() (*avfi.Agent, error) {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", avfi.DefaultPretrainSpec())))
+	if got := hex.EncodeToString(sum[:]); got != pretrainSpecDigest {
+		return nil, fmt.Errorf("DefaultPretrainSpec digest %s, want %s: regenerate %s (bench/regen-agent.sh) and update pretrainSpecDigest", got, pretrainSpecDigest, agentFile)
+	}
+	data, err := os.ReadFile(agentFile)
+	if err != nil {
+		return nil, err
+	}
+	want, err := os.ReadFile(agentSHA256File)
+	if err != nil {
+		return nil, err
+	}
+	sum = sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
+		return nil, fmt.Errorf("%s: sha256 %s, want %s", agentFile, got, strings.TrimSpace(string(want)))
+	}
+	return avfi.LoadAgent(bytes.NewReader(data))
+}
+
+// paperCampaigns loads the experiment agent once per process and runs the
 // Figure 2/3 and Figure 4 campaigns; tests and benchmarks share the cached
 // results so one `go test -bench .` invocation pays for them once.
 func paperCampaigns(tb testing.TB) (*avfi.ResultSet, *avfi.ResultSet) {
 	tb.Helper()
 	paperOnce.Do(func() {
-		spec := avfi.DefaultPretrainSpec()
+		a, err := loadPaperAgent()
+		if err != nil {
+			paperErr = err
+			return
+		}
 		base := avfi.CampaignConfig{
 			World:       avfi.DefaultWorldConfig(),
-			Agent:       avfi.AgentSource{Pretrain: &spec},
+			Agent:       avfi.AgentSource{Agent: a},
 			Missions:    benchMissions,
 			Repetitions: benchReps,
 			Seed:        benchSeed,

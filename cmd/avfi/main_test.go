@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"flag"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -45,7 +45,7 @@ func mustGetwd(t *testing.T) string {
 	return wd
 }
 
-// tinyServeWorld keeps -serve tests fast: the worker builds this world
+// tinyServeWorld keeps serve tests fast: the worker builds this world
 // instead of the full DefaultWorldConfig one.
 func tinyServeWorld() avfi.WorldConfig {
 	cfg := avfi.DefaultWorldConfig()
@@ -230,9 +230,7 @@ func TestFreshShardRunRefusesInDirResumeSource(t *testing.T) {
 	if err := os.WriteFile(resume, binaryLog(t, []avfi.EpisodeRecord{{Injector: "noinject"}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	os.Args = []string{"avfi", "-resume", resume, "-stream-records", dir, "-missions", "1", "-reps", "1"}
-	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-	err := run(context.Background())
+	err := run(context.Background(), []string{"run", "-resume", resume, "-stream-records", dir, "-missions", "1", "-reps", "1"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "lives inside the -stream-records directory") {
 		t.Fatalf("run = %v, want refusal to delete the in-directory resume source", err)
 	}
@@ -267,9 +265,7 @@ func TestResumeRefusesNonBinaryLog(t *testing.T) {
 		{"shard dir append", shardDir, shardDir, shard},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			os.Args = []string{"avfi", "-resume", tc.resume, "-stream-records", tc.stream, "-missions", "1", "-reps", "1"}
-			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-			err := run(context.Background())
+			err := run(context.Background(), []string{"run", "-resume", tc.resume, "-stream-records", tc.stream, "-missions", "1", "-reps", "1"}, io.Discard, io.Discard)
 			if err == nil || !strings.Contains(err.Error(), tc.bad) || !strings.Contains(err.Error(), "not a binary record log") {
 				t.Fatalf("run = %v, want a refusal naming %s", err, tc.bad)
 			}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,19 +30,9 @@ func writeLog(t *testing.T, path string, recs []avfi.EpisodeRecord) {
 	}
 }
 
-func binaryLog(t *testing.T, recs []avfi.EpisodeRecord) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sink := avfi.NewBinarySink(&buf)
-	for _, r := range recs {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// runRecords runs `avfi records args...`.
+func runRecords(args []string, stdout io.Writer) error {
+	return run(context.Background(), append([]string{"records"}, args...), stdout, io.Discard)
 }
 
 // canonical is the reference output: the canonical sorted merge of the
@@ -54,16 +46,16 @@ func canonical(t *testing.T, format avfi.RecordFormat, recs []avfi.EpisodeRecord
 	return out.Bytes()
 }
 
-// TestRunMergesShardDirToStdout: a shard directory merges to the canonical
+// TestRecordsMergesShardDirToStdout: a shard directory merges to the canonical
 // JSONL export on stdout.
-func TestRunMergesShardDirToStdout(t *testing.T) {
+func TestRecordsMergesShardDirToStdout(t *testing.T) {
 	recs := testRecords()
 	dir := t.TempDir()
 	writeLog(t, filepath.Join(dir, avfi.BinaryShardLogName(0)), recs[:1])
 	writeLog(t, filepath.Join(dir, avfi.BinaryShardLogName(1)), recs[1:])
 
 	var out bytes.Buffer
-	if err := run([]string{dir}, &out); err != nil {
+	if err := runRecords([]string{dir}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if want := canonical(t, avfi.FormatJSONL, recs); !bytes.Equal(out.Bytes(), want) {
@@ -71,17 +63,17 @@ func TestRunMergesShardDirToStdout(t *testing.T) {
 	}
 }
 
-// TestRunConvertsRoundTrip: an unsorted binary log -> canonical binary
+// TestRecordsConvertsRoundTrip: an unsorted binary log -> canonical binary
 // file -> JSONL export through the command is byte-lossless, and the
 // canonical binary log is a fixed point of the merge.
-func TestRunConvertsRoundTrip(t *testing.T) {
+func TestRecordsConvertsRoundTrip(t *testing.T) {
 	recs := testRecords()
 	dir := t.TempDir()
 	src := filepath.Join(dir, "records.bin")
 	writeLog(t, src, recs)
 
 	bin := filepath.Join(dir, "merged.bin")
-	if err := run([]string{"-format", "binary", "-o", bin, src}, &bytes.Buffer{}); err != nil {
+	if err := runRecords([]string{"-format", "binary", "-o", bin, src}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(bin)
@@ -93,7 +85,7 @@ func TestRunConvertsRoundTrip(t *testing.T) {
 	}
 
 	var back bytes.Buffer
-	if err := run([]string{bin}, &back); err != nil {
+	if err := runRecords([]string{bin}, &back); err != nil {
 		t.Fatal(err)
 	}
 	if want := canonical(t, avfi.FormatJSONL, recs); !bytes.Equal(back.Bytes(), want) {
@@ -101,14 +93,14 @@ func TestRunConvertsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunRefusesOutputOverInput: -o naming one of the inputs must be
+// TestRecordsRefusesOutputOverInput: -o naming one of the inputs must be
 // refused before os.Create truncates it.
-func TestRunRefusesOutputOverInput(t *testing.T) {
+func TestRecordsRefusesOutputOverInput(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "records.bin")
 	writeLog(t, src, testRecords())
 
-	err := run([]string{"-o", src, src}, &bytes.Buffer{})
+	err := runRecords([]string{"-o", src, src}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "also an input") {
 		t.Fatalf("merging a log onto itself: err = %v, want output-is-input refusal", err)
 	}
@@ -121,18 +113,18 @@ func TestRunRefusesOutputOverInput(t *testing.T) {
 	}
 }
 
-// TestRunRejectsEmptyAndMissingInputs pins the error paths: no args, a
+// TestRecordsRejectsEmptyAndMissingInputs pins the error paths: no args, a
 // directory with no shard logs, a nonexistent path, and an input that is
 // not a binary log — the command's own JSONL export — which must be
 // refused by name rather than merged as zero records.
-func TestRunRejectsEmptyAndMissingInputs(t *testing.T) {
-	if err := run(nil, &bytes.Buffer{}); err == nil {
+func TestRecordsRejectsEmptyAndMissingInputs(t *testing.T) {
+	if err := runRecords(nil, &bytes.Buffer{}); err == nil {
 		t.Error("no arguments accepted")
 	}
-	if err := run([]string{t.TempDir()}, &bytes.Buffer{}); err == nil {
+	if err := runRecords([]string{t.TempDir()}, &bytes.Buffer{}); err == nil {
 		t.Error("shard-less directory accepted")
 	}
-	if err := run([]string{filepath.Join(t.TempDir(), "absent.bin")}, &bytes.Buffer{}); err == nil {
+	if err := runRecords([]string{filepath.Join(t.TempDir(), "absent.bin")}, &bytes.Buffer{}); err == nil {
 		t.Error("nonexistent input accepted")
 	}
 	dir := t.TempDir()
@@ -143,7 +135,7 @@ func TestRunRejectsEmptyAndMissingInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run([]string{good, export}, &out)
+	err := runRecords([]string{good, export}, &out)
 	if err == nil || !strings.Contains(err.Error(), export) {
 		t.Errorf("JSONL input: err = %v, want a refusal naming %s", err, export)
 	}

@@ -5,7 +5,7 @@
 // not in marshaling records. Every log opens with the frame magic (0xAF,
 // which no JSON text can start with), so a log in any other encoding is
 // refused on read instead of being mistaken for an empty one. JSONL
-// (FormatJSONL) is an export form only; cmd/avfi-records writes it.
+// (FormatJSONL) is an export form only; `avfi records` writes it.
 //
 // Frame layout (big-endian):
 //

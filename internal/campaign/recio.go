@@ -1,5 +1,5 @@
 // Streaming record I/O: every reader of the durable episode log — resume,
-// merge, shard loading, the avfi-records converter — goes through one
+// merge, shard loading, the `avfi records` converter — goes through one
 // streaming layer over the binary frame format (binrec.go), the only
 // format that is read back. A RecordSource yields records one at a time,
 // so resume seeding is O(1) in campaign size. JSONL is an export encoding
@@ -29,7 +29,7 @@ const (
 	// RecordFormat.
 	FormatBinary RecordFormat = iota
 	// FormatJSONL is the text export encoding, one JSON object per line:
-	// MergeRecords, avfi-records and the service's results endpoint write
+	// MergeRecords, `avfi records` and the service's results endpoint write
 	// it, and no reader accepts it.
 	FormatJSONL
 )

@@ -425,10 +425,18 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 	}
 	id := fmt.Sprintf("c%d", serviceCampaignSeq.Add(1))
 	sink := &memorySink{}
-	cfg, adaptive, err := s.buildConfig(spec, sink, id)
+	cfg, adaptive, err := spec.Lower()
 	if err != nil {
 		return "", err
 	}
+	// Run on the service's world, agent and fleet, streaming records to
+	// the results buffer, the only copy.
+	if cfg.Pool.MaxRetries <= 0 {
+		cfg.Pool.MaxRetries = s.cfg.DefaultRetries
+	}
+	cfg.World, cfg.Agent = s.cfg.World, AgentSource{Agent: s.agent}
+	cfg.Sink, cfg.DiscardRecords = sink, true
+	cfg.fleet, cfg.fleetID = s.fleet, id
 	c := &serviceCampaign{
 		id:        id,
 		spec:      spec,
@@ -601,7 +609,7 @@ func (s *Service) Results(id string) ([]metrics.EpisodeRecord, error) {
 
 // WriteResults streams the campaign's records to w in the requested
 // format — canonical order, so two fetches of a finished campaign are
-// byte-identical, and the binary stream merges with avfi-records into the
+// byte-identical, and the binary stream merges with avfi records into the
 // same JSONL export the service writes.
 func (s *Service) WriteResults(w io.Writer, id string, format RecordFormat) error {
 	records, err := s.Results(id)

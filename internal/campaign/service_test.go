@@ -793,3 +793,30 @@ func TestServiceSubmitValidation(t *testing.T) {
 		t.Errorf("rejected submissions left %d campaigns registered", len(got))
 	}
 }
+
+// TestSpecLowerSelectors: a spec's injector selectors expand exactly as
+// the suites they name, and a malformed density is refused at submit time
+// whatever trails the numbers.
+func TestSpecLowerSelectors(t *testing.T) {
+	cfg, _, err := CampaignSpec{Injectors: []string{"taxonomy"}, Missions: 1, Repetitions: 1}.Lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, src := range cfg.Injectors {
+		got = append(got, src.Name)
+	}
+	for _, src := range TaxonomySuite() {
+		want = append(want, src.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("taxonomy selector = %v, want TaxonomySuite %v", got, want)
+	}
+
+	svc := startTestService(t, nil)
+	spec := CampaignSpec{Injectors: []string{fault.NoopName}, Missions: 1, Repetitions: 1,
+		Matrix: &MatrixSpec{Densities: []string{"8x4junk"}}}
+	if _, err := svc.Submit(spec); err == nil || !strings.Contains(err.Error(), "8x4junk") {
+		t.Errorf("Submit of density 8x4junk: err = %v, want a refusal naming it", err)
+	}
+}

@@ -1,9 +1,10 @@
 // Declarative campaign specs: the JSON surface of the service's submit
-// API. A CampaignSpec names what to run — injectors, grid shape, optional
-// scenario matrix and adaptive allocation — and buildConfig lowers it
-// onto the service's shared world, agent and fleet. Specs are data, not
-// code: everything a client can express here keeps the bit-identity
-// contract (episodes remain a pure function of the spec and its seed).
+// API and of cmd/avfi's run flags. A CampaignSpec names what to run —
+// injectors, grid shape, optional scenario matrix and adaptive allocation
+// — and Lower resolves it into a Config; Submit adds the service's shared
+// world, agent and fleet. Specs are data, not code: everything a client
+// can express here keeps the bit-identity contract (episodes remain a pure
+// function of the spec and its seed).
 package campaign
 
 import (
@@ -12,6 +13,7 @@ import (
 	"strings"
 
 	"github.com/avfi/avfi/internal/adaptive"
+	"github.com/avfi/avfi/internal/fault"
 	"github.com/avfi/avfi/internal/world"
 )
 
@@ -21,8 +23,9 @@ import (
 // density/AEB fields are then ignored); Adaptive switches from the
 // exhaustive sweep to risk-driven episode allocation.
 type CampaignSpec struct {
-	// Injectors are the fault columns, resolved through the fault
-	// registry (include "noop" for the baseline bar).
+	// Injectors are the fault columns: registered names (include
+	// "noinject" for the baseline bar) or the "all", "taxonomy" and
+	// "class:FAMILY" selectors (see Lower).
 	Injectors []string `json:"injectors"`
 	// Missions and Repetitions shape the episode grid.
 	Missions    int `json:"missions"`
@@ -156,61 +159,79 @@ func (a *AdaptiveSpec) adaptiveConfig() (*AdaptiveConfig, error) {
 	return &AdaptiveConfig{Policy: pol, Budget: a.Budget, RoundSize: a.RoundSize}, nil
 }
 
-// buildConfig lowers a submission onto the service's world, agent and
-// shared fleet. The returned Config streams records to sink and discards
-// in-memory retention (the service's results buffer is the only copy);
-// Submit attaches the Progress hook afterwards.
-func (s *Service) buildConfig(spec CampaignSpec, sink RecordSink, id string) (Config, *AdaptiveConfig, error) {
-	if len(spec.Injectors) == 0 {
-		return Config{}, nil, fmt.Errorf("campaign: spec has no injectors")
-	}
-	injectors := make([]InjectorSource, 0, len(spec.Injectors))
-	for _, name := range spec.Injectors {
-		if strings.TrimSpace(name) == "" {
-			return Config{}, nil, fmt.Errorf("campaign: spec has an empty injector name")
-		}
-		injectors = append(injectors, Registry(name))
-	}
-	retries := spec.MaxRetries
-	if retries <= 0 {
-		retries = s.cfg.DefaultRetries
+// Lower resolves the spec into the campaign it describes: the injector
+// columns, the episode grid, the flat environment or the scenario matrix,
+// the per-episode retry bound and, when Adaptive is set, the adaptive
+// allocation. An injector entry is a registered name, "all" (every
+// registered injector), "taxonomy" (TaxonomySuite) or "class:FAMILY"
+// (every registered injector of one fault class). World, agent, pool
+// shape and record sinks are the caller's: the service fills them from
+// its shared fleet, cmd/avfi from its flags.
+func (spec CampaignSpec) Lower() (Config, *AdaptiveConfig, error) {
+	injectors, err := injectorColumns(spec.Injectors)
+	if err != nil {
+		return Config{}, nil, err
 	}
 	cfg := Config{
-		World:          s.cfg.World,
-		Agent:          AgentSource{Agent: s.agent},
-		Missions:       spec.Missions,
-		Repetitions:    spec.Repetitions,
-		Seed:           spec.Seed,
-		Pool:           PoolConfig{MaxRetries: retries},
-		Sink:           sink,
-		DiscardRecords: true,
-		fleet:          s.fleet,
-		fleetID:        id,
+		Missions:    spec.Missions,
+		Repetitions: spec.Repetitions,
+		Seed:        spec.Seed,
+		Pool:        PoolConfig{MaxRetries: spec.MaxRetries},
 	}
 	if spec.Matrix != nil {
-		m, err := spec.Matrix.matrix(injectors)
-		if err != nil {
+		if cfg.Matrix, err = spec.Matrix.matrix(injectors); err != nil {
 			return Config{}, nil, err
 		}
-		cfg.Matrix = m
 	} else {
-		w, err := parseWeatherName(spec.Weather)
-		if err != nil {
+		if cfg.Weather, err = parseWeatherName(spec.Weather); err != nil {
 			return Config{}, nil, err
 		}
 		cfg.Injectors = injectors
-		cfg.Weather = w
 		cfg.NumNPCs = spec.NPCs
 		cfg.NumPedestrians = spec.Pedestrians
 		cfg.EnableAEB = spec.AEB
 	}
 	var acfg *AdaptiveConfig
 	if spec.Adaptive != nil {
-		var err error
-		acfg, err = spec.Adaptive.adaptiveConfig()
-		if err != nil {
+		if acfg, err = spec.Adaptive.adaptiveConfig(); err != nil {
 			return Config{}, nil, err
 		}
 	}
 	return cfg, acfg, nil
+}
+
+// injectorColumns expands a spec's injector entries into campaign columns,
+// in order.
+func injectorColumns(entries []string) ([]InjectorSource, error) {
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("campaign: spec has no injectors")
+	}
+	var out []InjectorSource
+	for _, entry := range entries {
+		switch {
+		case strings.TrimSpace(entry) == "":
+			return nil, fmt.Errorf("campaign: spec has an empty injector name")
+		case entry == "all":
+			for _, name := range fault.Names() {
+				out = append(out, Registry(name))
+			}
+		case entry == "taxonomy":
+			out = append(out, TaxonomySuite()...)
+		case strings.HasPrefix(entry, "class:"):
+			c, err := fault.ParseClass(strings.TrimPrefix(entry, "class:"))
+			if err != nil {
+				return nil, fmt.Errorf("campaign: injector %q: %w", entry, err)
+			}
+			names := fault.NamesByClass(c)
+			if len(names) == 0 {
+				return nil, fmt.Errorf("campaign: injector %q matches no registered injector", entry)
+			}
+			for _, name := range names {
+				out = append(out, Registry(name))
+			}
+		default:
+			out = append(out, Registry(entry))
+		}
+	}
+	return out, nil
 }

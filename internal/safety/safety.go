@@ -7,7 +7,7 @@
 // points ("the need to explore the real-time nature and constraints
 // associated with the AV"): it is a mitigation whose effectiveness — and
 // whose own vulnerability to sensor faults — AVFI can quantify. The
-// ablation campaign (cmd/avfi-ablations -sweep aeb) measures both: AEB
+// ablation campaign (avfi ablate -sweep aeb) measures both: AEB
 // recovers most collisions the camera faults cause, and LIDAR faults
 // (dropout, ghost echoes) disable or pervert it.
 package safety
