@@ -508,7 +508,7 @@ func ParseRecordFormat(s string) (RecordFormat, error) {
 // CampaignService) rejects the pairing at dial time instead of silently
 // producing divergent results.
 func NewSimWorker(w *World) *SimWorker {
-	return simserver.NewWorker(simserver.WorldFactory(w), w.Config().Hash())
+	return simserver.NewWorker(w.NewEpisode, w.Config().Hash())
 }
 
 // BinaryShardLogName names shard i's binary record log inside a sharded

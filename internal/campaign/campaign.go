@@ -29,7 +29,6 @@ import (
 	"github.com/avfi/avfi/internal/agent"
 	"github.com/avfi/avfi/internal/fault"
 	"github.com/avfi/avfi/internal/metrics"
-	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/rng"
 	"github.com/avfi/avfi/internal/safety"
 	"github.com/avfi/avfi/internal/sim"
@@ -75,8 +74,6 @@ type Config struct {
 	Missions int
 	// Repetitions is how many seeds run per (mission, injector).
 	Repetitions int
-	// MinMissionDistM filters mission endpoints by straight-line distance.
-	MinMissionDistM float64
 	// NumNPCs and NumPedestrians populate each episode.
 	NumNPCs        int
 	NumPedestrians int
@@ -196,23 +193,11 @@ type AgentSource struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Matrix != nil {
-		if len(c.Injectors) != 0 {
-			return fmt.Errorf("campaign: Matrix and Injectors are mutually exclusive")
-		}
-		if err := c.Matrix.Validate(); err != nil {
-			return err
-		}
-	} else if len(c.Injectors) == 0 {
-		return fmt.Errorf("campaign: no injectors")
-	} else if err := validateDensity(Density{NPCs: c.NumNPCs, Pedestrians: c.NumPedestrians}); err != nil {
+	if err := c.validateSpec(); err != nil {
 		return err
 	}
-	if c.Missions <= 0 || c.Repetitions <= 0 {
-		return fmt.Errorf("campaign: missions=%d repetitions=%d must be positive", c.Missions, c.Repetitions)
-	}
-	if c.Pool.Engines < 0 || c.Pool.MaxRetries < 0 {
-		return fmt.Errorf("campaign: pool engines=%d retries=%d must be non-negative", c.Pool.Engines, c.Pool.MaxRetries)
+	if c.Pool.Engines < 0 {
+		return fmt.Errorf("campaign: pool engines=%d must be non-negative", c.Pool.Engines)
 	}
 	for i, addr := range c.Pool.Backends {
 		if strings.TrimSpace(addr) == "" {
@@ -230,9 +215,31 @@ func (c Config) Validate() error {
 	if c.Agent.Agent == nil && c.Agent.Pretrain == nil {
 		return fmt.Errorf("campaign: no agent source")
 	}
+	return nil
+}
+
+// validateSpec checks the fields a CampaignSpec sets, so that Lower
+// refuses every spec whose own fields Validate would refuse.
+func (c Config) validateSpec() error {
 	sources := c.Injectors
 	if c.Matrix != nil {
+		if len(c.Injectors) != 0 {
+			return fmt.Errorf("campaign: Matrix and Injectors are mutually exclusive")
+		}
+		if err := c.Matrix.Validate(); err != nil {
+			return err
+		}
 		sources = c.Matrix.Injectors
+	} else if len(c.Injectors) == 0 {
+		return fmt.Errorf("campaign: no injectors")
+	} else if err := checkWire(c.Weather, Density{NPCs: c.NumNPCs, Pedestrians: c.NumPedestrians}); err != nil {
+		return err
+	}
+	if c.Missions <= 0 || c.Repetitions <= 0 {
+		return fmt.Errorf("campaign: missions=%d repetitions=%d must be positive", c.Missions, c.Repetitions)
+	}
+	if c.Pool.MaxRetries < 0 {
+		return fmt.Errorf("campaign: pool retries=%d must be non-negative", c.Pool.MaxRetries)
 	}
 	for i, src := range sources {
 		if src.Name == "" {
@@ -307,18 +314,14 @@ func (rs *ResultSet) ReportFor(name string) (metrics.Report, bool) {
 	return metrics.Report{}, false
 }
 
-// runCell is one resolved scenario column: an injector plus the episode
-// conditions it runs under. Legacy flat campaigns have one cell per
+// runCell is one resolved scenario column: a scenario cell and the key its
+// records, reports and seeds go by. Flat campaigns have one cell per
 // injector keyed by the bare injector name (preserving historical seed
 // derivation); matrix campaigns have one cell per matrix point keyed by the
 // cell label.
 type runCell struct {
-	src     InjectorSource
-	key     string
-	weather world.Weather
-	npcs    int
-	peds    int
-	aeb     bool
+	ScenarioCell
+	key string
 }
 
 // Runner executes campaigns over one world and agent.
@@ -337,6 +340,10 @@ type Runner struct {
 	// status is the live progress snapshot behind Runner.Status (status.go).
 	status runnerStatus
 }
+
+// minMissionDistM is the least straight-line distance between a sampled
+// mission's start and goal, meters.
+const minMissionDistM = 150
 
 // NewRunner builds the world, resolves the agent (training it on first use
 // if a pretrain spec is given), and samples the missions.
@@ -358,35 +365,19 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r := &Runner{cfg: cfg, world: w, agent: a, worldHash: cfg.World.Hash()}
 	if cfg.Matrix != nil {
 		for _, c := range cfg.Matrix.Cells() {
-			r.cells = append(r.cells, runCell{
-				src:     c.Injector,
-				key:     c.Label(),
-				weather: c.Weather,
-				npcs:    c.Density.NPCs,
-				peds:    c.Density.Pedestrians,
-				aeb:     c.AEB,
-			})
+			r.cells = append(r.cells, runCell{c, c.Label()})
 		}
 	} else {
+		density := Density{NPCs: cfg.NumNPCs, Pedestrians: cfg.NumPedestrians}
 		for _, src := range cfg.Injectors {
-			r.cells = append(r.cells, runCell{
-				src:     src,
-				key:     src.Name,
-				weather: cfg.Weather,
-				npcs:    cfg.NumNPCs,
-				peds:    cfg.NumPedestrians,
-				aeb:     cfg.EnableAEB,
-			})
+			c := ScenarioCell{Injector: src, Weather: cfg.Weather, Density: density, AEB: cfg.EnableAEB}
+			r.cells = append(r.cells, runCell{c, src.Name})
 		}
 	}
 
-	minDist := cfg.MinMissionDistM
-	if minDist == 0 {
-		minDist = 150
-	}
 	missionStream := rng.New(cfg.Seed).Split("missions")
 	for m := 0; m < cfg.Missions; m++ {
-		from, to, err := w.Town().RandomMission(missionStream.SplitN(uint64(m)), minDist)
+		from, to, err := w.Town().RandomMission(missionStream.SplitN(uint64(m)), minMissionDistM)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: mission %d: %w", m, err)
 		}
@@ -446,7 +437,7 @@ func (r *Runner) runEpisode(eng *engine, j job) (metrics.EpisodeRecord, error) {
 	pair := r.missions[j.mission]
 	seed := r.episodeSeed(cell.key, j.mission, j.repetition)
 
-	inst, err := Instantiate(cell.src)
+	inst, err := Instantiate(cell.Injector)
 	if err != nil {
 		return metrics.EpisodeRecord{}, fmt.Errorf("campaign: %s: %w", cell.key, err)
 	}
@@ -455,24 +446,22 @@ func (r *Runner) runEpisode(eng *engine, j job) (metrics.EpisodeRecord, error) {
 	if roles.Model != nil {
 		driver.ApplyModelFault(roles.Model, rng.New(seed).Split("mlfault"))
 	}
-	if cell.aeb {
+	if cell.AEB {
 		driver.AEB = safety.NewAEB(r.world.EgoParams())
 	}
 
-	open := &proto.OpenEpisode{
-		From: uint32(pair[0]), To: uint32(pair[1]),
-		Seed:           seed,
-		Weather:        uint8(cell.weather),
-		NumNPCs:        uint16(cell.npcs),
-		NumPedestrians: uint16(cell.peds),
-	}
 	// The full result rides the wire, so this path is identical for
 	// in-process and remote engines.
-	wres, err := eng.client.RunEpisode(open, driver)
+	res, err := eng.client.RunEpisode(sim.EpisodeConfig{
+		From: pair[0], To: pair[1],
+		Seed:           seed,
+		Weather:        cell.Weather,
+		NumNPCs:        cell.Density.NPCs,
+		NumPedestrians: cell.Density.Pedestrians,
+	}, driver)
 	if err != nil {
 		return metrics.EpisodeRecord{}, fmt.Errorf("campaign: %s m%d r%d: %w", cell.key, j.mission, j.repetition, err)
 	}
-	res := simclient.SimResult(wres)
 	dur := time.Since(start)
 	telemetry.CampaignEpisodes.Inc()
 	telemetry.EpisodeSeconds.Observe(dur.Seconds())
@@ -481,7 +470,7 @@ func (r *Runner) runEpisode(eng *engine, j job) (metrics.EpisodeRecord, error) {
 			cell.key, j.mission, j.repetition, eng.id, eng.desc(), dur.Round(time.Millisecond), r.cfg.SlowEpisode)
 	}
 	r.noteEpisode(j.cellIdx, dur)
-	injTime := float64(cell.src.InjectionFrame) * sim.Dt
+	injTime := float64(cell.Injector.InjectionFrame) * sim.Dt
 	return metrics.FromSimResult(cell.key, j.mission, j.repetition, seed, res, injTime), nil
 }
 

@@ -2,13 +2,17 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"github.com/avfi/avfi/internal/agent"
 	"github.com/avfi/avfi/internal/fault"
 	"github.com/avfi/avfi/internal/metrics"
+	"github.com/avfi/avfi/internal/physics"
+	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/sim"
+	"github.com/avfi/avfi/internal/simclient"
 	"github.com/avfi/avfi/internal/world"
 )
 
@@ -81,6 +85,57 @@ func TestConfigValidate(t *testing.T) {
 	bad.NumNPCs = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative NPC count accepted")
+	}
+}
+
+// TestWireRangeFailsByName: 65536 NPCs do not fit the wire's uint16. The
+// campaign refuses them at Validate (flat and matrix, and through a
+// spec's Lower), and a client refuses such a scenario at RunEpisode before
+// it joins a batch — the server never sees it, and the next episode on the
+// same engine runs.
+func TestWireRangeFailsByName(t *testing.T) {
+	flat := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
+	flat.NumNPCs = 65536
+	matrix := tinyConfig(t, nil)
+	matrix.Matrix = &ScenarioMatrix{
+		Injectors: []InjectorSource{Registry(fault.NoopName)},
+		Densities: []Density{{NPCs: 65536}},
+	}
+	weather := tinyConfig(t, nil)
+	weather.Matrix = &ScenarioMatrix{
+		Injectors: []InjectorSource{Registry(fault.NoopName)},
+		Weathers:  []world.Weather{256},
+	}
+	for name, cfg := range map[string]Config{"flat": flat, "matrix density": matrix, "matrix weather": weather} {
+		if err := cfg.Validate(); !errors.Is(err, proto.ErrWireRange) {
+			t.Errorf("%s: Validate = %v, want proto.ErrWireRange", name, err)
+		}
+	}
+	spec := CampaignSpec{Injectors: []string{fault.NoopName}, Missions: 1, Repetitions: 1, NPCs: 65536}
+	if _, _, err := spec.Lower(); !errors.Is(err, proto.ErrWireRange) {
+		t.Errorf("Lower = %v, want proto.ErrWireRange", err)
+	}
+
+	r, err := NewRunner(tinyConfig(t, []InjectorSource{Registry(fault.NoopName)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := r.startEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.close()
+	idle := &simclient.AutopilotDriver{Fn: func(*proto.SensorFrame) physics.Control { return physics.Control{} }}
+	ecfg := sim.EpisodeConfig{From: r.missions[0][0], To: r.missions[0][1], Seed: 1, TimeoutSec: 0.5, NumNPCs: 65536}
+	if _, err := eng.client.RunEpisode(ecfg, idle); !errors.Is(err, proto.ErrWireRange) {
+		t.Fatalf("RunEpisode = %v, want proto.ErrWireRange", err)
+	}
+	ecfg.NumNPCs = 0
+	if res, err := eng.client.RunEpisode(ecfg, idle); err != nil || res.Frames == 0 {
+		t.Fatalf("next episode on the engine: %+v, %v", res, err)
+	}
+	if got := eng.server.TotalSessions(); got != 1 {
+		t.Errorf("server saw %d sessions, want only the in-range one", got)
 	}
 }
 

@@ -2,8 +2,9 @@ package campaign
 
 import (
 	"fmt"
-	"math"
 
+	"github.com/avfi/avfi/internal/proto"
+	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/world"
 )
 
@@ -78,21 +79,25 @@ func (m ScenarioMatrix) Validate() error {
 			return fmt.Errorf("campaign: negative activation frame %d", f)
 		}
 	}
+	for _, w := range m.Weathers {
+		if err := checkWire(w, Density{}); err != nil {
+			return err
+		}
+	}
 	for _, d := range m.Densities {
-		if err := validateDensity(d); err != nil {
+		if err := checkWire(world.WeatherClear, d); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// validateDensity bounds actor counts to what the wire's uint16 fields can
-// carry: without this, out-of-range values would silently wrap modulo 65536
-// at the OpenEpisode narrowing instead of erroring (the sim's own validation
-// only sees the post-wrap count).
-func validateDensity(d Density) error {
-	if d.NPCs < 0 || d.Pedestrians < 0 || d.NPCs > math.MaxUint16 || d.Pedestrians > math.MaxUint16 {
-		return fmt.Errorf("campaign: actor counts (npcs=%d pedestrians=%d) outside [0, %d]", d.NPCs, d.Pedestrians, math.MaxUint16)
+// checkWire fails a campaign up front on a weather or actor count that
+// Client.RunEpisode would refuse in each of its episodes.
+func checkWire(w world.Weather, d Density) error {
+	cfg := sim.EpisodeConfig{Weather: w, NumNPCs: d.NPCs, NumPedestrians: d.Pedestrians}
+	if err := proto.CheckEpisodeConfig(cfg); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
 }

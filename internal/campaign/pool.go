@@ -97,7 +97,7 @@ func (r *Runner) startEngine() (*engine, error) {
 	if len(r.cfg.Pool.Backends) > 0 {
 		return r.dialBackend()
 	}
-	factory := simserver.WorldFactory(r.world)
+	factory := r.world.NewEpisode
 	if r.cfg.testFactoryWrap != nil {
 		factory = r.cfg.testFactoryWrap(factory)
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/avfi/avfi/internal/fault"
-	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/simclient"
 	"github.com/avfi/avfi/internal/simserver"
@@ -70,7 +69,7 @@ func TestPoolCampaignBitIdentical(t *testing.T) {
 func failFirstOpens(n int, calls *int) func(simserver.EpisodeFactory) simserver.EpisodeFactory {
 	var mu sync.Mutex
 	return func(f simserver.EpisodeFactory) simserver.EpisodeFactory {
-		return func(open *proto.OpenEpisode) (*sim.Episode, error) {
+		return func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
 			mu.Lock()
 			*calls++
 			fail := *calls <= n
@@ -78,7 +77,7 @@ func failFirstOpens(n int, calls *int) func(simserver.EpisodeFactory) simserver.
 			if fail {
 				return nil, errors.New("injected transient failure")
 			}
-			return f(open)
+			return f(cfg)
 		}
 	}
 }

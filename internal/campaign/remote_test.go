@@ -29,7 +29,7 @@ func startTestWorkers(t testing.TB, n int) ([]string, []*simserver.Worker) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wk := simserver.NewWorker(simserver.WorldFactory(w), tinyWorldConfig().Hash())
+		wk := simserver.NewWorker(w.NewEpisode, tinyWorldConfig().Hash())
 		addr, err := wk.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -360,10 +360,9 @@ func startWorldWorker(t testing.TB, cfg sim.WorldConfig) (string, *atomic.Int32)
 		t.Fatal(err)
 	}
 	var opens atomic.Int32
-	factory := simserver.WorldFactory(w)
-	wk := simserver.NewWorker(func(open *proto.OpenEpisode) (*sim.Episode, error) {
+	wk := simserver.NewWorker(func(ecfg sim.EpisodeConfig) (*sim.Episode, error) {
 		opens.Add(1)
-		return factory(open)
+		return w.NewEpisode(ecfg)
 	}, cfg.Hash())
 	addr, err := wk.Listen("127.0.0.1:0")
 	if err != nil {

@@ -166,7 +166,7 @@ func (a *AdaptiveSpec) adaptiveConfig() (*AdaptiveConfig, error) {
 // registered injector), "taxonomy" (TaxonomySuite) or "class:FAMILY"
 // (every registered injector of one fault class). World, agent, pool
 // shape and record sinks are the caller's: the service fills them from
-// its shared fleet, cmd/avfi from its flags.
+// its shared fleet, cmd/avfi from its flags; the rest is validated here.
 func (spec CampaignSpec) Lower() (Config, *AdaptiveConfig, error) {
 	injectors, err := injectorColumns(spec.Injectors)
 	if err != nil {
@@ -190,6 +190,9 @@ func (spec CampaignSpec) Lower() (Config, *AdaptiveConfig, error) {
 		cfg.NumNPCs = spec.NPCs
 		cfg.NumPedestrians = spec.Pedestrians
 		cfg.EnableAEB = spec.AEB
+	}
+	if err := cfg.validateSpec(); err != nil {
+		return Config{}, nil, err
 	}
 	var acfg *AdaptiveConfig
 	if spec.Adaptive != nil {

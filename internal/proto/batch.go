@@ -1,5 +1,5 @@
 // Episode dispatch: every episode open travels in an OpenEpisodeBatch —
-// (session, OpenEpisode) pairs coalesced into a single message on session
+// (session, scenario) pairs coalesced into a single message on session
 // 0, the scheduler's group commit. A worker pool's burst of concurrent
 // opens costs one transport send (over TCP, one syscall) instead of one
 // per episode; a lone open is a batch of one.
@@ -8,6 +8,8 @@ package proto
 
 import (
 	"fmt"
+
+	"github.com/avfi/avfi/internal/sim"
 )
 
 // MaxBatchOpens bounds one batch on the wire; a count beyond it is stream
@@ -17,8 +19,8 @@ const MaxBatchOpens = 1 << 10
 // OpenBatchEntry is one episode of a batch: the session to open it on and
 // its scenario.
 type OpenBatchEntry struct {
-	SID  uint32
-	Open *OpenEpisode
+	SID    uint32
+	Config sim.EpisodeConfig
 }
 
 // EncodeOpenEpisodeBatch serializes entries with the batch kind tag. Each
@@ -28,7 +30,7 @@ func EncodeOpenEpisodeBatch(entries []OpenBatchEntry) []byte {
 	buf = append(buf, Version, byte(KindOpenEpisodeBatch))
 	buf = appendUint16(buf, uint16(len(entries)))
 	for _, e := range entries {
-		inner := EncodeOpenEpisode(e.Open)
+		inner := EncodeOpenEpisode(&e.Config)
 		buf = appendUint32(buf, e.SID)
 		buf = appendUint32(buf, uint32(len(inner)))
 		buf = append(buf, inner...)
@@ -59,11 +61,11 @@ func DecodeOpenEpisodeBatch(buf []byte) ([]OpenBatchEntry, error) {
 		if r.err != nil {
 			return nil, fmt.Errorf("%w: open-episode batch: %v", ErrCodec, r.err)
 		}
-		open, err := DecodeOpenEpisode(inner)
+		cfg, err := DecodeOpenEpisode(inner)
 		if err != nil {
 			return nil, fmt.Errorf("%w: batch entry %d: %v", ErrCodec, i, err)
 		}
-		entries = append(entries, OpenBatchEntry{SID: sid, Open: open})
+		entries = append(entries, OpenBatchEntry{SID: sid, Config: *cfg})
 	}
 	if r.err != nil || r.off != len(buf) {
 		return nil, fmt.Errorf("%w: open-episode batch: malformed", ErrCodec)

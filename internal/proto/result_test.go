@@ -3,15 +3,18 @@ package proto
 import (
 	"reflect"
 	"testing"
+
+	"github.com/avfi/avfi/internal/geom"
+	"github.com/avfi/avfi/internal/sim"
 )
 
 func TestEpisodeResultRoundTrip(t *testing.T) {
-	in := &EpisodeResult{
-		Status: 3, Success: true, Frames: 451,
+	in := &sim.Result{
+		Status: sim.StatusTimeout, Success: true, Frames: 451,
 		DistanceM: 812.375, DurationS: 30.25, RouteLengthM: 901.5,
-		Violations: []WireViolation{
-			{Kind: 1, TimeSec: 4.5, PosX: -12.25, PosY: 88.0625},
-			{Kind: 4, TimeSec: 11.75, PosX: 3, PosY: -7},
+		Violations: []sim.Violation{
+			{Kind: sim.ViolationLane, TimeSec: 4.5, Pos: geom.Vec{X: -12.25, Y: 88.0625}},
+			{Kind: sim.ViolationCollisionPedestrian, TimeSec: 11.75, Pos: geom.Vec{X: 3, Y: -7}},
 		},
 	}
 	buf := EncodeEpisodeResult(in)
@@ -28,7 +31,7 @@ func TestEpisodeResultRoundTrip(t *testing.T) {
 }
 
 func TestEpisodeResultNoViolations(t *testing.T) {
-	in := &EpisodeResult{Status: 2, Success: true, Frames: 10, DistanceM: 5}
+	in := &sim.Result{Status: sim.StatusSuccess, Success: true, Frames: 10, DistanceM: 5}
 	out, err := DecodeEpisodeResult(EncodeEpisodeResult(in))
 	if err != nil {
 		t.Fatal(err)
@@ -46,16 +49,24 @@ func TestEpisodeResultRejectsGarbage(t *testing.T) {
 		t.Error("control accepted as episode result")
 	}
 	// Truncate mid-violation list.
-	full := EncodeEpisodeResult(&EpisodeResult{
-		Violations: []WireViolation{{Kind: 2, TimeSec: 1}},
+	full := EncodeEpisodeResult(&sim.Result{
+		Violations: []sim.Violation{{Kind: sim.ViolationCurb, TimeSec: 1}},
 	})
 	if _, err := DecodeEpisodeResult(full[:len(full)-4]); err == nil {
 		t.Error("truncated violation list accepted")
 	}
+	if _, err := DecodeEpisodeResult(append(full, 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	bad := append([]byte(nil), full...)
+	bad[3] = 2 // the success byte
+	if _, err := DecodeEpisodeResult(bad); err == nil {
+		t.Error("success byte 2 accepted")
+	}
 }
 
 func TestEpisodeResultTruncatesOversizedViolationList(t *testing.T) {
-	in := &EpisodeResult{Violations: make([]WireViolation, MaxViolations+5)}
+	in := &sim.Result{Violations: make([]sim.Violation, MaxViolations+5)}
 	out, err := DecodeEpisodeResult(EncodeEpisodeResult(in))
 	if err != nil {
 		t.Fatal(err)

@@ -7,36 +7,16 @@
 package proto
 
 import (
+	"errors"
 	"fmt"
+	"math"
+
+	"github.com/avfi/avfi/internal/sim"
+	"github.com/avfi/avfi/internal/world"
 )
 
 // MaxReason bounds a SessionError reason string on the wire.
 const MaxReason = 1 << 12
-
-// OpenEpisode asks the server to start an episode on the session its
-// batch entry names. It is the wire form of sim.EpisodeConfig: the server
-// owns the world and builds the episode from these parameters.
-type OpenEpisode struct {
-	// From and To are the mission's start and goal intersections (NodeIDs).
-	From, To uint32
-	// Seed drives all episode randomness.
-	Seed uint64
-	// Weather is the world.Weather numeric value.
-	Weather uint8
-	// NumNPCs and NumPedestrians populate the town.
-	NumNPCs        uint16
-	NumPedestrians uint16
-	// TimeoutSec and GoalRadius override episode defaults when non-zero.
-	TimeoutSec float64
-	GoalRadius float64
-}
-
-// SessionError closes one session abnormally, with a diagnostic: from the
-// server, the episode failed (e.g. its construction was rejected); from
-// the client, it abandoned the episode.
-type SessionError struct {
-	Reason string
-}
 
 // EnvelopeOverhead is the byte cost of enveloping an inner message: the
 // envelope's own version/kind header plus the session ID.
@@ -102,48 +82,74 @@ func DecodeHello(buf []byte) (uint64, error) {
 	return hash, nil
 }
 
-// EncodeOpenEpisode serializes o with its kind tag.
-func EncodeOpenEpisode(o *OpenEpisode) []byte {
+// ErrWireRange is wrapped by CheckEpisodeConfig: a scenario's integer
+// field does not fit its width in the open-episode encoding.
+var ErrWireRange = errors.New("proto: value outside its wire range")
+
+// CheckEpisodeConfig reports whether c's node IDs fit a uint32, its weather
+// a uint8 and its actor counts a uint16: the widths EncodeOpenEpisode
+// narrows them to without checking.
+func CheckEpisodeConfig(c sim.EpisodeConfig) error {
+	for _, f := range [...]struct {
+		name   string
+		v, max int64
+	}{
+		{"from node", int64(c.From), math.MaxUint32},
+		{"to node", int64(c.To), math.MaxUint32},
+		{"weather", int64(c.Weather), math.MaxUint8},
+		{"npcs", int64(c.NumNPCs), math.MaxUint16},
+		{"pedestrians", int64(c.NumPedestrians), math.MaxUint16},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("%w: %s %d outside [0, %d]", ErrWireRange, f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
+
+// EncodeOpenEpisode serializes one episode's scenario with its kind tag;
+// it travels only embedded in an OpenEpisodeBatch entry.
+func EncodeOpenEpisode(c *sim.EpisodeConfig) []byte {
 	buf := make([]byte, 0, 2+4+4+8+1+2+2+8+8)
 	buf = append(buf, Version, byte(KindOpenEpisode))
-	buf = appendUint32(buf, o.From)
-	buf = appendUint32(buf, o.To)
-	buf = appendUint64(buf, o.Seed)
-	buf = append(buf, o.Weather)
-	buf = appendUint16(buf, o.NumNPCs)
-	buf = appendUint16(buf, o.NumPedestrians)
-	buf = appendFloat(buf, o.TimeoutSec)
-	buf = appendFloat(buf, o.GoalRadius)
+	buf = appendUint32(buf, uint32(c.From))
+	buf = appendUint32(buf, uint32(c.To))
+	buf = appendUint64(buf, c.Seed)
+	buf = append(buf, uint8(c.Weather))
+	buf = appendUint16(buf, uint16(c.NumNPCs))
+	buf = appendUint16(buf, uint16(c.NumPedestrians))
+	buf = appendFloat(buf, c.TimeoutSec)
+	buf = appendFloat(buf, c.GoalRadius)
 	return buf
 }
 
 // DecodeOpenEpisode parses an encoded open-episode request.
-func DecodeOpenEpisode(buf []byte) (*OpenEpisode, error) {
+func DecodeOpenEpisode(buf []byte) (*sim.EpisodeConfig, error) {
 	if k, err := Kind(buf); err != nil {
 		return nil, err
 	} else if k != KindOpenEpisode {
 		return nil, fmt.Errorf("%w: kind %d is not an open-episode", ErrCodec, k)
 	}
 	r := reader{buf: buf, off: 2}
-	var o OpenEpisode
-	o.From = r.uint32()
-	o.To = r.uint32()
-	o.Seed = r.uint64()
-	o.Weather = r.byte()
-	o.NumNPCs = r.uint16()
-	o.NumPedestrians = r.uint16()
-	o.TimeoutSec = r.float()
-	o.GoalRadius = r.float()
+	var c sim.EpisodeConfig
+	c.From = world.NodeID(r.uint32())
+	c.To = world.NodeID(r.uint32())
+	c.Seed = r.uint64()
+	c.Weather = world.Weather(r.byte())
+	c.NumNPCs = int(r.uint16())
+	c.NumPedestrians = int(r.uint16())
+	c.TimeoutSec = r.float()
+	c.GoalRadius = r.float()
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: open episode: %v", ErrCodec, r.err)
 	}
-	return &o, nil
+	return &c, nil
 }
 
-// EncodeSessionError serializes e with its kind tag. Oversized reasons are
-// truncated rather than rejected: the error path must not itself error.
-func EncodeSessionError(e *SessionError) []byte {
-	reason := e.Reason
+// EncodeSessionError serializes the reason one session closed abnormally:
+// its episode failed (server) or was abandoned (client). Oversized reasons
+// are truncated rather than rejected: the error path must not itself error.
+func EncodeSessionError(reason string) []byte {
 	if len(reason) > MaxReason {
 		reason = reason[:MaxReason]
 	}
@@ -154,21 +160,21 @@ func EncodeSessionError(e *SessionError) []byte {
 	return buf
 }
 
-// DecodeSessionError parses an encoded session error.
-func DecodeSessionError(buf []byte) (*SessionError, error) {
+// DecodeSessionError parses an encoded session error, returning its reason.
+func DecodeSessionError(buf []byte) (string, error) {
 	if k, err := Kind(buf); err != nil {
-		return nil, err
+		return "", err
 	} else if k != KindSessionError {
-		return nil, fmt.Errorf("%w: kind %d is not a session error", ErrCodec, k)
+		return "", fmt.Errorf("%w: kind %d is not a session error", ErrCodec, k)
 	}
 	r := reader{buf: buf, off: 2}
 	n := int(r.uint16())
 	if n > MaxReason {
-		return nil, fmt.Errorf("%w: reason length %d exceeds limit", ErrCodec, n)
+		return "", fmt.Errorf("%w: reason length %d exceeds limit", ErrCodec, n)
 	}
 	raw := r.bytes(n)
 	if r.err != nil {
-		return nil, fmt.Errorf("%w: session error: %v", ErrCodec, r.err)
+		return "", fmt.Errorf("%w: session error: %v", ErrCodec, r.err)
 	}
-	return &SessionError{Reason: string(raw)}, nil
+	return string(raw), nil
 }

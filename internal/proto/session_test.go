@@ -2,11 +2,16 @@ package proto
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/avfi/avfi/internal/sim"
+	"github.com/avfi/avfi/internal/world"
 )
 
 func TestEnvelopeRoundTrip(t *testing.T) {
@@ -52,16 +57,16 @@ var kindCases = []struct {
 		EncodeEnvelope(3, AppendControl(nil, &Control{Frame: 1})),
 		func(b []byte) error { _, _, err := DecodeEnvelope(b); return err }},
 	{KindOpenEpisode, "OpenEpisode",
-		EncodeOpenEpisode(&OpenEpisode{From: 3, To: 4, Seed: 99}),
+		EncodeOpenEpisode(&sim.EpisodeConfig{From: 3, To: 4, Seed: 99}),
 		func(b []byte) error { _, err := DecodeOpenEpisode(b); return err }},
 	{KindSessionError, "SessionError",
-		EncodeSessionError(&SessionError{Reason: "boom"}),
+		EncodeSessionError("boom"),
 		func(b []byte) error { _, err := DecodeSessionError(b); return err }},
 	{KindEpisodeResult, "EpisodeResult",
-		EncodeEpisodeResult(&EpisodeResult{Status: 2, Frames: 9, DistanceM: 12.5}),
+		EncodeEpisodeResult(&sim.Result{Status: 2, Frames: 9, DistanceM: 12.5}),
 		func(b []byte) error { _, err := DecodeEpisodeResult(b); return err }},
 	{KindOpenEpisodeBatch, "OpenEpisodeBatch",
-		EncodeOpenEpisodeBatch([]OpenBatchEntry{{SID: 1, Open: &OpenEpisode{Seed: 7}}}),
+		EncodeOpenEpisodeBatch([]OpenBatchEntry{{SID: 1, Config: sim.EpisodeConfig{Seed: 7}}}),
 		func(b []byte) error { _, err := DecodeOpenEpisodeBatch(b); return err }},
 	{KindSensorFrameDelta, "SensorFrameDelta",
 		func() []byte {
@@ -162,9 +167,9 @@ func TestEnvelopeRejectsGarbage(t *testing.T) {
 }
 
 func TestOpenEpisodeRoundTrip(t *testing.T) {
-	in := &OpenEpisode{
+	in := &sim.EpisodeConfig{
 		From: 11, To: 29, Seed: 0xdeadbeefcafe,
-		Weather: 2, NumNPCs: 8, NumPedestrians: 4,
+		Weather: world.WeatherRain, NumNPCs: 8, NumPedestrians: 4,
 		TimeoutSec: 90.5, GoalRadius: 6,
 	}
 	out, err := DecodeOpenEpisode(EncodeOpenEpisode(in))
@@ -182,22 +187,41 @@ func TestOpenEpisodeRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCheckEpisodeConfig(t *testing.T) {
+	ok := sim.EpisodeConfig{From: math.MaxUint32, To: 0, Weather: math.MaxUint8,
+		NumNPCs: math.MaxUint16, NumPedestrians: math.MaxUint16}
+	if err := CheckEpisodeConfig(ok); err != nil {
+		t.Errorf("widest in-range config rejected: %v", err)
+	}
+	for _, bad := range []sim.EpisodeConfig{
+		{From: -1},
+		{To: math.MaxUint32 + 1},
+		{Weather: math.MaxUint8 + 1},
+		{NumNPCs: math.MaxUint16 + 1},
+		{NumPedestrians: -1},
+	} {
+		if err := CheckEpisodeConfig(bad); !errors.Is(err, ErrWireRange) {
+			t.Errorf("%+v: err = %v, want ErrWireRange", bad, err)
+		}
+	}
+}
+
 func TestSessionErrorRoundTrip(t *testing.T) {
-	out, err := DecodeSessionError(EncodeSessionError(&SessionError{Reason: "no route"}))
+	out, err := DecodeSessionError(EncodeSessionError("no route"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Reason != "no route" {
-		t.Errorf("reason = %q", out.Reason)
+	if out != "no route" {
+		t.Errorf("reason = %q", out)
 	}
 
 	// Oversized reasons are truncated on encode, not rejected.
 	long := strings.Repeat("x", MaxReason+100)
-	out, err = DecodeSessionError(EncodeSessionError(&SessionError{Reason: long}))
+	out, err = DecodeSessionError(EncodeSessionError(long))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Reason) != MaxReason {
-		t.Errorf("truncated reason len = %d, want %d", len(out.Reason), MaxReason)
+	if len(out) != MaxReason {
+		t.Errorf("truncated reason len = %d, want %d", len(out), MaxReason)
 	}
 }

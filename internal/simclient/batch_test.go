@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/avfi/avfi/internal/proto"
+	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/transport"
 )
 
@@ -21,7 +22,7 @@ func queueOpens(conn transport.Conn, n int) (*Client, []*openReq) {
 	for i := range reqs {
 		reqs[i] = &openReq{
 			sid:  uint32(i + 1),
-			open: &proto.OpenEpisode{Seed: uint64(i + 1), TimeoutSec: 1},
+			cfg:  sim.EpisodeConfig{Seed: uint64(i + 1), TimeoutSec: 1},
 			errc: make(chan error, 1),
 		}
 		c.openCh <- reqs[i]
@@ -67,9 +68,9 @@ func TestSendLoopCoalescesQueuedOpens(t *testing.T) {
 				t.Fatalf("%d queued: batch carried %d opens, want %d", tc.queued, len(entries), size)
 			}
 			for _, e := range entries {
-				if e.SID != reqs[next].sid || e.Open.Seed != reqs[next].open.Seed {
+				if e.SID != reqs[next].sid || e.Config.Seed != reqs[next].cfg.Seed {
 					t.Errorf("entry %d = sid %d seed %d, want sid %d seed %d",
-						next, e.SID, e.Open.Seed, reqs[next].sid, reqs[next].open.Seed)
+						next, e.SID, e.Config.Seed, reqs[next].sid, reqs[next].cfg.Seed)
 				}
 				next++
 			}

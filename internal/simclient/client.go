@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/avfi/avfi/internal/geom"
 	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/telemetry"
@@ -82,7 +81,7 @@ type Client struct {
 // (buffered) carries the send's outcome back to the episode goroutine.
 type openReq struct {
 	sid  uint32
-	open *proto.OpenEpisode
+	cfg  sim.EpisodeConfig
 	errc chan error
 }
 
@@ -189,16 +188,6 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-// InFlight reports the number of currently open sessions — the client's
-// instantaneous protocol load. (Diagnostic: the campaign pool tracks its
-// own per-engine dispatch counts, which also cover episodes still being
-// set up client-side.)
-func (c *Client) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sessions)
-}
-
 // CompletedSessions reports how many episodes ran to their EpisodeResult on
 // this client — the client-side mirror of simserver.Server's counter, which
 // is what engine statistics use when the server is on the far side of a
@@ -288,8 +277,8 @@ func (c *Client) closedErr() error {
 
 // sendOpen queues one episode open for the coalescing send loop and waits
 // for the outcome of the send that carried it.
-func (c *Client) sendOpen(sid uint32, open *proto.OpenEpisode) error {
-	req := &openReq{sid: sid, open: open, errc: make(chan error, 1)}
+func (c *Client) sendOpen(sid uint32, cfg sim.EpisodeConfig) error {
+	req := &openReq{sid: sid, cfg: cfg, errc: make(chan error, 1)}
 	select {
 	case c.openCh <- req:
 	case <-c.done:
@@ -346,7 +335,7 @@ func (c *Client) sendLoop() {
 			telemetry.ClientOpenBatch.Observe(float64(len(batch)))
 			entries := make([]proto.OpenBatchEntry, len(batch))
 			for i, r := range batch {
-				entries[i] = proto.OpenBatchEntry{SID: r.sid, Open: r.open}
+				entries[i] = proto.OpenBatchEntry{SID: r.sid, Config: r.cfg}
 			}
 			err := c.conn.Send(proto.EncodeEnvelope(0, proto.EncodeOpenEpisodeBatch(entries)))
 			for _, r := range batch {
@@ -390,21 +379,26 @@ func (c *Client) unregister(sid uint32) {
 }
 
 // RunEpisode opens a session for the scenario, drives every sensor frame
-// through the Driver, and returns the server's full episode result. When
-// the episode fails on this side of the wire the server is told to drop
-// the session, so it stops simulating for nobody. Safe for concurrent use
-// from many workers.
-func (c *Client) RunEpisode(open *proto.OpenEpisode, d Driver) (*proto.EpisodeResult, error) {
+// through the Driver, and returns the server's full episode result. A
+// scenario whose integer fields do not fit the wire (proto.ErrWireRange)
+// fails before it is queued, so it never joins a batch. When the episode
+// fails on this side of the wire the server is told to drop the session,
+// so it stops simulating for nobody. Safe for concurrent use from many
+// workers.
+func (c *Client) RunEpisode(cfg sim.EpisodeConfig, d Driver) (sim.Result, error) {
+	if err := proto.CheckEpisodeConfig(cfg); err != nil {
+		return sim.Result{}, fmt.Errorf("simclient: %w", err)
+	}
 	sid, s := c.register()
 	defer c.unregister(sid)
-	res, err := c.runSession(sid, s, open, d)
+	res, err := c.runSession(sid, s, cfg, d)
 	if err == nil {
 		c.noteCompleted()
-		return res, nil
+		return *res, nil
 	}
 	var se *SessionError
 	if errors.As(err, &se) {
-		return nil, err // the server closed the session itself
+		return sim.Result{}, err // the server closed the session itself
 	}
 	err = fmt.Errorf("simclient: session %d: %w", sid, err)
 	select {
@@ -413,14 +407,13 @@ func (c *Client) RunEpisode(open *proto.OpenEpisode, d Driver) (*proto.EpisodeRe
 	default:
 		// The server still holds the session. One it never saw, or already
 		// finished, it ignores.
-		abort := proto.EncodeSessionError(&proto.SessionError{Reason: err.Error()})
-		_ = c.conn.Send(proto.EncodeEnvelope(sid, abort))
+		_ = c.conn.Send(proto.EncodeEnvelope(sid, proto.EncodeSessionError(err.Error())))
 	}
-	return nil, err
+	return sim.Result{}, err
 }
 
 // runSession is one episode's message loop, from the open to the result.
-func (c *Client) runSession(sid uint32, s *session, open *proto.OpenEpisode, d Driver) (*proto.EpisodeResult, error) {
+func (c *Client) runSession(sid uint32, s *session, cfg sim.EpisodeConfig, d Driver) (*sim.Result, error) {
 	var st episodeStream
 	defer func() { c.noteDeltas(st.dec.Deltas()) }()
 
@@ -432,7 +425,7 @@ func (c *Client) runSession(sid uint32, s *session, open *proto.OpenEpisode, d D
 	if spans {
 		tOpen = time.Now()
 	}
-	if err := c.sendOpen(sid, open); err != nil {
+	if err := c.sendOpen(sid, cfg); err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
 	d.Reset()
@@ -461,12 +454,12 @@ func (c *Client) runSession(sid uint32, s *session, open *proto.OpenEpisode, d D
 		}
 		switch kind {
 		case proto.KindSessionError:
-			se, err := proto.DecodeSessionError(in.inner)
+			reason, err := proto.DecodeSessionError(in.inner)
 			if err != nil {
 				return nil, err
 			}
 			c.noteFailed()
-			return nil, &SessionError{SID: sid, Reason: se.Reason}
+			return nil, &SessionError{SID: sid, Reason: reason}
 		case proto.KindEpisodeResult:
 			res, err := proto.DecodeEpisodeResult(in.inner)
 			if err != nil {
@@ -496,26 +489,4 @@ func (c *Client) runSession(sid uint32, s *session, open *proto.OpenEpisode, d D
 			return nil, fmt.Errorf("send control: %w", err)
 		}
 	}
-}
-
-// SimResult converts a full wire result back into the sim.Result the
-// server serialized — the inverse of simserver.WireResult, bit-exact for
-// every float field.
-func SimResult(w *proto.EpisodeResult) sim.Result {
-	res := sim.Result{
-		Status:       sim.Status(w.Status),
-		Success:      w.Success,
-		Frames:       int(w.Frames),
-		DistanceM:    w.DistanceM,
-		DurationS:    w.DurationS,
-		RouteLengthM: w.RouteLengthM,
-	}
-	for _, v := range w.Violations {
-		res.Violations = append(res.Violations, sim.Violation{
-			Kind:    sim.ViolationKind(v.Kind),
-			TimeSec: v.TimeSec,
-			Pos:     geom.Vec{X: v.PosX, Y: v.PosY},
-		})
-	}
-	return res
 }

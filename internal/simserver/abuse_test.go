@@ -8,6 +8,7 @@ import (
 
 	"github.com/avfi/avfi/internal/physics"
 	"github.com/avfi/avfi/internal/proto"
+	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/simclient"
 	"github.com/avfi/avfi/internal/transport"
 )
@@ -35,13 +36,13 @@ func waitIdle(t testing.TB, srv *Server) {
 // connection's life. The connection itself stays usable.
 func TestAbandonedSessionIsAborted(t *testing.T) {
 	w := testWorld(t)
-	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	srv, clientConn, serveDone := startServer(t, w.NewEpisode)
 	client := simclient.NewClient(clientConn)
 
 	from, to := mission(t, w, 5)
-	open := &proto.OpenEpisode{From: uint32(from), To: uint32(to), Seed: 5, TimeoutSec: 30.0}
+	cfg := sim.EpisodeConfig{From: from, To: to, Seed: 5, TimeoutSec: 30.0}
 	boom := errors.New("driver boom")
-	_, err := client.RunEpisode(open, failingDriver{frame: 3, err: boom})
+	_, err := client.RunEpisode(cfg, failingDriver{frame: 3, err: boom})
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunEpisode = %v, want the driver's error", err)
 	}
@@ -50,8 +51,8 @@ func TestAbandonedSessionIsAborted(t *testing.T) {
 		t.Errorf("FailedSessions = %d after the client abandoned a session, want 1", got)
 	}
 
-	open.TimeoutSec = 1.0
-	res, err := client.RunEpisode(open, idleDriver())
+	cfg.TimeoutSec = 1.0
+	res, err := client.RunEpisode(cfg, idleDriver())
 	if err != nil {
 		t.Fatalf("connection unusable after an aborted session: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestProtocolAbuse(t *testing.T) {
 	open := openMsg(t, w, 1, 1, 30.0)
 	v1 := controlMsg(1, 0)
 	v1[0] = 1 // the envelope's version byte
-	batch := batchMsg(proto.OpenBatchEntry{SID: 2, Open: &proto.OpenEpisode{Seed: 2}})
+	batch := batchMsg(proto.OpenBatchEntry{SID: 2, Config: sim.EpisodeConfig{Seed: 2}})
 
 	for _, tc := range []struct {
 		name    string
@@ -99,20 +100,20 @@ func TestProtocolAbuse(t *testing.T) {
 		wantErr string // substring of Serve's error; "" means the messages are tolerated
 	}{
 		{"control for an unknown session", [][]byte{controlMsg(42, 0)}, ""},
-		{"abort for an unknown session", [][]byte{proto.EncodeEnvelope(42, proto.EncodeSessionError(&proto.SessionError{Reason: "bye"}))}, ""},
+		{"abort for an unknown session", [][]byte{proto.EncodeEnvelope(42, proto.EncodeSessionError("bye"))}, ""},
 		{"duplicate open", [][]byte{open, open}, "session 1 already open"},
-		{"open on session 0", [][]byte{batchMsg(proto.OpenBatchEntry{SID: 0, Open: &proto.OpenEpisode{}})}, "session 0"},
+		{"open on session 0", [][]byte{batchMsg(proto.OpenBatchEntry{SID: 0})}, "session 0"},
 		{"batch on a non-zero session", [][]byte{proto.EncodeEnvelope(3, proto.EncodeOpenEpisodeBatch(nil))}, "want session 0"},
-		{"bare open outside a batch", [][]byte{proto.EncodeEnvelope(1, proto.EncodeOpenEpisode(&proto.OpenEpisode{}))}, "unexpected kind 5"},
+		{"bare open outside a batch", [][]byte{proto.EncodeEnvelope(1, proto.EncodeOpenEpisode(&sim.EpisodeConfig{}))}, "unexpected kind 5"},
 		{"hello from a client", [][]byte{proto.EncodeEnvelope(0, proto.EncodeHello(1))}, "unexpected kind 10"},
-		{"episode result from a client", [][]byte{proto.EncodeEnvelope(1, proto.EncodeEpisodeResult(&proto.EpisodeResult{}))}, "unexpected kind 7"},
+		{"episode result from a client", [][]byte{proto.EncodeEnvelope(1, proto.EncodeEpisodeResult(&sim.Result{}))}, "unexpected kind 7"},
 		{"sensor frame from a client", [][]byte{proto.EncodeEnvelope(1, proto.AppendSensorFrame(nil, &proto.SensorFrame{}))}, "unexpected kind 1"},
 		{"truncated batch", [][]byte{batch[:len(batch)-5]}, "batch"},
 		{"v1-versioned message", [][]byte{v1}, "version 1, want 2"},
 		{"not an envelope", [][]byte{proto.AppendControl(nil, &proto.Control{})}, "not an envelope"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, clientConn, serveDone := startServer(t, worldFactory(w))
+			srv, clientConn, serveDone := startServer(t, w.NewEpisode)
 			go func() { // keep the server's sends from blocking
 				for {
 					if _, err := clientConn.Recv(); err != nil {
@@ -171,7 +172,13 @@ func splitMessages(data []byte) [][]byte {
 // whole exchanges: an episode, a control overflow, an abort and reopen, a
 // duplicate open, a rejected open, traffic for unknown sessions.
 func FuzzServerDemux(f *testing.F) {
-	factory := worldFactory(testWorld(f))
+	w := testWorld(f)
+	// Only the mission, seed and timeout reach the world: a fuzzed actor
+	// count or weather byte would make an input arbitrarily slow without
+	// touching the demux.
+	factory := func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
+		return w.NewEpisode(sim.EpisodeConfig{From: cfg.From, To: cfg.To, Seed: cfg.Seed, TimeoutSec: cfg.TimeoutSec})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv, clientConn, serveDone := startServer(t, factory)
 		drained := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/avfi/avfi/internal/proto"
+	"github.com/avfi/avfi/internal/sim"
 )
 
 // TestBatchOpenFansOutSessions: one OpenEpisodeBatch envelope opens every
@@ -11,7 +12,7 @@ import (
 // EpisodeResult over the shared connection.
 func TestBatchOpenFansOutSessions(t *testing.T) {
 	w := testWorld(t)
-	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	srv, clientConn, serveDone := startServer(t, w.NewEpisode)
 	recvHello(t, clientConn)
 
 	const sidA, sidB = 7, 9
@@ -20,8 +21,8 @@ func TestBatchOpenFansOutSessions(t *testing.T) {
 		from, to := mission(t, w, uint64(sid))
 		entries = append(entries, proto.OpenBatchEntry{
 			SID: sid,
-			Open: &proto.OpenEpisode{
-				From: uint32(from), To: uint32(to),
+			Config: sim.EpisodeConfig{
+				From: from, To: to,
 				Seed: uint64(sid), TimeoutSec: 2.0,
 			},
 		})
@@ -64,8 +65,8 @@ func TestBatchOpenFansOutSessions(t *testing.T) {
 		case proto.KindEpisodeResult:
 			ended[sid] = true
 		case proto.KindSessionError:
-			se, _ := proto.DecodeSessionError(inner)
-			t.Fatalf("session %d error: %v", sid, se)
+			reason, _ := proto.DecodeSessionError(inner)
+			t.Fatalf("session %d error: %s", sid, reason)
 		default:
 			t.Fatalf("session %d: unexpected kind %d", sid, kind)
 		}

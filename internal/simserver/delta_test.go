@@ -12,7 +12,7 @@ import (
 func TestDeltaFramesNegotiated(t *testing.T) {
 	const n = 3
 	w := testWorld(t)
-	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	srv, clientConn, serveDone := startServer(t, w.NewEpisode)
 	client := simclient.NewClient(clientConn)
 
 	for i, err := range runEpisodes(t, client, w, n) {

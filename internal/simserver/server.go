@@ -14,9 +14,10 @@ import (
 	"github.com/avfi/avfi/internal/transport"
 )
 
-// EpisodeFactory builds the episode for one OpenEpisode request. The server
-// owns the world; clients only ship scenario parameters over the wire.
-type EpisodeFactory func(open *proto.OpenEpisode) (*sim.Episode, error)
+// EpisodeFactory builds the episode for one opened scenario, typically a
+// sim.World's NewEpisode. The server owns the world; clients only ship
+// scenario parameters over the wire.
+type EpisodeFactory func(sim.EpisodeConfig) (*sim.Episode, error)
 
 // Server is the persistent, session-multiplexed simulation engine: one
 // Server serves many concurrent episodes over a single transport.Conn. Each
@@ -114,7 +115,7 @@ func (s *Server) demux(conn transport.Conn) error {
 				return fmt.Errorf("simserver: batch: %w", err)
 			}
 			for _, e := range entries {
-				if err := s.open(conn, e.SID, e.Open); err != nil {
+				if err := s.open(conn, e.SID, e.Config); err != nil {
 					return err
 				}
 			}
@@ -149,7 +150,7 @@ func (s *Server) demux(conn transport.Conn) error {
 					s.wg.Add(1)
 					go func() {
 						defer s.wg.Done()
-						msg := proto.EncodeSessionError(&proto.SessionError{Reason: "control overflow (session not consuming)"})
+						msg := proto.EncodeSessionError("control overflow (session not consuming)")
 						_ = conn.Send(proto.EncodeEnvelope(sid, msg))
 					}()
 				}
@@ -159,12 +160,12 @@ func (s *Server) demux(conn transport.Conn) error {
 			// The client abandoned this session (its driver failed, or its
 			// own demux dropped it): stop simulating for nobody. An unknown
 			// session is ignored like a control that raced the end.
-			se, err := proto.DecodeSessionError(inner)
+			reason, err := proto.DecodeSessionError(inner)
 			if err != nil {
 				return fmt.Errorf("simserver: session %d: %w", sid, err)
 			}
 			if s.dropSession(sid) {
-				telemetry.Infof("simserver: session %d aborted by client: %s", sid, se.Reason)
+				telemetry.Infof("simserver: session %d aborted by client: %s", sid, reason)
 			}
 
 		default:
@@ -193,7 +194,7 @@ func (s *Server) dropSession(sid uint32) bool {
 // open registers a session and spawns its episode goroutine. Episode
 // construction happens inside the goroutine so heavy scenario setup never
 // blocks the demux loop, and many episodes build concurrently.
-func (s *Server) open(conn transport.Conn, sid uint32, open *proto.OpenEpisode) error {
+func (s *Server) open(conn transport.Conn, sid uint32, cfg sim.EpisodeConfig) error {
 	// A control per in-flight frame plus the strictly request/response
 	// loop means one slot never blocks the demux loop.
 	if sid == 0 {
@@ -216,7 +217,7 @@ func (s *Server) open(conn transport.Conn, sid uint32, open *proto.OpenEpisode) 
 	telemetry.ServerInFlight.Add(1)
 
 	s.wg.Add(1)
-	go s.runSession(conn, sid, open, ch)
+	go s.runSession(conn, sid, cfg, ch)
 	return nil
 }
 
@@ -225,19 +226,18 @@ func (s *Server) open(conn transport.Conn, sid uint32, open *proto.OpenEpisode) 
 // ends the session. A factory failure is reported to the client as a
 // SessionError, not a server error: one bad scenario must not tear down the
 // whole campaign engine.
-func (s *Server) runSession(conn transport.Conn, sid uint32, open *proto.OpenEpisode, controls chan *proto.Control) {
+func (s *Server) runSession(conn transport.Conn, sid uint32, cfg sim.EpisodeConfig, controls chan *proto.Control) {
 	defer s.wg.Done()
 	defer s.closeSession(sid, controls)
 
-	e, err := s.factory(open)
+	e, err := s.factory(cfg)
 	if err != nil {
 		telemetry.ServerSessionsFailed.Inc()
 		telemetry.Infof("simserver: session %d rejected by episode factory: %v", sid, err)
 		s.mu.Lock()
 		s.failed++
 		s.mu.Unlock()
-		msg := proto.EncodeSessionError(&proto.SessionError{Reason: err.Error()})
-		_ = conn.Send(proto.EncodeEnvelope(sid, msg))
+		_ = conn.Send(proto.EncodeEnvelope(sid, proto.EncodeSessionError(err.Error())))
 		return
 	}
 
@@ -271,7 +271,7 @@ func (s *Server) runSession(conn transport.Conn, sid uint32, open *proto.OpenEpi
 	s.mu.Lock()
 	s.completed++
 	s.mu.Unlock()
-	_ = conn.Send(proto.EncodeEnvelope(sid, proto.EncodeEpisodeResult(WireResult(res))))
+	_ = conn.Send(proto.EncodeEnvelope(sid, proto.EncodeEpisodeResult(&res)))
 }
 
 // closeSession removes a session's routing entry — unless the demux loop

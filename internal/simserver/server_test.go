@@ -13,30 +13,16 @@ import (
 	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/simclient"
 	"github.com/avfi/avfi/internal/transport"
-	"github.com/avfi/avfi/internal/world"
 )
-
-// worldFactory builds episodes from OpenEpisode requests against w, with a
-// short timeout so protocol tests stay fast.
-func worldFactory(w *sim.World) EpisodeFactory {
-	return func(open *proto.OpenEpisode) (*sim.Episode, error) {
-		return w.NewEpisode(sim.EpisodeConfig{
-			From: world.NodeID(open.From), To: world.NodeID(open.To),
-			Seed:       open.Seed,
-			TimeoutSec: open.TimeoutSec,
-		})
-	}
-}
 
 // openMsg encodes the session-0 batch that opens one episode on sid.
 func openMsg(t testing.TB, w *sim.World, sid uint32, seed uint64, timeoutSec float64) []byte {
 	t.Helper()
 	from, to := mission(t, w, seed)
-	open := &proto.OpenEpisode{
-		From: uint32(from), To: uint32(to),
+	return batchMsg(proto.OpenBatchEntry{SID: sid, Config: sim.EpisodeConfig{
+		From: from, To: to,
 		Seed: seed, TimeoutSec: timeoutSec,
-	}
-	return batchMsg(proto.OpenBatchEntry{SID: sid, Open: open})
+	}})
 }
 
 // batchMsg envelopes an OpenEpisodeBatch on session 0.
@@ -113,7 +99,7 @@ func (c *helloAgain) Recv() ([]byte, error) {
 // serialize.)
 func TestTwoSessionsInterleaved(t *testing.T) {
 	w := testWorld(t)
-	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	srv, clientConn, serveDone := startServer(t, w.NewEpisode)
 	recvHello(t, clientConn)
 
 	const sidA, sidB = 1, 2
@@ -149,8 +135,8 @@ func TestTwoSessionsInterleaved(t *testing.T) {
 		case proto.KindEpisodeResult:
 			return sid, nil
 		case proto.KindSessionError:
-			se, _ := proto.DecodeSessionError(inner)
-			t.Fatalf("session %d error: %v", sid, se)
+			reason, _ := proto.DecodeSessionError(inner)
+			t.Fatalf("session %d error: %s", sid, reason)
 		}
 		frame, err := dec.Decode(inner)
 		if err != nil {
@@ -230,13 +216,12 @@ func TestFourEpisodesMultiplexedOneConn(t *testing.T) {
 
 	var opened int32
 	barrier := make(chan struct{})
-	inner := worldFactory(w)
-	srv, clientConn, serveDone := startServer(t, func(open *proto.OpenEpisode) (*sim.Episode, error) {
+	srv, clientConn, serveDone := startServer(t, func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
 		if atomic.AddInt32(&opened, 1) == n {
 			close(barrier)
 		}
 		<-barrier
-		return inner(open)
+		return w.NewEpisode(cfg)
 	})
 	client := simclient.NewClient(clientConn)
 
@@ -265,8 +250,8 @@ func runEpisodes(t *testing.T, client *simclient.Client, w *sim.World, n int) []
 		go func(i int) {
 			defer wg.Done()
 			from, to := mission(t, w, uint64(i+1))
-			_, errs[i] = client.RunEpisode(&proto.OpenEpisode{
-				From: uint32(from), To: uint32(to),
+			_, errs[i] = client.RunEpisode(sim.EpisodeConfig{
+				From: from, To: to,
 				Seed: uint64(i + 1), TimeoutSec: 1.0,
 			}, idleDriver())
 		}(i)
@@ -279,25 +264,25 @@ func runEpisodes(t *testing.T, client *simclient.Client, w *sim.World, n int) []
 // episode error without tearing down the engine.
 func TestSessionErrorPropagates(t *testing.T) {
 	w := testWorld(t)
-	_, clientConn, serveDone := startServer(t, func(open *proto.OpenEpisode) (*sim.Episode, error) {
-		if open.Seed == 666 {
+	_, clientConn, serveDone := startServer(t, func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
+		if cfg.Seed == 666 {
 			return nil, errors.New("factory boom")
 		}
-		return worldFactory(w)(open)
+		return w.NewEpisode(cfg)
 	})
 	client := simclient.NewClient(clientConn)
 
 	from, to := mission(t, w, 5)
-	_, err := client.RunEpisode(&proto.OpenEpisode{
-		From: uint32(from), To: uint32(to), Seed: 666,
+	_, err := client.RunEpisode(sim.EpisodeConfig{
+		From: from, To: to, Seed: 666,
 	}, idleDriver())
 	if err == nil || !strings.Contains(err.Error(), "factory boom") {
 		t.Errorf("error = %v, want factory boom", err)
 	}
 
 	// The engine survives: a later session on the same conn succeeds.
-	res, err := client.RunEpisode(&proto.OpenEpisode{
-		From: uint32(from), To: uint32(to), Seed: 5, TimeoutSec: 1.0,
+	res, err := client.RunEpisode(sim.EpisodeConfig{
+		From: from, To: to, Seed: 5, TimeoutSec: 1.0,
 	}, idleDriver())
 	if err != nil {
 		t.Fatalf("engine dead after session error: %v", err)
@@ -316,7 +301,7 @@ func TestSessionErrorPropagates(t *testing.T) {
 // episode in flight; Serve must unblock the session and return cleanly.
 func TestServerDrainsOnMidEpisodeHangup(t *testing.T) {
 	w := testWorld(t)
-	_, clientConn, serveDone := startServer(t, worldFactory(w))
+	_, clientConn, serveDone := startServer(t, w.NewEpisode)
 	recvHello(t, clientConn)
 
 	if err := clientConn.Send(openMsg(t, w, 9, 9, 30.0)); err != nil {
@@ -338,11 +323,11 @@ func TestServerDrainsOnMidEpisodeHangup(t *testing.T) {
 // nil. FailedSessions counts factory aborts.
 func TestServeHealthAccessors(t *testing.T) {
 	w := testWorld(t)
-	srv, clientConn, serveDone := startServer(t, func(open *proto.OpenEpisode) (*sim.Episode, error) {
-		if open.Seed == 666 {
+	srv, clientConn, serveDone := startServer(t, func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
+		if cfg.Seed == 666 {
 			return nil, errors.New("factory boom")
 		}
-		return worldFactory(w)(open)
+		return w.NewEpisode(cfg)
 	})
 	recvHello(t, clientConn)
 
@@ -357,7 +342,7 @@ func TestServeHealthAccessors(t *testing.T) {
 	}
 
 	// One failing session increments FailedSessions without ending Serve.
-	if err := clientConn.Send(batchMsg(proto.OpenBatchEntry{SID: 1, Open: &proto.OpenEpisode{Seed: 666}})); err != nil {
+	if err := clientConn.Send(batchMsg(proto.OpenBatchEntry{SID: 1, Config: sim.EpisodeConfig{Seed: 666}})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := clientConn.Recv(); err != nil { // the SessionError reply
@@ -388,7 +373,7 @@ func TestServeHealthAccessors(t *testing.T) {
 // keeps serving every other session on the connection.
 func TestDemuxControlOverflowDropsSession(t *testing.T) {
 	w := testWorld(t)
-	srv, clientConn, serveDone := startServer(t, worldFactory(w))
+	srv, clientConn, serveDone := startServer(t, w.NewEpisode)
 	recvHello(t, clientConn)
 
 	// Handcraft a wedged session: registered, buffer already full, nobody
@@ -421,8 +406,8 @@ func TestDemuxControlOverflowDropsSession(t *testing.T) {
 	// The connection still serves real episodes end-to-end.
 	client := simclient.NewClient(&helloAgain{Conn: clientConn})
 	from, to := mission(t, w, 5)
-	res, err := client.RunEpisode(&proto.OpenEpisode{
-		From: uint32(from), To: uint32(to), Seed: 5, TimeoutSec: 1.0,
+	res, err := client.RunEpisode(sim.EpisodeConfig{
+		From: from, To: to, Seed: 5, TimeoutSec: 1.0,
 	}, idleDriver())
 	if err != nil {
 		t.Fatalf("demux stalled by wedged session: %v", err)
@@ -457,31 +442,31 @@ func TestDemuxControlOverflowDropsSession(t *testing.T) {
 // same episode stepped locally with the same controls.
 func TestFullResultOverWire(t *testing.T) {
 	w := testWorld(t)
-	_, clientConn, serveDone := startServer(t, worldFactory(w))
+	_, clientConn, serveDone := startServer(t, w.NewEpisode)
 	client := simclient.NewClient(clientConn)
 
 	from, to := mission(t, w, 9)
-	open := &proto.OpenEpisode{
-		From: uint32(from), To: uint32(to), Seed: 9, TimeoutSec: 1.0,
+	cfg := sim.EpisodeConfig{
+		From: from, To: to, Seed: 9, TimeoutSec: 1.0,
 	}
 	ctl := physics.Control{Steer: 0.3, Throttle: 1}
-	wire, err := client.RunEpisode(open, &simclient.AutopilotDriver{
+	wire, err := client.RunEpisode(cfg, &simclient.AutopilotDriver{
 		Fn: func(*proto.SensorFrame) physics.Control { return ctl },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e, err := worldFactory(w)(open)
+	e, err := w.NewEpisode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for !e.Observe().Done {
 		e.Step(ctl)
 	}
-	if local := e.Result(); !reflect.DeepEqual(simclient.SimResult(wire), local) {
+	if local := e.Result(); !reflect.DeepEqual(wire, local) {
 		t.Errorf("wire result diverged from the local episode:\n wire  %+v\n local %+v",
-			simclient.SimResult(wire), local)
+			wire, local)
 	}
 
 	client.Close()

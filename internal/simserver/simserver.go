@@ -30,26 +30,3 @@ func obsFrameInto(f *proto.SensorFrame, obs sim.Observation) {
 	f.Done = obs.Done
 	f.Status = uint8(obs.Status)
 }
-
-// WireResult converts a final sim result into its full wire form, the
-// EpisodeResult message that ends every session. simclient.SimResult is
-// the inverse; the pair round-trips bit-exactly.
-func WireResult(res sim.Result) *proto.EpisodeResult {
-	out := &proto.EpisodeResult{
-		Status:       uint8(res.Status),
-		Success:      res.Success,
-		Frames:       uint32(res.Frames),
-		DistanceM:    res.DistanceM,
-		DurationS:    res.DurationS,
-		RouteLengthM: res.RouteLengthM,
-	}
-	for _, v := range res.Violations {
-		out.Violations = append(out.Violations, proto.WireViolation{
-			Kind:    uint8(v.Kind),
-			TimeSec: v.TimeSec,
-			PosX:    v.Pos.X,
-			PosY:    v.Pos.Y,
-		})
-	}
-	return out
-}

@@ -74,9 +74,9 @@ func runAutopilotEpisode(t *testing.T, w *sim.World, seed uint64, serverConn, cl
 	from, to := mission(t, w, seed)
 	var e *sim.Episode
 	var pilot *autopilot.Pilot
-	srv := NewServer(func(open *proto.OpenEpisode) (*sim.Episode, error) {
+	srv := NewServer(func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
 		var err error
-		e, err = worldFactory(w)(open)
+		e, err = w.NewEpisode(cfg)
 		if err == nil {
 			pilot = autopilot.New(e.Route(), e.EgoParams(), autopilot.DefaultConfig())
 		}
@@ -86,7 +86,7 @@ func runAutopilotEpisode(t *testing.T, w *sim.World, seed uint64, serverConn, cl
 	go func() { serveDone <- srv.Serve(serverConn) }()
 
 	client := simclient.NewClient(clientConn)
-	res, err := client.RunEpisode(&proto.OpenEpisode{From: uint32(from), To: uint32(to), Seed: seed},
+	res, err := client.RunEpisode(sim.EpisodeConfig{From: from, To: to, Seed: seed},
 		&simclient.AutopilotDriver{
 			Fn: func(*proto.SensorFrame) physics.Control { return pilot.Control(e.EgoState(), nil) },
 		})
@@ -97,7 +97,7 @@ func runAutopilotEpisode(t *testing.T, w *sim.World, seed uint64, serverConn, cl
 	if err := <-serveDone; err != nil {
 		t.Fatalf("Serve returned %v after clean close", err)
 	}
-	return simclient.SimResult(res)
+	return res
 }
 
 // TestTransportEquivalence: the same mission must produce identical
@@ -153,7 +153,7 @@ func TestServerFailsOnClosedConn(t *testing.T) {
 	clientConn.Close()
 	serverConn.Close()
 
-	srv := NewServer(worldFactory(w), w.Config().Hash())
+	srv := NewServer(w.NewEpisode, w.Config().Hash())
 	if err := srv.Serve(serverConn); err != nil {
 		t.Errorf("Serve over a closed conn = %v, want a clean nil", err)
 	}
@@ -162,7 +162,7 @@ func TestServerFailsOnClosedConn(t *testing.T) {
 	}
 	client := simclient.NewClient(clientConn)
 	from, to := mission(t, w, 4)
-	_, err := client.RunEpisode(&proto.OpenEpisode{From: uint32(from), To: uint32(to), Seed: 4}, idleDriver())
+	_, err := client.RunEpisode(sim.EpisodeConfig{From: from, To: to, Seed: 4}, idleDriver())
 	if err == nil {
 		t.Error("episode over a closed conn did not error")
 	}
@@ -183,7 +183,7 @@ func TestClientRejectsGarbage(t *testing.T) {
 			}
 		}()
 		client := simclient.NewClient(clientConn)
-		if _, err := client.RunEpisode(&proto.OpenEpisode{}, idleDriver()); err == nil {
+		if _, err := client.RunEpisode(sim.EpisodeConfig{}, idleDriver()); err == nil {
 			t.Errorf("garbage %s did not error", name)
 		}
 		if client.Err() == nil {

@@ -7,30 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"github.com/avfi/avfi/internal/proto"
-	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/telemetry"
 	"github.com/avfi/avfi/internal/transport"
-	"github.com/avfi/avfi/internal/world"
 )
-
-// WorldFactory is the canonical OpenEpisode -> sim.Episode mapping: every
-// scenario parameter an episode needs rides the wire, so a factory built
-// from the same world configuration produces bit-identical episodes whether
-// the server runs in the campaign's process or on a remote worker.
-func WorldFactory(w *sim.World) EpisodeFactory {
-	return func(open *proto.OpenEpisode) (*sim.Episode, error) {
-		return w.NewEpisode(sim.EpisodeConfig{
-			From: world.NodeID(open.From), To: world.NodeID(open.To),
-			Seed:           open.Seed,
-			Weather:        world.Weather(open.Weather),
-			NumNPCs:        int(open.NumNPCs),
-			NumPedestrians: int(open.NumPedestrians),
-			TimeoutSec:     open.TimeoutSec,
-			GoalRadius:     open.GoalRadius,
-		})
-	}
-}
 
 // Worker is a standalone simulation backend: it accepts campaign
 // connections on one TCP listener for its whole lifetime and serves each
@@ -51,10 +30,10 @@ type Worker struct {
 	wg sync.WaitGroup
 }
 
-// NewWorker builds an idle worker around an episode factory (see
-// WorldFactory for the canonical one) and the fingerprint of the world it
-// builds episodes in, which every per-connection Server announces in its
-// hello (see NewServer).
+// NewWorker builds an idle worker around an episode factory (typically a
+// world's NewEpisode) and the fingerprint of the world it builds episodes
+// in, which every per-connection Server announces in its hello (see
+// NewServer).
 func NewWorker(factory EpisodeFactory, worldHash uint64) *Worker {
 	return &Worker{factory: factory, worldHash: worldHash, conns: make(map[transport.Conn]struct{})}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/avfi/avfi/internal/proto"
 	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/transport"
 )
@@ -13,7 +12,7 @@ import (
 // idleWorker returns a listening worker whose factory is never exercised.
 func idleWorker(t *testing.T) *Worker {
 	t.Helper()
-	w := NewWorker(func(*proto.OpenEpisode) (*sim.Episode, error) {
+	w := NewWorker(func(sim.EpisodeConfig) (*sim.Episode, error) {
 		t.Error("factory called by a test that opens no episode")
 		return nil, nil
 	}, 0)
