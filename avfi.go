@@ -29,9 +29,10 @@
 //     activation x injector), with the paper's resilience metrics: Mission
 //     Success Rate, Traffic Violations per KM, Accidents per KM, and Time
 //     to Traffic Violation;
-//   - an adaptive campaign orchestrator (Runner.RunAdaptive): a round-based
-//     plan -> observe -> reallocate loop that steers the episode budget
-//     toward high-risk scenario cells with pluggable policies — Uniform
+//   - an adaptive campaign orchestrator (CampaignConfig.Adaptive): a
+//     round-based plan -> observe -> reallocate loop that steers the
+//     episode budget toward high-risk scenario cells with pluggable
+//     policies — Uniform
 //     (the exhaustive baseline), SuccessiveHalving (prunes low-risk cells)
 //     and UCB (bandit-style exploration) — all deterministic given the
 //     campaign seed;
@@ -86,10 +87,13 @@
 //
 //	policy, err := avfi.ParseAdaptivePolicy("ucb") // or "halving", "uniform"
 //	// ...
-//	rs, err := runner.RunAdaptive(ctx, avfi.AdaptiveConfig{
+//	cfg.Adaptive = &avfi.AdaptiveConfig{
 //		Policy: policy,
 //		Budget: 5000, // total episodes, any grid size
-//	})
+//	}
+//	runner, err := avfi.NewCampaign(cfg)
+//	// ...
+//	rs, err := runner.RunContext(ctx)
 //	// rs.Adaptive reports the per-round and per-cell allocation.
 //
 // Campaigns remain a pure function of their configuration: all mission,
@@ -174,10 +178,10 @@ type (
 	SimWorker = simserver.Worker
 )
 
-// Adaptive campaign orchestration (Runner.RunAdaptive): risk-driven
+// Adaptive campaign orchestration (CampaignConfig.Adaptive): risk-driven
 // episode allocation over the scenario matrix.
 type (
-	// AdaptiveConfig parameterizes Runner.RunAdaptive: policy, total
+	// AdaptiveConfig parameterizes CampaignConfig.Adaptive: policy, total
 	// episode budget, round size.
 	AdaptiveConfig = campaign.AdaptiveConfig
 	// AdaptiveStats reports how an adaptive campaign spent its budget over
@@ -188,7 +192,7 @@ type (
 	// CellBudget is one cell's share of an adaptive campaign's work.
 	CellBudget = campaign.CellBudget
 	// AdaptivePolicy decides each round's episode allocation; implement it
-	// to plug a custom sampling strategy into RunAdaptive.
+	// to plug a custom sampling strategy into an adaptive campaign.
 	AdaptivePolicy = adaptive.Policy
 	// AdaptiveCellStats is the per-cell posterior a policy allocates from.
 	AdaptiveCellStats = adaptive.CellStats

@@ -85,7 +85,7 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	if *adaptiveOn {
 		spec.Adaptive = &avfi.AdaptiveSpec{Policy: *policyName, Budget: *budget, RoundSize: *roundSize}
 	}
-	cfg, acfg, err := spec.Lower()
+	cfg, err := spec.Lower()
 	if err != nil {
 		return err
 	}
@@ -110,6 +110,12 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	cfg.Pool.Engines = *engines
 	cfg.Pool.Backends = backendList
 	cfg.SlowEpisode = *slowEp
+	if cfg.Adaptive != nil {
+		cfg.Adaptive.RoundProgress = func(s avfi.RoundStats) {
+			fmt.Fprintf(stderr, "round %d: %d episodes over %d cells, %d violations; total %d episodes, %d violations\n",
+				s.Round, s.Episodes, s.ActiveCells, s.Violations, s.TotalEpisodes, s.TotalViolations)
+		}
+	}
 
 	var resumeCount int
 	if *resumePath != "" {
@@ -190,20 +196,14 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	if statusSrv != nil {
 		statusSrv.SetStatus("campaign", func() any { return runner.Status() })
 	}
-	var rs *avfi.ResultSet
-	if acfg != nil {
+	if a := cfg.Adaptive; a != nil {
 		fmt.Fprintf(stderr, "adaptive campaign over %d scenario columns x %d missions x %d reps (policy %s, budget %d)...\n",
-			columns, *missions, *reps, acfg.Policy.Name(), acfg.Budget)
-		acfg.RoundProgress = func(s avfi.RoundStats) {
-			fmt.Fprintf(stderr, "round %d: %d episodes over %d cells, %d violations; total %d episodes, %d violations\n",
-				s.Round, s.Episodes, s.ActiveCells, s.Violations, s.TotalEpisodes, s.TotalViolations)
-		}
-		rs, err = runner.RunAdaptive(ctx, *acfg)
+			columns, *missions, *reps, a.Policy.Name(), a.Budget)
 	} else {
 		fmt.Fprintf(stderr, "running %d scenario columns x %d missions x %d reps...\n",
 			columns, *missions, *reps)
-		rs, err = runner.RunContext(ctx)
 	}
+	rs, err := runner.RunContext(ctx)
 	if err != nil {
 		return err
 	}
@@ -224,14 +224,15 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 			rs.Pool.Retries, rs.Pool.Replacements)
 	}
 	if rs.Adaptive != nil {
-		top, topEpisodes := "", 0
+		top, topEpisodes, spent := "", 0, 0
 		for _, c := range rs.Adaptive.Cells {
+			spent += c.Episodes
 			if c.Episodes > topEpisodes {
 				top, topEpisodes = c.Cell, c.Episodes
 			}
 		}
 		fmt.Fprintf(stderr, "adaptive: policy %s spent %d episodes over %d rounds; top cell %q got %d\n",
-			rs.Adaptive.Policy, rs.Adaptive.Budget, len(rs.Adaptive.Rounds), top, topEpisodes)
+			rs.Adaptive.Policy, spent, len(rs.Adaptive.Rounds), top, topEpisodes)
 	}
 
 	avfi.PrintTable(stdout, fmt.Sprintf("AVFI campaign (seed %d)", *seed), rs.Reports)

@@ -10,8 +10,8 @@
 // magnitude more violations per episode. This package is the allocation
 // half of that loop: given per-cell posteriors (episodes observed,
 // violation counts, running VPK statistics), a Policy decides how the next
-// round's episode budget is split across cells. The campaign orchestrator
-// (internal/campaign.RunAdaptive) owns the other half — dispatching the
+// round's episode budget is split across cells. The campaign's round loop
+// (internal/campaign, Config.Adaptive) owns the other half — dispatching the
 // allocated episodes and folding their results back into the posteriors.
 //
 // Every policy is a pure function of (round, budget, cells, stream):

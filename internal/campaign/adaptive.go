@@ -24,7 +24,7 @@ import (
 	"github.com/avfi/avfi/internal/telemetry"
 )
 
-// AdaptiveConfig parameterizes RunAdaptive.
+// AdaptiveConfig parameterizes an adaptive campaign (Config.Adaptive).
 type AdaptiveConfig struct {
 	// Policy allocates each round's episode budget across scenario cells
 	// (see internal/adaptive: Uniform, SuccessiveHalving, UCB).
@@ -103,117 +103,78 @@ func (p *cellPosterior) fold(rec metrics.EpisodeRecord) {
 	p.vpk.Add(rec.VPK())
 }
 
-// RunAdaptive executes a risk-driven campaign: instead of sweeping the
-// full (cell x mission x repetition) grid, it runs rounds of episodes
-// whose allocation over cells the configured policy chooses from the
-// posteriors observed so far. All rounds share one engine pool (started
-// once, like an exhaustive sweep's) and one streaming results pipeline,
-// so sinks, progress hooks and DiscardRecords behave exactly as under
-// RunContext. The returned ResultSet carries the usual records/reports
-// (covering the episodes actually run) plus AdaptiveStats.
+// roundLoop is an adaptive run's plan -> observe -> reallocate state:
+// instead of sweeping the full (cell x mission x repetition) grid, it runs
+// rounds of episodes whose allocation over cells the configured policy
+// chooses from the posteriors observed so far. RunContext drives it on the
+// same engine pool, pipeline and teardown as a sweep, so sinks, progress
+// hooks and DiscardRecords behave exactly alike.
 //
-// With the Uniform policy and a full-grid budget the campaign executes
-// exactly the static job list, and its ResultSet records and reports are
-// bit-identical to RunContext's for the same Config.
-func (r *Runner) RunAdaptive(ctx context.Context, acfg AdaptiveConfig) (*ResultSet, error) {
-	if acfg.Policy == nil {
-		return nil, fmt.Errorf("campaign: adaptive: no policy")
-	}
-	if acfg.Budget < 0 || acfg.RoundSize < 0 {
-		return nil, fmt.Errorf("campaign: adaptive: budget=%d roundSize=%d must be non-negative",
-			acfg.Budget, acfg.RoundSize)
-	}
-	// Duplicate column keys would fold every record into the first
-	// matching posterior, leaving its twin reading as forever-unexplored —
-	// an allocation trap exhaustive sweeps don't have, so reject what
-	// Validate tolerates for them.
-	cellIdx := r.cellIndex()
-	if len(cellIdx) != len(r.cells) {
-		return nil, fmt.Errorf("campaign: adaptive: %d of %d scenario columns share keys; adaptive allocation needs distinct cells",
-			len(r.cells)-len(cellIdx), len(r.cells))
-	}
+// With the Uniform policy and a full-grid budget the loop dispatches
+// exactly the sweep's jobs, and the ResultSet's records and reports are
+// bit-identical to the sweep's for the same Config.
+type roundLoop struct {
+	cfg        AdaptiveConfig
+	r          *Runner
+	cellIdx    map[string]int
+	posteriors []cellPosterior
+	// budget and roundSize are the resolved episode budget and round size.
+	budget, roundSize int
+}
 
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	pipe := newSinkPipeline(r.cells, r.sinkLanes(), !r.cfg.DiscardRecords,
-		func(err error) { cancel(err) }, r.cfg.Progress)
+// newRoundLoop starts Config.Adaptive's loop with empty posteriors.
+func (r *Runner) newRoundLoop() *roundLoop {
+	return &roundLoop{cfg: *r.cfg.Adaptive, r: r, cellIdx: cellIndex(r.cells),
+		posteriors: make([]cellPosterior, len(r.cells))}
+}
 
-	// Posteriors start from the resumed episodes, folded in stream order
-	// as they seed the pipeline — one pass, no materialized record slice.
-	// For a given resume log the order (and so the Welford float state) is
-	// fixed, and fresh rounds still fold in sorted order below.
-	posteriors := make([]cellPosterior, len(r.cells))
-	skip, err := r.seedResume(func(rec metrics.EpisodeRecord) {
-		pipe.seed(rec)
-		posteriors[cellIdx[rec.Injector]].fold(rec)
-	})
-	if err != nil {
-		pipe.abandon()
-		return nil, err
-	}
+// observe folds one episode into its cell's posterior and returns the
+// cell. Resumed episodes fold in their log's fixed stream order and each
+// round's in sorted order, so the Welford state is schedule-independent.
+func (l *roundLoop) observe(rec metrics.EpisodeRecord) int {
+	i := l.cellIdx[rec.Injector]
+	l.posteriors[i].fold(rec)
+	return i
+}
 
-	// Per-cell queues of unconsumed (mission, repetition) slots, in the
-	// static sweep's order (mission-major); resume-recorded slots are
-	// already consumed.
-	perCell := len(r.missions) * r.cfg.Repetitions
-	queues := make([][]pairKey, len(r.cells))
-	remaining := 0
-	for i := range r.cells {
-		for p := 0; p < perCell; p++ {
-			k := pairKey{cell: i, mission: p / r.cfg.Repetitions, repetition: p % r.cfg.Repetitions}
-			if !skip[k] {
-				queues[i] = append(queues[i], k)
-			}
-		}
-		remaining += len(queues[i])
+// resolve sizes the budget and round against the remaining grid.
+func (l *roundLoop) resolve(remaining int) {
+	l.budget = l.cfg.Budget
+	if l.budget == 0 || l.budget > remaining {
+		l.budget = remaining
 	}
+	l.roundSize = l.cfg.RoundSize
+	if l.roundSize == 0 {
+		l.roundSize = max(len(l.r.cells), l.budget/8)
+	}
+}
 
-	budget := acfg.Budget
-	if budget == 0 || budget > remaining {
-		budget = remaining
-	}
-	roundSize := acfg.RoundSize
-	if roundSize == 0 {
-		roundSize = len(r.cells)
-		if b := budget / 8; b > roundSize {
-			roundSize = b
-		}
-	}
-
-	maxBatch := roundSize
-	if maxBatch > budget {
-		maxBatch = budget
-	}
-	sess, err := r.newRunSession(maxBatch)
-	if err != nil {
-		pipe.abandon()
-		return nil, err
-	}
-	r.beginRun("adaptive", budget, sess.pool)
+// run dispatches rounds on sess, popping each round's jobs from the
+// per-cell queues, until the budget is spent, the policy stops
+// allocating, or ctx is cancelled. A policy that allocates the wrong
+// number of cells cancels the run with that error.
+func (l *roundLoop) run(ctx context.Context, cancel context.CancelCauseFunc, sess *runSession,
+	consume func(context.Context, metrics.EpisodeRecord), queues [][]job) *AdaptiveStats {
+	cells := l.r.cells
 	telemetry.Infof("campaign: adaptive run started: policy %s, budget %d over %d cells, round size %d",
-		acfg.Policy.Name(), budget, len(r.cells), roundSize)
-	pipe.start(sess.parallelism)
-
-	astats := &AdaptiveStats{Policy: acfg.Policy.Name(), Budget: budget}
-	for _, c := range r.cells {
+		l.cfg.Policy.Name(), l.budget, len(cells), l.roundSize)
+	astats := &AdaptiveStats{Policy: l.cfg.Policy.Name(), Budget: l.budget}
+	for _, c := range cells {
 		astats.Cells = append(astats.Cells, CellBudget{Cell: c.key})
 	}
-	stream := rng.New(r.cfg.Seed).Split("adaptive")
+	stream := rng.New(l.r.cfg.Seed).Split("adaptive")
 
 	spent, totalViolations := 0, 0
-	for round := 0; spent < budget; round++ {
-		b := roundSize
-		if left := budget - spent; b > left {
-			b = left
-		}
+	for round := 0; spent < l.budget; round++ {
+		b := min(l.roundSize, l.budget-spent)
 
 		// Plan: snapshot posteriors, let the policy split the round budget.
-		cellStats := make([]adaptive.CellStats, len(r.cells))
-		for i := range r.cells {
-			p := &posteriors[i]
+		cellStats := make([]adaptive.CellStats, len(cells))
+		for i := range cells {
+			p := &l.posteriors[i]
 			cellStats[i] = adaptive.CellStats{
 				Index:             i,
-				Key:               r.cells[i].key,
+				Key:               cells[i].key,
 				Episodes:          p.episodes,
 				Remaining:         len(queues[i]),
 				Violations:        p.violations,
@@ -222,30 +183,21 @@ func (r *Runner) RunAdaptive(ctx context.Context, acfg AdaptiveConfig) (*ResultS
 				StdVPK:            p.vpk.StdDev(),
 			}
 		}
-		alloc := acfg.Policy.Allocate(round, b, cellStats, stream.SplitN(uint64(round)))
-		if len(alloc) != len(r.cells) {
-			sess.close()
-			pipe.abandon()
-			err := fmt.Errorf("campaign: adaptive: policy %s allocated %d cells, want %d",
-				acfg.Policy.Name(), len(alloc), len(r.cells))
-			r.endRun(err)
-			return nil, err
+		alloc := l.cfg.Policy.Allocate(round, b, cellStats, stream.SplitN(uint64(round)))
+		if len(alloc) != len(cells) {
+			cancel(fmt.Errorf("campaign: adaptive: policy %s allocated %d cells, want %d",
+				l.cfg.Policy.Name(), len(alloc), len(cells)))
+			return astats
 		}
 		var jobs []job
 		active := 0
 		for i, n := range alloc {
+			n = min(n, len(queues[i]))
 			if n <= 0 {
 				continue
 			}
-			if n > len(queues[i]) {
-				n = len(queues[i])
-			}
-			if n > 0 {
-				active++
-			}
-			for _, k := range queues[i][:n] {
-				jobs = append(jobs, job{cellIdx: k.cell, mission: k.mission, repetition: k.repetition})
-			}
+			active++
+			jobs = append(jobs, queues[i][:n]...)
 			queues[i] = queues[i][n:]
 		}
 		if len(jobs) == 0 {
@@ -259,16 +211,13 @@ func (r *Runner) RunAdaptive(ctx context.Context, acfg AdaptiveConfig) (*ResultS
 		var mu sync.Mutex
 		var roundRecs []metrics.EpisodeRecord
 		sess.runJobs(ctx, cancel, jobs, func(ctx context.Context, rec metrics.EpisodeRecord) {
-			pipe.consume(ctx, rec)
+			consume(ctx, rec)
 			mu.Lock()
 			roundRecs = append(roundRecs, rec)
 			mu.Unlock()
 		})
-		if cause := context.Cause(ctx); cause != nil {
-			sess.close()
-			pipe.abandon()
-			r.endRun(cause)
-			return nil, cause
+		if context.Cause(ctx) != nil {
+			return astats
 		}
 
 		// Reallocate inputs: fold the round into the posteriors in
@@ -276,8 +225,7 @@ func (r *Runner) RunAdaptive(ctx context.Context, acfg AdaptiveConfig) (*ResultS
 		sortRecords(roundRecs)
 		roundViolations := 0
 		for _, rec := range roundRecs {
-			i := cellIdx[rec.Injector]
-			posteriors[i].fold(rec)
+			i := l.observe(rec)
 			astats.Cells[i].Episodes++
 			astats.Cells[i].Violations += len(rec.Violations)
 			roundViolations += len(rec.Violations)
@@ -293,40 +241,16 @@ func (r *Runner) RunAdaptive(ctx context.Context, acfg AdaptiveConfig) (*ResultS
 			TotalViolations: totalViolations,
 		}
 		astats.Rounds = append(astats.Rounds, rs)
-		r.setAdaptive(AdaptiveStatus{
+		l.r.setAdaptive(AdaptiveStatus{
 			Policy:          astats.Policy,
-			Budget:          budget,
+			Budget:          l.budget,
 			Round:           round,
 			Spent:           spent,
 			TotalViolations: totalViolations,
 		})
-		if acfg.RoundProgress != nil {
-			acfg.RoundProgress(rs)
+		if l.cfg.RoundProgress != nil {
+			l.cfg.RoundProgress(rs)
 		}
 	}
-
-	poolStats, engineAgg := sess.pool.snapshot()
-	closeErr := sess.close()
-	if cause := context.Cause(ctx); cause != nil {
-		pipe.abandon()
-		r.endRun(cause)
-		return nil, cause
-	}
-	records, reports, sinkErr := pipe.finish()
-	if closeErr != nil {
-		r.endRun(closeErr)
-		return nil, closeErr
-	}
-	if sinkErr != nil {
-		r.endRun(sinkErr)
-		return nil, sinkErr
-	}
-	r.endRun(nil)
-	return &ResultSet{
-		Records:  records,
-		Reports:  reports,
-		Engine:   engineAgg,
-		Pool:     poolStats,
-		Adaptive: astats,
-	}, nil
+	return astats
 }

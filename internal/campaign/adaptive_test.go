@@ -10,6 +10,7 @@ import (
 	"github.com/avfi/avfi/internal/adaptive"
 	"github.com/avfi/avfi/internal/fault"
 	"github.com/avfi/avfi/internal/metrics"
+	"github.com/avfi/avfi/internal/rng"
 )
 
 // TestAdaptiveUniformMatchesExhaustive is the adaptive baseline contract:
@@ -29,17 +30,19 @@ func TestAdaptiveUniformMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewRunner(tinyConfig(t, []InjectorSource{
+	cfg := tinyConfig(t, []InjectorSource{
 		Registry(fault.NoopName),
 		Registry("gaussian"),
-	}))
+	})
+	cfg.Adaptive = &AdaptiveConfig{
+		Policy:    adaptive.Uniform{},
+		RoundSize: 3, // deliberately not a divisor of the grid
+	}
+	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RunAdaptive(context.Background(), AdaptiveConfig{
-		Policy:    adaptive.Uniform{},
-		RoundSize: 3, // deliberately not a divisor of the grid
-	})
+	got, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +78,16 @@ func TestAdaptiveBitIdenticalAcrossPoolSizes(t *testing.T) {
 		})
 		cfg.Parallelism = 4
 		cfg.Pool = PoolConfig{Engines: engines}
+		cfg.Adaptive = &AdaptiveConfig{
+			Policy:    adaptive.UCB{},
+			Budget:    6, // partial budget: allocation actually matters
+			RoundSize: 2,
+		}
 		r, err := NewRunner(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := r.RunAdaptive(context.Background(), AdaptiveConfig{
-			Policy:    adaptive.UCB{},
-			Budget:    6, // partial budget: allocation actually matters
-			RoundSize: 2,
-		})
+		rs, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,15 +185,17 @@ func TestAdaptivePoliciesBeatUniformOnLethalCell(t *testing.T) {
 		roundSize             = 16
 	)
 	run := func(policy adaptive.Policy, budget int) *ResultSet {
-		r, err := NewRunner(lethalGrid(t, cells, missions, reps, violationsPer))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := r.RunAdaptive(context.Background(), AdaptiveConfig{
+		cfg := lethalGrid(t, cells, missions, reps, violationsPer)
+		cfg.Adaptive = &AdaptiveConfig{
 			Policy:    policy,
 			Budget:    budget,
 			RoundSize: roundSize,
-		})
+		}
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,17 +229,19 @@ func TestAdaptivePoliciesBeatUniformOnLethalCell(t *testing.T) {
 // TestAdaptiveRoundProgress pins the per-round observer: rounds arrive in
 // order, episode counts sum to the budget, and the running totals match.
 func TestAdaptiveRoundProgress(t *testing.T) {
-	r, err := NewRunner(lethalGrid(t, 4, 4, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rounds []RoundStats
-	rs, err := r.RunAdaptive(context.Background(), AdaptiveConfig{
+	cfg := lethalGrid(t, 4, 4, 2, 3)
+	cfg.Adaptive = &AdaptiveConfig{
 		Policy:        adaptive.UCB{},
 		Budget:        16,
 		RoundSize:     4,
 		RoundProgress: func(s RoundStats) { rounds = append(rounds, s) },
-	})
+	}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,22 +268,26 @@ func TestAdaptiveRoundProgress(t *testing.T) {
 	}
 }
 
+// TestAdaptiveConfigValidation: a bad adaptive config fails at NewRunner
+// (and so at Lower, which runs the same spec checks), before any episode
+// is dispatched.
 func TestAdaptiveConfigValidation(t *testing.T) {
-	r, err := NewRunner(lethalGrid(t, 2, 2, 1, 1))
-	if err != nil {
-		t.Fatal(err)
+	withAdaptive := func(cfg Config, a AdaptiveConfig) Config {
+		cfg.Adaptive = &a
+		return cfg
 	}
-	if _, err := r.RunAdaptive(context.Background(), AdaptiveConfig{}); err == nil {
+	grid := lethalGrid(t, 2, 2, 1, 1)
+	if _, err := NewRunner(withAdaptive(grid, AdaptiveConfig{})); err == nil {
 		t.Error("nil policy accepted")
 	}
-	if _, err := r.RunAdaptive(context.Background(), AdaptiveConfig{
+	if _, err := NewRunner(withAdaptive(grid, AdaptiveConfig{
 		Policy: adaptive.Uniform{}, Budget: -1,
-	}); err == nil {
+	})); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, err := r.RunAdaptive(context.Background(), AdaptiveConfig{
+	if _, err := NewRunner(withAdaptive(grid, AdaptiveConfig{
 		Policy: adaptive.Uniform{}, RoundSize: -1,
-	}); err == nil {
+	})); err == nil {
 		t.Error("negative round size accepted")
 	}
 
@@ -285,27 +297,72 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Name: "twin", New: func() interface{} { return struct{}{} }},
 		{Name: "twin", New: func() interface{} { return struct{}{} }},
 	})
-	rd, err := NewRunner(dup)
-	if err != nil {
+	if _, err := NewRunner(dup); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.RunAdaptive(context.Background(), AdaptiveConfig{
+	if _, err := NewRunner(withAdaptive(dup, AdaptiveConfig{
 		Policy: adaptive.Uniform{},
-	}); err == nil || !strings.Contains(err.Error(), "share keys") {
+	})); err == nil || !strings.Contains(err.Error(), "share keys") {
 		t.Errorf("duplicate cell keys = %v, want rejection", err)
+	}
+	dupMatrix := tinyConfig(t, nil)
+	dupMatrix.Matrix = &ScenarioMatrix{Injectors: dup.Injectors}
+	if _, err := NewRunner(withAdaptive(dupMatrix, AdaptiveConfig{
+		Policy: adaptive.Uniform{},
+	})); err == nil || !strings.Contains(err.Error(), "share keys") {
+		t.Errorf("duplicate matrix cell labels = %v, want rejection", err)
+	}
+
+	// The same checks refuse a spec at Lower (a 400 from POST /campaigns).
+	for name, spec := range map[string]CampaignSpec{
+		"negative budget":     {Injectors: []string{"noinject"}, Adaptive: &AdaptiveSpec{Policy: "ucb", Budget: -1}},
+		"negative round size": {Injectors: []string{"noinject"}, Adaptive: &AdaptiveSpec{Policy: "ucb", RoundSize: -1}},
+		"duplicate columns":   {Injectors: []string{"gaussian", "gaussian"}, Adaptive: &AdaptiveSpec{Policy: "uniform"}},
+	} {
+		spec.Missions, spec.Repetitions = 1, 1
+		if _, err := spec.Lower(); err == nil {
+			t.Errorf("Lower accepted a spec with %s", name)
+		}
 	}
 }
 
 // TestAdaptiveExternalCancel: cancelling the context aborts the round loop
-// with the cause, mirroring RunContext.
+// with the cause, as it aborts a sweep.
 func TestAdaptiveExternalCancel(t *testing.T) {
-	r, err := NewRunner(lethalGrid(t, 2, 2, 2, 1))
+	cfg := lethalGrid(t, 2, 2, 2, 1)
+	cfg.Adaptive = &AdaptiveConfig{Policy: adaptive.Uniform{}}
+	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunAdaptive(ctx, AdaptiveConfig{Policy: adaptive.Uniform{}}); err != context.Canceled {
-		t.Errorf("RunAdaptive on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := r.RunContext(ctx); err != context.Canceled {
+		t.Errorf("adaptive RunContext on cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// shortPolicy allocates one cell too few, a malformed plan.
+type shortPolicy struct{ adaptive.Uniform }
+
+func (shortPolicy) Allocate(_, _ int, cells []adaptive.CellStats, _ *rng.Stream) []int {
+	return make([]int, len(cells)-1)
+}
+
+// TestAdaptivePolicyErrorFailsRun: a malformed allocation fails the run
+// with the policy's error through the shared teardown, and the status
+// reads failed.
+func TestAdaptivePolicyErrorFailsRun(t *testing.T) {
+	cfg := lethalGrid(t, 2, 2, 2, 1)
+	cfg.Adaptive = &AdaptiveConfig{Policy: shortPolicy{}}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "allocated 1 cells, want 2") {
+		t.Fatalf("Run = %v, want the malformed allocation's error", err)
+	}
+	if st := r.Status(); st.State != "failed" || st.Mode != "adaptive" || !strings.Contains(st.Err, "allocated") {
+		t.Errorf("status = %s/%s %q, want failed/adaptive with the policy error", st.State, st.Mode, st.Err)
 	}
 }

@@ -74,6 +74,11 @@ type Config struct {
 	Missions int
 	// Repetitions is how many seeds run per (mission, injector).
 	Repetitions int
+	// Adaptive, when set, replaces the exhaustive sweep with risk-driven
+	// episode allocation: rounds of episodes whose split over the scenario
+	// columns a policy chooses from the outcomes observed so far
+	// (ResultSet.Adaptive reports it). Nil runs the full sweep.
+	Adaptive *AdaptiveConfig
 	// NumNPCs and NumPedestrians populate each episode.
 	NumNPCs        int
 	NumPedestrians int
@@ -232,7 +237,7 @@ func (c Config) validateSpec() error {
 		sources = c.Matrix.Injectors
 	} else if len(c.Injectors) == 0 {
 		return fmt.Errorf("campaign: no injectors")
-	} else if err := checkWire(c.Weather, Density{NPCs: c.NumNPCs, Pedestrians: c.NumPedestrians}); err != nil {
+	} else if err := checkEnvironment(c.Weather, Density{NPCs: c.NumNPCs, Pedestrians: c.NumPedestrians}); err != nil {
 		return err
 	}
 	if c.Missions <= 0 || c.Repetitions <= 0 {
@@ -249,7 +254,43 @@ func (c Config) validateSpec() error {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	}
+	if a := c.Adaptive; a != nil {
+		if a.Policy == nil {
+			return fmt.Errorf("campaign: adaptive: no policy")
+		}
+		if a.Budget < 0 || a.RoundSize < 0 {
+			return fmt.Errorf("campaign: adaptive: budget=%d roundSize=%d must be non-negative",
+				a.Budget, a.RoundSize)
+		}
+		// Duplicate column keys would fold every record into the first
+		// matching posterior, leaving its twin reading as forever
+		// unexplored — an allocation trap sweeps don't have, so refuse
+		// what sweeps tolerate.
+		cells := c.cells()
+		if distinct := len(cellIndex(cells)); distinct != len(cells) {
+			return fmt.Errorf("campaign: adaptive: %d of %d scenario columns share keys; adaptive allocation needs distinct cells",
+				len(cells)-distinct, len(cells))
+		}
+	}
 	return nil
+}
+
+// cells resolves the configuration's scenario columns: one per matrix
+// point keyed by its label, or one per flat injector keyed by its name.
+func (c Config) cells() []runCell {
+	var cells []runCell
+	if c.Matrix != nil {
+		for _, sc := range c.Matrix.Cells() {
+			cells = append(cells, runCell{sc, sc.Label()})
+		}
+		return cells
+	}
+	density := Density{NPCs: c.NumNPCs, Pedestrians: c.NumPedestrians}
+	for _, src := range c.Injectors {
+		sc := ScenarioCell{Injector: src, Weather: c.Weather, Density: density, AEB: c.EnableAEB}
+		cells = append(cells, runCell{sc, src.Name})
+	}
+	return cells
 }
 
 // EngineStats describes one persistent engine's work for a campaign run.
@@ -299,8 +340,8 @@ type ResultSet struct {
 	// Pool reports the sharded engine pool in detail: per-engine stats,
 	// episode retries, and backend replacements.
 	Pool PoolStats
-	// Adaptive reports the orchestrator's round-by-round allocation when
-	// the campaign ran via RunAdaptive (nil for exhaustive sweeps).
+	// Adaptive reports the round-by-round allocation of a campaign run
+	// with Config.Adaptive (nil for exhaustive sweeps).
 	Adaptive *AdaptiveStats `json:",omitempty"`
 }
 
@@ -362,18 +403,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 			return nil, err
 		}
 	}
-	r := &Runner{cfg: cfg, world: w, agent: a, worldHash: cfg.World.Hash()}
-	if cfg.Matrix != nil {
-		for _, c := range cfg.Matrix.Cells() {
-			r.cells = append(r.cells, runCell{c, c.Label()})
-		}
-	} else {
-		density := Density{NPCs: cfg.NumNPCs, Pedestrians: cfg.NumPedestrians}
-		for _, src := range cfg.Injectors {
-			c := ScenarioCell{Injector: src, Weather: cfg.Weather, Density: density, AEB: cfg.EnableAEB}
-			r.cells = append(r.cells, runCell{c, src.Name})
-		}
-	}
+	r := &Runner{cfg: cfg, world: w, agent: a, cells: cfg.cells(), worldHash: cfg.World.Hash()}
 
 	missionStream := rng.New(cfg.Seed).Split("missions")
 	for m := 0; m < cfg.Missions; m++ {

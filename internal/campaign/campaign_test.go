@@ -112,8 +112,32 @@ func TestWireRangeFailsByName(t *testing.T) {
 		}
 	}
 	spec := CampaignSpec{Injectors: []string{fault.NoopName}, Missions: 1, Repetitions: 1, NPCs: 65536}
-	if _, _, err := spec.Lower(); !errors.Is(err, proto.ErrWireRange) {
+	if _, err := spec.Lower(); !errors.Is(err, proto.ErrWireRange) {
 		t.Errorf("Lower = %v, want proto.ErrWireRange", err)
+	}
+
+	// In the wire's range but past what a worker builds or renders: the
+	// campaign refuses it up front too, not episode by episode on the
+	// worker (whose refusal would be retried as a session error).
+	crowd := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
+	crowd.NumPedestrians = sim.MaxActors + 1
+	oddWeather := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
+	oddWeather.Weather = 200
+	matrixCrowd := tinyConfig(t, nil)
+	matrixCrowd.Matrix = &ScenarioMatrix{
+		Injectors: []InjectorSource{Registry(fault.NoopName)},
+		Densities: []Density{{NPCs: sim.MaxActors + 1}},
+	}
+	matrixWeather := tinyConfig(t, nil)
+	matrixWeather.Matrix = &ScenarioMatrix{
+		Injectors: []InjectorSource{Registry(fault.NoopName)},
+		Weathers:  []world.Weather{world.WeatherClear, 200},
+	}
+	for name, cfg := range map[string]Config{"flat crowd": crowd, "flat weather": oddWeather,
+		"matrix crowd": matrixCrowd, "matrix weather": matrixWeather} {
+		if err := cfg.Validate(); err == nil || errors.Is(err, proto.ErrWireRange) {
+			t.Errorf("%s: Validate = %v, want the episode bound's refusal", name, err)
+		}
 	}
 
 	r, err := NewRunner(tinyConfig(t, []InjectorSource{Registry(fault.NoopName)}))

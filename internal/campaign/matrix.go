@@ -80,23 +80,30 @@ func (m ScenarioMatrix) Validate() error {
 		}
 	}
 	for _, w := range m.Weathers {
-		if err := checkWire(w, Density{}); err != nil {
+		if err := checkEnvironment(w, Density{}); err != nil {
 			return err
 		}
 	}
 	for _, d := range m.Densities {
-		if err := checkWire(world.WeatherClear, d); err != nil {
+		if err := checkEnvironment(world.WeatherClear, d); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkWire fails a campaign up front on a weather or actor count that
-// Client.RunEpisode would refuse in each of its episodes.
-func checkWire(w world.Weather, d Density) error {
-	cfg := sim.EpisodeConfig{Weather: w, NumNPCs: d.NPCs, NumPedestrians: d.Pedestrians}
-	if err := proto.CheckEpisodeConfig(cfg); err != nil {
+// checkEnvironment fails a campaign up front on a weather or actor count
+// that every one of its episodes would be refused: by Client.RunEpisode
+// for the wire's widths, or by the worker's sim.EpisodeConfig.Validate.
+// The mission is a placeholder — missions are sampled later, and checked
+// per episode.
+func checkEnvironment(w world.Weather, d Density) error {
+	cfg := sim.EpisodeConfig{From: 0, To: 1, Weather: w, NumNPCs: d.NPCs, NumPedestrians: d.Pedestrians}
+	err := proto.CheckEpisodeConfig(cfg)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil

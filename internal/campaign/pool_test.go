@@ -161,8 +161,8 @@ func TestFatalErrorCancelsDispatch(t *testing.T) {
 	if _, err := r.Run(); err == nil {
 		t.Fatal("campaign with an always-failing factory succeeded")
 	}
-	if jobs := len(r.jobs()); jobs < 4 {
-		t.Fatalf("test needs several jobs, got %d", jobs)
+	if jobs, _ := r.pendingSlots(nil); len(jobs) < 4 {
+		t.Fatalf("test needs several jobs, got %d", len(jobs))
 	}
 	if calls != 1 {
 		t.Errorf("factory saw %d sessions after a fatal first episode, want 1 (dispatch not cancelled)", calls)
@@ -329,7 +329,8 @@ func BenchmarkCampaignPool(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		episodes := len(r.jobs())
+		jobs, _ := r.pendingSlots(nil)
+		episodes := len(jobs)
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"reflect"
 	"sync"
@@ -349,24 +348,27 @@ func TestDistributedDeterminismMatrix(t *testing.T) {
 	})
 
 	for _, policy := range []adaptive.Policy{adaptive.Uniform{}, adaptive.SuccessiveHalving{}, adaptive.UCB{}} {
-		acfg := AdaptiveConfig{Policy: policy, Budget: 6, RoundSize: 2}
+		acfg := &AdaptiveConfig{Policy: policy, Budget: 6, RoundSize: 2}
 		t.Run("adaptive-"+policy.Name(), func(t *testing.T) {
-			baseline, err := NewRunner(base())
+			cfg := base()
+			cfg.Adaptive = acfg
+			baseline, err := NewRunner(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := baseline.RunAdaptive(context.Background(), acfg)
+			want, err := baseline.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, v := range variants {
 				t.Run(v.name, func(t *testing.T) {
 					cfg, sinks := configure(v)
+					cfg.Adaptive = acfg
 					r, err := NewRunner(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := r.RunAdaptive(context.Background(), acfg)
+					got, err := r.Run()
 					if err != nil {
 						t.Fatal(err)
 					}

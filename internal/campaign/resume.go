@@ -24,9 +24,9 @@ type pairKey struct {
 }
 
 // cellIndex maps each scenario column key to its first cell index.
-func (r *Runner) cellIndex() map[string]int {
-	idx := make(map[string]int, len(r.cells))
-	for i, c := range r.cells {
+func cellIndex(cells []runCell) map[string]int {
+	idx := make(map[string]int, len(cells))
+	for i, c := range cells {
 		if _, ok := idx[c.key]; !ok {
 			idx[c.key] = i
 		}
@@ -37,15 +37,15 @@ func (r *Runner) cellIndex() map[string]int {
 // seedResume streams the configured resume records, reconciling each
 // against this campaign's grid and handing the usable ones to seedFn one
 // at a time — the O(1)-memory resume path. It returns the set of slots on
-// record, which pendingJobs subtracts from the sweep. Records for unknown
-// columns or out-of-range slots are dropped (they belong to a different
-// configuration), and duplicate slots keep the first record.
+// record, which pendingSlots leaves out of the campaign's jobs. Records
+// for unknown columns or out-of-range slots are dropped (they belong to a
+// different configuration), and duplicate slots keep the first record.
 func (r *Runner) seedResume(seedFn func(metrics.EpisodeRecord)) (map[pairKey]bool, error) {
 	src := r.cfg.ResumeFrom
 	if src == nil {
 		return nil, nil
 	}
-	cellIdx := r.cellIndex()
+	cellIdx := cellIndex(r.cells)
 	skip := make(map[pairKey]bool)
 	for {
 		rec, err := src.Read()
@@ -69,18 +69,23 @@ func (r *Runner) seedResume(seedFn func(metrics.EpisodeRecord)) (map[pairKey]boo
 	}
 }
 
-// pendingJobs is the campaign's static job list minus the slots already on
-// record.
-func (r *Runner) pendingJobs(skip map[pairKey]bool) []job {
-	jobs := r.jobs()
-	if len(skip) == 0 {
-		return jobs
-	}
-	pending := jobs[:0]
-	for _, j := range jobs {
-		if !skip[pairKey{cell: j.cellIdx, mission: j.mission, repetition: j.repetition}] {
-			pending = append(pending, j)
+// pendingSlots lists the episode slots not on record, in the static
+// sweep's order (cell, then mission, then repetition): pending is the
+// sweep's job list, and queues cuts the same slots into one queue per
+// cell, which the adaptive round loop pops from the front.
+func (r *Runner) pendingSlots(skip map[pairKey]bool) (pending []job, queues [][]job) {
+	pending = make([]job, 0, len(r.cells)*len(r.missions)*r.cfg.Repetitions)
+	queues = make([][]job, len(r.cells))
+	for i := range r.cells {
+		start := len(pending)
+		for m := range r.missions {
+			for rep := 0; rep < r.cfg.Repetitions; rep++ {
+				if !skip[pairKey{cell: i, mission: m, repetition: rep}] {
+					pending = append(pending, job{cellIdx: i, mission: m, repetition: rep})
+				}
+			}
 		}
+		queues[i] = pending[start:len(pending):len(pending)]
 	}
-	return pending
+	return pending, queues
 }

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"io"
 	"reflect"
 	"testing"
@@ -156,14 +155,15 @@ func TestAdaptiveResumeSeedsPosteriors(t *testing.T) {
 	half := append([]metrics.EpisodeRecord(nil), want.Records[:len(want.Records)/2]...)
 	cfg := resumeBase(t)
 	cfg.ResumeFrom = &sliceSource{recs: half}
+	cfg.Adaptive = &AdaptiveConfig{
+		Policy:    adaptive.Uniform{},
+		RoundSize: 3,
+	}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RunAdaptive(context.Background(), AdaptiveConfig{
-		Policy:    adaptive.Uniform{},
-		RoundSize: 3,
-	})
+	got, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

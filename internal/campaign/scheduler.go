@@ -36,38 +36,59 @@ func transientEpisodeError(err error) bool {
 		errors.Is(err, net.ErrClosed)
 }
 
-// jobs expands the campaign's full episode list in deterministic order.
-func (r *Runner) jobs() []job {
-	jobs := make([]job, 0, len(r.cells)*len(r.missions)*r.cfg.Repetitions)
-	for i := range r.cells {
-		for m := range r.missions {
-			for rep := 0; rep < r.cfg.Repetitions; rep++ {
-				jobs = append(jobs, job{cellIdx: i, mission: m, repetition: rep})
-			}
-		}
-	}
-	return jobs
-}
-
-// scheduler dispatches episodes onto the engine pool with bounded retry of
-// transient failures.
-type scheduler struct {
-	pool       *enginePool
-	run        func(*engine, job) (metrics.EpisodeRecord, error)
-	maxRetries int
-	// gate, when non-nil, throttles dispatch onto a shared fleet with
-	// round-robin fairness across campaigns; gateID is this campaign's
-	// identity at the gate. A slot is held across retry attempts — a
-	// retried episode is still one episode of fleet work.
+// runSession dispatches episodes onto a started engine pool with bounded
+// retry of transient failures. It is re-entrant: the sweep runs one batch
+// on it, the adaptive round loop one batch per round, so an adaptive
+// campaign dials its backends exactly once, not once per round.
+type runSession struct {
+	pool        *enginePool
+	run         func(*engine, job) (metrics.EpisodeRecord, error)
+	maxRetries  int
+	parallelism int
+	// gate, when non-nil, marks a session borrowing a Service's fleet
+	// pool: dispatch is throttled round-robin across campaigns (gateID is
+	// this campaign's identity at the gate), and close leaves the pool,
+	// which outlives this campaign, alone. A slot is held across retry
+	// attempts — a retried episode is still one episode of fleet work.
 	gate   *fairGate
 	gateID string
+}
+
+// newRunSession sizes the worker pool and starts the engines. maxBatch
+// bounds useful parallelism: no single runJobs call will carry more jobs
+// than it, so workers (and engines) beyond it would idle. Campaigns
+// submitted to a Service (cfg.fleet) borrow the fleet's long-lived pool
+// instead of starting engines of their own.
+func (r *Runner) newRunSession(maxBatch int) (*runSession, error) {
+	s := &runSession{run: r.runEpisode, maxRetries: r.cfg.Pool.MaxRetries}
+	if r.cfg.testRunEpisode != nil {
+		s.run = r.cfg.testRunEpisode
+	}
+	fl := r.cfg.fleet
+	parallelism := r.cfg.Parallelism
+	if fl != nil {
+		parallelism = fl.parallelism
+	} else if parallelism <= 0 {
+		parallelism = runtime.NumCPU()
+	}
+	s.parallelism = max(1, min(parallelism, maxBatch))
+	if fl != nil {
+		s.pool, s.gate, s.gateID = fl.pool, fl.gate, r.cfg.fleetID
+		return s, nil
+	}
+	pool, err := newEnginePool(r.startEngine, r.cfg.Pool.PoolSize(s.parallelism))
+	if err != nil {
+		return nil, err
+	}
+	s.pool = pool
+	return s, nil
 }
 
 // runJob executes one episode, re-dispatching it (onto the then
 // least-loaded, possibly freshly replaced engine) after transient failures.
 // Episodes are a pure function of their seed, so a retried episode produces
 // the identical record a first-try success would have.
-func (s *scheduler) runJob(ctx context.Context, j job) (metrics.EpisodeRecord, error) {
+func (s *runSession) runJob(ctx context.Context, j job) (metrics.EpisodeRecord, error) {
 	if s.gate != nil {
 		if err := s.gate.acquire(ctx, s.gateID); err != nil {
 			return metrics.EpisodeRecord{}, err
@@ -111,68 +132,6 @@ func (s *scheduler) runJob(ctx context.Context, j job) (metrics.EpisodeRecord, e
 	}
 }
 
-// runSession is the re-entrant dispatch substrate: a started engine pool
-// plus its scheduler and worker sizing, able to run successive job batches
-// on the same engines before one teardown. RunContext uses it for a single
-// batch (the full sweep); RunAdaptive reuses it round after round, so an
-// adaptive campaign dials its backends exactly once, not once per round.
-type runSession struct {
-	pool        *enginePool
-	sched       *scheduler
-	parallelism int
-	// shared marks a session borrowing a Service's fleet pool: close is a
-	// no-op (the pool outlives this campaign) and dispatch runs behind the
-	// fleet's fairness gate.
-	shared bool
-}
-
-// newRunSession sizes the worker pool and starts the engines. maxBatch
-// bounds useful parallelism: no single runJobs call will carry more jobs
-// than it, so workers (and engines) beyond it would idle. Campaigns
-// submitted to a Service (cfg.fleet) borrow the fleet's long-lived pool
-// instead of starting engines of their own.
-func (r *Runner) newRunSession(maxBatch int) (*runSession, error) {
-	run := r.runEpisode
-	if r.cfg.testRunEpisode != nil {
-		run = r.cfg.testRunEpisode
-	}
-	if fl := r.cfg.fleet; fl != nil {
-		parallelism := fl.parallelism
-		if parallelism > maxBatch {
-			parallelism = maxBatch
-		}
-		if parallelism < 1 {
-			parallelism = 1
-		}
-		return &runSession{
-			pool: fl.pool,
-			sched: &scheduler{pool: fl.pool, run: run, maxRetries: r.cfg.Pool.MaxRetries,
-				gate: fl.gate, gateID: r.cfg.fleetID},
-			parallelism: parallelism,
-			shared:      true,
-		}, nil
-	}
-	parallelism := r.cfg.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	if parallelism > maxBatch {
-		parallelism = maxBatch
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	pool, err := newEnginePool(r.startEngine, r.cfg.Pool.PoolSize(parallelism))
-	if err != nil {
-		return nil, err
-	}
-	return &runSession{
-		pool:        pool,
-		sched:       &scheduler{pool: pool, run: run, maxRetries: r.cfg.Pool.MaxRetries},
-		parallelism: parallelism,
-	}, nil
-}
-
 // runJobs dispatches one batch of episodes onto the session's pool,
 // delivering each finished record to consume (from worker goroutines,
 // concurrently). The first fatal episode error cancels ctx via cancel:
@@ -206,7 +165,7 @@ func (s *runSession) runJobs(ctx context.Context, cancel context.CancelCauseFunc
 				if !j.enqueued.IsZero() {
 					telemetry.PhaseQueueWait.Observe(time.Since(j.enqueued).Seconds())
 				}
-				rec, err := s.sched.runJob(ctx, j)
+				rec, err := s.runJob(ctx, j)
 				if err != nil {
 					cancel(err)
 					return
@@ -234,26 +193,27 @@ feed:
 // close tears the session's engine pool down. Sessions on a shared fleet
 // leave the pool alone — it belongs to the Service and outlives them.
 func (s *runSession) close() error {
-	if s.shared {
+	if s.gate != nil {
 		return nil
 	}
 	return s.pool.close()
 }
 
-// Run executes the full sweep and aggregates reports; it is RunContext
-// without external cancellation.
+// Run executes the campaign; it is RunContext without external
+// cancellation.
 func (r *Runner) Run() (*ResultSet, error) { return r.RunContext(context.Background()) }
 
-// RunContext executes the full sweep on a sharded pool of persistent
+// RunContext executes the campaign on a sharded pool of persistent
 // engines (PoolConfig.Engines servers/clients/connections; one for the
-// classic single-engine shape) and streams every finished episode through
-// the results pipeline: incremental per-cell aggregation, the optional
-// RecordSink, and — unless Config.DiscardRecords — retention for
+// classic single-engine shape): the full sweep, or with Config.Adaptive
+// the risk-driven round loop (adaptive.go). Every finished episode streams
+// through the results pipeline: incremental per-cell aggregation, the
+// optional RecordSink, and — unless Config.DiscardRecords — retention for
 // ResultSet.Records. Episodes already present in Config.ResumeFrom are
 // folded into the results without being re-run.
 //
 // The first fatal episode error cancels dispatch: in-flight episodes
-// finish, the remaining job list is abandoned, and the error is returned.
+// finish, the remaining jobs are abandoned, and the error is returned.
 // Cancelling ctx does the same with ctx's cause. Transient failures
 // (session aborts, dead backends) are retried within PoolConfig.MaxRetries
 // and dead engines are replaced, so one lost backend costs a re-dispatch,
@@ -267,24 +227,41 @@ func (r *Runner) RunContext(ctx context.Context) (*ResultSet, error) {
 		func(err error) { cancel(err) }, r.cfg.Progress)
 	// Resume records stream through the pipeline's seed one at a time —
 	// only their slot keys are retained here — before the shard goroutines
-	// take ownership of the builders.
-	skip, err := r.seedResume(pipe.seed)
+	// take ownership of the builders. An adaptive run also folds them into
+	// its posteriors.
+	seed := pipe.seed
+	var loop *roundLoop
+	if r.cfg.Adaptive != nil {
+		loop = r.newRoundLoop()
+		seed = func(rec metrics.EpisodeRecord) { pipe.seed(rec); loop.observe(rec) }
+	}
+	skip, err := r.seedResume(seed)
 	if err != nil {
 		pipe.abandon()
 		return nil, err
 	}
-	jobs := r.pendingJobs(skip)
+	pending, queues := r.pendingSlots(skip)
+	mode, planned, maxBatch := "sweep", len(pending), len(pending)
+	if loop != nil {
+		loop.resolve(len(pending))
+		mode, planned, maxBatch = "adaptive", loop.budget, min(loop.roundSize, loop.budget)
+	}
 
-	sess, err := r.newRunSession(len(jobs))
+	sess, err := r.newRunSession(maxBatch)
 	if err != nil {
 		pipe.abandon()
 		return nil, err
 	}
-	r.beginRun("sweep", len(jobs), sess.pool)
-	telemetry.Infof("campaign: sweep started: %d episodes over %d cells, parallelism %d",
-		len(jobs), len(r.cells), sess.parallelism)
+	r.beginRun(mode, planned, sess.pool)
 	pipe.start(sess.parallelism)
-	sess.runJobs(ctx, cancel, jobs, pipe.consume)
+	var astats *AdaptiveStats
+	if loop != nil {
+		astats = loop.run(ctx, cancel, sess, pipe.consume, queues)
+	} else {
+		telemetry.Infof("campaign: sweep started: %d episodes over %d cells, parallelism %d",
+			len(pending), len(r.cells), sess.parallelism)
+		sess.runJobs(ctx, cancel, pending, pipe.consume)
+	}
 
 	poolStats, engineAgg := sess.pool.snapshot()
 	closeErr := sess.close()
@@ -306,9 +283,10 @@ func (r *Runner) RunContext(ctx context.Context) (*ResultSet, error) {
 	}
 	r.endRun(nil)
 	return &ResultSet{
-		Records: records,
-		Reports: reports,
-		Engine:  engineAgg,
-		Pool:    poolStats,
+		Records:  records,
+		Reports:  reports,
+		Engine:   engineAgg,
+		Pool:     poolStats,
+		Adaptive: astats,
 	}, nil
 }

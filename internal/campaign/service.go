@@ -425,7 +425,7 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 	}
 	id := fmt.Sprintf("c%d", serviceCampaignSeq.Add(1))
 	sink := &memorySink{}
-	cfg, adaptive, err := spec.Lower()
+	cfg, err := spec.Lower()
 	if err != nil {
 		return "", err
 	}
@@ -478,13 +478,13 @@ func (s *Service) Submit(spec CampaignSpec) (string, error) {
 	telemetry.ServiceCampaignsActive.Add(1)
 	telemetry.Infof("campaign: service: campaign %s submitted (%d episodes planned-ish, adaptive=%v)",
 		id, spec.Missions*spec.Repetitions, spec.Adaptive != nil)
-	go s.runCampaign(c, adaptive)
+	go s.runCampaign(c)
 	return id, nil
 }
 
 // runCampaign waits for fleet capacity, runs the campaign, and records
 // its terminal state.
-func (s *Service) runCampaign(c *serviceCampaign, adaptive *AdaptiveConfig) {
+func (s *Service) runCampaign(c *serviceCampaign) {
 	defer s.wg.Done()
 	defer close(c.done)
 	defer telemetry.ServiceCampaignsActive.Add(-1)
@@ -492,11 +492,7 @@ func (s *Service) runCampaign(c *serviceCampaign, adaptive *AdaptiveConfig) {
 	var rs *ResultSet
 	err := s.awaitCapacity(s.ctx)
 	if err == nil {
-		if adaptive != nil {
-			rs, err = c.runner.RunAdaptive(s.ctx, *adaptive)
-		} else {
-			rs, err = c.runner.RunContext(s.ctx)
-		}
+		rs, err = c.runner.RunContext(s.ctx)
 	}
 	c.mu.Lock()
 	c.result, c.err = rs, err

@@ -797,7 +797,7 @@ func TestServiceSubmitValidation(t *testing.T) {
 // the suites they name, and a malformed density is refused at submit time
 // whatever trails the numbers.
 func TestSpecLowerSelectors(t *testing.T) {
-	cfg, _, err := CampaignSpec{Injectors: []string{"taxonomy"}, Missions: 1, Repetitions: 1}.Lower()
+	cfg, err := CampaignSpec{Injectors: []string{"taxonomy"}, Missions: 1, Repetitions: 1}.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,19 +146,6 @@ func (m *MatrixSpec) matrix(injectors []InjectorSource) (*ScenarioMatrix, error)
 	return out, nil
 }
 
-// adaptiveConfig lowers the spec onto AdaptiveConfig.
-func (a *AdaptiveSpec) adaptiveConfig() (*AdaptiveConfig, error) {
-	pol, err := adaptive.ParsePolicy(a.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: adaptive spec: %w", err)
-	}
-	if a.Budget < 0 || a.RoundSize < 0 {
-		return nil, fmt.Errorf("campaign: adaptive spec: budget=%d round_size=%d must be non-negative",
-			a.Budget, a.RoundSize)
-	}
-	return &AdaptiveConfig{Policy: pol, Budget: a.Budget, RoundSize: a.RoundSize}, nil
-}
-
 // Lower resolves the spec into the campaign it describes: the injector
 // columns, the episode grid, the flat environment or the scenario matrix,
 // the per-episode retry bound and, when Adaptive is set, the adaptive
@@ -167,10 +154,10 @@ func (a *AdaptiveSpec) adaptiveConfig() (*AdaptiveConfig, error) {
 // (every registered injector of one fault class). World, agent, pool
 // shape and record sinks are the caller's: the service fills them from
 // its shared fleet, cmd/avfi from its flags; the rest is validated here.
-func (spec CampaignSpec) Lower() (Config, *AdaptiveConfig, error) {
+func (spec CampaignSpec) Lower() (Config, error) {
 	injectors, err := injectorColumns(spec.Injectors)
 	if err != nil {
-		return Config{}, nil, err
+		return Config{}, err
 	}
 	cfg := Config{
 		Missions:    spec.Missions,
@@ -180,27 +167,28 @@ func (spec CampaignSpec) Lower() (Config, *AdaptiveConfig, error) {
 	}
 	if spec.Matrix != nil {
 		if cfg.Matrix, err = spec.Matrix.matrix(injectors); err != nil {
-			return Config{}, nil, err
+			return Config{}, err
 		}
 	} else {
 		if cfg.Weather, err = parseWeatherName(spec.Weather); err != nil {
-			return Config{}, nil, err
+			return Config{}, err
 		}
 		cfg.Injectors = injectors
 		cfg.NumNPCs = spec.NPCs
 		cfg.NumPedestrians = spec.Pedestrians
 		cfg.EnableAEB = spec.AEB
 	}
-	if err := cfg.validateSpec(); err != nil {
-		return Config{}, nil, err
-	}
-	var acfg *AdaptiveConfig
-	if spec.Adaptive != nil {
-		if acfg, err = spec.Adaptive.adaptiveConfig(); err != nil {
-			return Config{}, nil, err
+	if a := spec.Adaptive; a != nil {
+		pol, err := adaptive.ParsePolicy(a.Policy)
+		if err != nil {
+			return Config{}, fmt.Errorf("campaign: adaptive spec: %w", err)
 		}
+		cfg.Adaptive = &AdaptiveConfig{Policy: pol, Budget: a.Budget, RoundSize: a.RoundSize}
 	}
-	return cfg, acfg, nil
+	if err := cfg.validateSpec(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
 }
 
 // injectorColumns expands a spec's injector entries into campaign columns,

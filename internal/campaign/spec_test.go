@@ -12,7 +12,7 @@ import (
 // way the service does, and lowers the spec: Lower never panics, and a
 // spec it accepts yields a Config that Validate accepts once the caller's
 // share (world, agent) is filled in. Seeds are the specs service_test.go
-// submits.
+// submits, plus adaptive specs Lower must refuse.
 func FuzzCampaignSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"injectors":["noinject","gaussian"],"missions":2,"repetitions":2,"seed":3}`,
@@ -28,6 +28,11 @@ func FuzzCampaignSpec(f *testing.F) {
 		`{"injectors":["taxonomy"],"missions":1,"repetitions":1}`,
 		`{"injectors":["class:sensor","all"],"missions":1,"repetitions":1,"npcs":4,"pedestrians":2,"aeb":true,"max_retries":2}`,
 		`{"injectors":["noinject"],"missions":1,"repetitions":1,"matrix":{"weathers":["rain","fog"],"densities":["10x4"],"aeb":"both","activation_frames":[0,30]}}`,
+		// Adaptive specs Lower refuses: negative budget, negative round
+		// size, and injector columns that share a key.
+		`{"injectors":["noinject","gaussian"],"missions":2,"repetitions":2,"adaptive":{"policy":"ucb","budget":-1}}`,
+		`{"injectors":["noinject","gaussian"],"missions":2,"repetitions":2,"adaptive":{"policy":"halving","round_size":-1}}`,
+		`{"injectors":["gaussian","gaussian"],"missions":2,"repetitions":2,"adaptive":{"policy":"uniform"}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -38,7 +43,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		if dec.Decode(&spec) != nil {
 			return
 		}
-		cfg, _, err := spec.Lower()
+		cfg, err := spec.Lower()
 		if err != nil {
 			return
 		}

@@ -7,13 +7,13 @@ import (
 
 // CampaignStatus is a point-in-time snapshot of a running (or finished)
 // campaign, built by Runner.Status for the /statusz endpoint: overall
-// progress, per-engine health, per-cell episode timing, and — for
-// RunAdaptive — the live round state. Safe to request from any goroutine
+// progress, per-engine health, per-cell episode timing, and — for an
+// adaptive run — the live round state. Safe to request from any goroutine
 // at any time, including while no run is active.
 type CampaignStatus struct {
 	// State is "idle" (no run started), "running", "done", or "failed".
 	State string `json:"state"`
-	// Mode is "sweep" (RunContext) or "adaptive" (RunAdaptive); empty
+	// Mode is "sweep", or "adaptive" when Config.Adaptive is set; empty
 	// while idle.
 	Mode string `json:"mode,omitempty"`
 	// ElapsedSec is wall-clock seconds since the run began (total run

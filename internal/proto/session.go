@@ -143,6 +143,9 @@ func DecodeOpenEpisode(buf []byte) (*sim.EpisodeConfig, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: open episode: %v", ErrCodec, r.err)
 	}
+	if r.off != len(buf) {
+		return nil, fmt.Errorf("%w: open episode: %d trailing bytes", ErrCodec, len(buf)-r.off)
+	}
 	return &c, nil
 }
 

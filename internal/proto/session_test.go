@@ -185,6 +185,17 @@ func TestOpenEpisodeRoundTrip(t *testing.T) {
 	if _, err := DecodeOpenEpisode(EncodeOpenEpisode(in)[:10]); err == nil {
 		t.Error("truncated open-episode accepted")
 	}
+	if _, err := DecodeOpenEpisode(append(EncodeOpenEpisode(in), 0)); err == nil {
+		t.Error("open-episode with a trailing byte accepted")
+	}
+	// The same open, padded inside its batch entry's length prefix.
+	batch := EncodeOpenEpisodeBatch([]OpenBatchEntry{{SID: 1, Config: *in}})
+	padded := append([]byte(nil), batch[:8]...)
+	padded = appendUint32(padded, uint32(len(batch)-12+2))
+	padded = append(append(padded, batch[12:]...), 0, 0)
+	if _, err := DecodeOpenEpisodeBatch(padded); err == nil {
+		t.Error("batch entry with trailing bytes after its open accepted")
+	}
 }
 
 func TestCheckEpisodeConfig(t *testing.T) {

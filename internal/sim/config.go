@@ -76,13 +76,29 @@ type EpisodeConfig struct {
 	GoalRadius float64
 }
 
+// MaxActors bounds NumNPCs and NumPedestrians, each, per episode. Every
+// actor is stepped, collision-checked and rendered every frame, so a
+// worker building whatever count an open names could be made to spend
+// seconds per frame and megabytes per episode. 1024 is far above the
+// densest scenario any experiment or benchmark here runs (12 NPCs).
+const MaxActors = 1024
+
 // Validate checks the episode configuration.
 func (c EpisodeConfig) Validate() error {
 	if c.From == c.To {
 		return fmt.Errorf("sim: mission start == goal (%d)", c.From)
 	}
+	switch c.Weather {
+	case world.WeatherInvalid, world.WeatherClear, world.WeatherRain, world.WeatherFog:
+	default:
+		return fmt.Errorf("sim: unknown weather %d", int(c.Weather))
+	}
 	if c.NumNPCs < 0 || c.NumPedestrians < 0 {
 		return fmt.Errorf("sim: negative actor count")
+	}
+	if c.NumNPCs > MaxActors || c.NumPedestrians > MaxActors {
+		return fmt.Errorf("sim: %d NPCs and %d pedestrians exceed the bound of %d each",
+			c.NumNPCs, c.NumPedestrians, MaxActors)
 	}
 	if c.TimeoutSec < 0 {
 		return fmt.Errorf("sim: negative timeout")

@@ -66,6 +66,25 @@ func TestNewEpisodeValidation(t *testing.T) {
 	if _, err := w.NewEpisode(EpisodeConfig{From: 0, To: world.NodeID(999)}); err == nil {
 		t.Error("bogus goal did not error")
 	}
+	for _, bad := range []EpisodeConfig{
+		{From: 0, To: 1, NumNPCs: MaxActors + 1},
+		{From: 0, To: 1, NumPedestrians: MaxActors + 1},
+		{From: 0, To: 1, Weather: world.WeatherFog + 1},
+		{From: 0, To: 1, Weather: 200},
+	} {
+		if _, err := w.NewEpisode(bad); err == nil {
+			t.Errorf("%+v did not error", bad)
+		}
+	}
+	for _, ok := range []EpisodeConfig{
+		{From: 0, To: 1, NumNPCs: MaxActors, NumPedestrians: MaxActors},
+		{From: 0, To: 1, Weather: world.WeatherInvalid},
+		{From: 0, To: 1, Weather: world.WeatherFog},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
 }
 
 func TestAutopilotCompletesMissionCleanly(t *testing.T) {
