@@ -162,6 +162,7 @@ func (l *roundLoop) run(ctx context.Context, cancel context.CancelCauseFunc, ses
 	for _, c := range cells {
 		astats.Cells = append(astats.Cells, CellBudget{Cell: c.key})
 	}
+	l.r.setAdaptive(AdaptiveStatus{Policy: astats.Policy, Budget: l.budget, Round: -1})
 	stream := rng.New(l.r.cfg.Seed).Split("adaptive")
 
 	spent, totalViolations := 0, 0

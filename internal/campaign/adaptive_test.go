@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/avfi/avfi/internal/adaptive"
 	"github.com/avfi/avfi/internal/fault"
@@ -265,6 +268,53 @@ func TestAdaptiveRoundProgress(t *testing.T) {
 	}
 	if violations != totalViolations(rs) {
 		t.Errorf("round violations sum to %d, reports say %d", violations, totalViolations(rs))
+	}
+}
+
+// TestAdaptiveStatusDuringFirstRound: the status carries the adaptive
+// block from the start of the round loop (policy, resolved budget, Round
+// -1), not only once a round has ended, which for a one-round campaign is
+// never while it runs. Every episode after the first waits for the first
+// Progress call, so that call happens while round 0 is still running.
+func TestAdaptiveStatusDuringFirstRound(t *testing.T) {
+	cfg := lethalGrid(t, 2, 2, 1, 1)
+	cfg.Adaptive = &AdaptiveConfig{Policy: adaptive.UCB{}, RoundSize: 4}
+	var r *Runner
+	var seen *AdaptiveStatus
+	var once sync.Once
+	observed := make(chan struct{})
+	cfg.Progress = func(CellProgress) {
+		once.Do(func() {
+			seen = r.Status().Adaptive
+			close(observed)
+		})
+	}
+	run := cfg.testRunEpisode
+	var started atomic.Int32
+	cfg.testRunEpisode = func(e *engine, j job) (metrics.EpisodeRecord, error) {
+		if started.Add(1) > 1 {
+			select {
+			case <-observed:
+			case <-time.After(10 * time.Second):
+				t.Error("no Progress call for the first episode")
+			}
+		}
+		return run(e, j)
+	}
+	var err error
+	if r, err = NewRunner(cfg); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Adaptive.Rounds) != 1 {
+		t.Fatalf("ran %d rounds, want the one round the test observes", len(rs.Adaptive.Rounds))
+	}
+	want := AdaptiveStatus{Policy: adaptive.UCB{}.Name(), Budget: 4, Round: -1}
+	if seen == nil || *seen != want {
+		t.Errorf("adaptive status during round 0 = %+v, want %+v", seen, want)
 	}
 }
 

@@ -110,8 +110,9 @@ type Config struct {
 	ShardSinks []RecordSink
 	// Progress, when non-nil, is called after each episode is folded into
 	// its cell's aggregate, with the cell's running aggregate: episodes so
-	// far, the Welford running VPK mean/stddev and the violation tallies —
-	// the live per-cell signal adaptive sampling hooks into. Called from
+	// far, the Welford running VPK mean/stddev and the violation tallies.
+	// It is an observer only: the adaptive round loop keeps its own
+	// posteriors, folded from each finished round's records. Called from
 	// the cell's aggregation goroutine: one cell's updates are ordered, but
 	// with ShardSinks different cells' shards call concurrently, so the
 	// hook must be safe for concurrent use. Keep it fast. Episodes seeded

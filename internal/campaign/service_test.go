@@ -444,19 +444,19 @@ func TestWorkerWithoutHelloRejected(t *testing.T) {
 	}
 }
 
-// TestV1WorkerRejected: a worker speaking protocol version 1 fails the
-// dial on its first message, with a codec error naming both versions, and
-// receives no episode.
-func TestV1WorkerRejected(t *testing.T) {
+// TestV2WorkerRejected: a worker speaking protocol version 2 (opens
+// batched on session 0) fails the dial on its hello, with a codec error
+// naming both versions, and receives nothing.
+func TestV2WorkerRejected(t *testing.T) {
 	hello := proto.EncodeEnvelope(0, proto.EncodeHello(tinyWorldConfig().Hash()))
-	hello[0] = 1 // the envelope's version byte
+	hello[0], hello[6] = 2, 2 // the envelope's and the hello's version bytes
 	addr, received := startFakeWorker(t, hello)
 	err := runAgainst(t, addr)
-	if !errors.Is(err, proto.ErrCodec) || !strings.Contains(err.Error(), "version 1, want 2") {
-		t.Fatalf("Run against a v1 worker = %v, want a codec error naming version 1 and version 2", err)
+	if !errors.Is(err, proto.ErrCodec) || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Fatalf("Run against a v2 worker = %v, want a codec error naming version 2 and version 3", err)
 	}
 	if n := received.Load(); n != 0 {
-		t.Errorf("campaign sent %d messages to a v1 worker", n)
+		t.Errorf("campaign sent %d messages to a v2 worker", n)
 	}
 }
 

@@ -116,7 +116,8 @@ func (r *Runner) noteEpisode(cellIdx int, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// setAdaptive publishes the adaptive round loop's state after each round.
+// setAdaptive publishes the adaptive round loop's state: before the first
+// round (Round -1), then after each round.
 func (r *Runner) setAdaptive(a AdaptiveStatus) {
 	s := &r.status
 	s.mu.Lock()

@@ -8,12 +8,13 @@
 // the chosen location using one of four fault classes:
 //
 //   - Data faults (subpackage imagefault, sensorfault): corrupt sensor
-//     measurements — camera noise and occlusions, GPS drift, speed
-//     corruption, weather flips.
-//   - Hardware faults (subpackage hwfault): single-bit, multi-bit, and
-//     stuck-at faults in sensor payloads and control commands.
-//   - Timing faults (subpackage timingfault): delay, drop, reorder and
-//     replay on the agent<->simulator message path.
+//     measurements — camera noise and occlusions, GPS bias drift,
+//     speedometer corruption, and LIDAR dropout and ghost returns.
+//   - Hardware faults (subpackage hwfault): single- and multi-bit flips in
+//     control commands and camera pixels, and stuck-at control channels.
+//   - Timing faults (subpackage timingfault): delay, drop and reordering
+//     of the agent's control outputs; a delayed or dropped output leaves
+//     the actuator holding its previous command.
 //   - Machine-learning faults (subpackage mlfault): noise and bit flips in
 //     the driving network's parameters.
 //
@@ -22,8 +23,8 @@
 // and real AV incident reports name:
 //
 //   - Communication faults (subpackage commfault): jittered latency,
-//     bursty loss and bounded reordering on the control link, plus a
-//     transport-layer wrapper that perturbs the wire path itself.
+//     bursty loss and bounded reordering on the control link, modelled on
+//     the per-frame control stream like the timing faults.
 //   - Actuator faults (subpackage actuatorfault): stuck, degraded and
 //     biased throttle, brake and steering channels.
 //   - Localization faults (subpackage locfault): GPS random-walk drift

@@ -1,7 +1,7 @@
-// Package sensorfault implements AVFI's non-camera data faults: GPS drift,
-// speedometer corruption, and weather-type perturbation of the rendered
-// scene — the paper's "world measurements (such as car speed or weather
-// type)" fault surface.
+// Package sensorfault implements AVFI's non-camera data faults: GPS bias
+// drift, speedometer corruption (the car-speed half of the paper's "world
+// measurements (such as car speed or weather type)" fault surface), and
+// LIDAR dropout and ghost returns.
 package sensorfault
 
 import (

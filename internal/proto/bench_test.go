@@ -158,9 +158,8 @@ func BenchmarkSensorFrameDelta(b *testing.B) {
 // TCP. Strictly zero is asserted for the codec alone in
 // TestFrameCodecZeroAllocs; here anything below one alloc per frame on
 // average proves the pools are cycling. Telemetry collection is enabled
-// for the run: the hot-path instruments (transport byte/message counters,
-// frame codec counters, writev batch histogram) must observe without
-// allocating, or a -status-addr endpoint would cost the frame path its
+// for the run: the hot-path instruments (transport byte/message counters
+// and frame codec counters) must observe without allocating, or a -status-addr endpoint would cost the frame path its
 // zero-allocation property.
 func TestFrameRoundTripZeroAllocs(t *testing.T) {
 	if raceEnabled {

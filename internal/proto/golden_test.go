@@ -8,34 +8,38 @@ import (
 	"testing"
 )
 
-// Golden wire bytes of the per-episode messages: one open-episode batch
+// Golden wire bytes of the per-episode messages: three enveloped opens
 // and one episode result, every field set, with -0, NaN and ±Inf floats
 // among them (the values are in golden_values_test.go). The hex is the
 // protocol: a codec change that moves one byte fails here, and decoding
 // the hex must give the values back bit for bit.
-const (
-	goldenBatchHex = "0208000300000001000000270205000000030000001100000000000000070100" +
-		"0c0004404540000000000040190000000000000000002a00000027020500009c" +
-		"4000000000ffffffffffffffff03ffff00017ff0000000000000800000000000" +
-		"0000fffffffe00000027020500000001000000020123456789abcdef02000000" +
-		"00fff8000000000000fff0000000000000"
-	goldenResultHex = "02070301000001c3800000000000000040403a00000000007ff8000000000001" +
-		"000301401200000000000080000000000000007ff000000000000005bff80000" +
-		"00000000405620000000000040a0000000000000027ff0000000000000403300" +
-		"0000000000fff0000000000000"
-)
+var goldenOpenHex = []string{
+	"03040000000103050000000300000011000000000000000701000c000440454000000000004019000000000000",
+	"03040000002a030500009c4000000000ffffffffffffffff03ffff00017ff00000000000008000000000000000",
+	"0304fffffffe030500000001000000020123456789abcdef0200000000fff8000000000000fff0000000000000",
+}
 
-func TestGoldenOpenEpisodeBatchBytes(t *testing.T) {
-	want := goldenBatch()
-	if got := hex.EncodeToString(EncodeOpenEpisodeBatch(want)); got != goldenBatchHex {
-		t.Fatalf("encoded batch:\n got  %s\n want %s", got, goldenBatchHex)
-	}
-	got, err := DecodeOpenEpisodeBatch(mustHex(t, goldenBatchHex))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
-		t.Errorf("decoded batch differs:\n got  %+v\n want %+v", got, want)
+const goldenResultHex = "03070301000001c3800000000000000040403a00000000007ff8000000000001" +
+	"000301401200000000000080000000000000007ff000000000000005bff80000" +
+	"00000000405620000000000040a0000000000000027ff0000000000000403300" +
+	"0000000000fff0000000000000"
+
+func TestGoldenOpenEpisodeBytes(t *testing.T) {
+	for i, want := range goldenOpens() {
+		if got := hex.EncodeToString(EncodeEnvelope(want.SID, EncodeOpenEpisode(&want.Config))); got != goldenOpenHex[i] {
+			t.Fatalf("open %d encoded:\n got  %s\n want %s", i, got, goldenOpenHex[i])
+		}
+		sid, inner, err := DecodeEnvelope(mustHex(t, goldenOpenHex[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := DecodeOpenEpisode(inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (goldenOpen{SID: sid, Config: *cfg}); !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Errorf("open %d decoded:\n got  %+v\n want %+v", i, got, want)
+		}
 	}
 }
 

@@ -8,11 +8,17 @@ import (
 	"github.com/avfi/avfi/internal/world"
 )
 
-// goldenBatch is the open-episode batch golden_test.go pins: three
-// entries, every field non-zero somewhere, the seed and NPC count at
-// their wire widths' maxima.
-func goldenBatch() []OpenBatchEntry {
-	return []OpenBatchEntry{
+// goldenOpen is one enveloped open golden_test.go pins: the session it
+// opens and its scenario.
+type goldenOpen struct {
+	SID    uint32
+	Config sim.EpisodeConfig
+}
+
+// goldenOpens are the opens golden_test.go pins: every field non-zero
+// somewhere, the seed and NPC count at their wire widths' maxima.
+func goldenOpens() []goldenOpen {
+	return []goldenOpen{
 		{SID: 1, Config: sim.EpisodeConfig{
 			From: 3, To: 17, Seed: 7, Weather: world.WeatherClear, NumNPCs: 12, NumPedestrians: 4,
 			TimeoutSec: 42.5, GoalRadius: 6.25,

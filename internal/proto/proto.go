@@ -23,7 +23,7 @@ import (
 // on incompatible change. It is the whole version negotiation: Kind
 // rejects a message from any other version, so a mismatched peer fails
 // its first decode with an error naming both versions.
-const Version = 2
+const Version = 3
 
 // MsgKind discriminates wire messages.
 type MsgKind byte
@@ -31,7 +31,8 @@ type MsgKind byte
 // Message kinds — the one table of the protocol (documented, with
 // directions and payloads, in internal/campaign/README.md; a test keeps
 // the two in step). Numbers are retired, never reused: 3 was v1's
-// episode-end summary. Zero is detectably invalid.
+// episode-end summary, 8 was v2's session-0 batch of opens. Zero is
+// detectably invalid.
 const (
 	KindInvalid MsgKind = 0
 	// KindSensorFrame is server -> client: one full frame of sensor data.
@@ -41,8 +42,8 @@ const (
 	// KindEnvelope wraps an inner message with a session ID; every message
 	// on a connection travels inside one.
 	KindEnvelope MsgKind = 4
-	// KindOpenEpisode is one episode's scenario; it travels only embedded
-	// in an OpenEpisodeBatch.
+	// KindOpenEpisode is client -> server: one episode's scenario, the
+	// first message on the session it opens.
 	KindOpenEpisode MsgKind = 5
 	// KindSessionError closes one session abnormally. Server -> client: the
 	// episode failed to open or was dropped. Client -> server: the client
@@ -51,9 +52,6 @@ const (
 	// KindEpisodeResult is server -> client: the full episode result, the
 	// session's terminal message.
 	KindEpisodeResult MsgKind = 7
-	// KindOpenEpisodeBatch is client -> server on session 0: open one or
-	// more episodes, each on its own session.
-	KindOpenEpisodeBatch MsgKind = 8
 	// KindSensorFrameDelta is server -> client: one frame of sensor data,
 	// pixels delta-encoded against the previous frame on the same session.
 	KindSensorFrameDelta MsgKind = 9
@@ -148,7 +146,7 @@ func Kind(buf []byte) (MsgKind, error) {
 	switch k {
 	case KindSensorFrame, KindControl,
 		KindEnvelope, KindOpenEpisode, KindSessionError, KindEpisodeResult,
-		KindOpenEpisodeBatch, KindSensorFrameDelta, KindHello:
+		KindSensorFrameDelta, KindHello:
 		return k, nil
 	}
 	return KindInvalid, fmt.Errorf("%w: unknown kind %d", ErrCodec, buf[1])

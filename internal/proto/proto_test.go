@@ -83,13 +83,16 @@ func TestKindDetection(t *testing.T) {
 	if _, err := Kind([]byte{99, 1}); err == nil {
 		t.Error("bad version did not error")
 	}
-	// A v1 peer's message is refused with an error naming both versions,
-	// and so is the retired v1 episode-end kind under the current version.
-	if _, err := Kind([]byte{1, byte(KindControl)}); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
-		t.Errorf("v1 message: err = %v, want one naming version 1 and version 2", err)
+	// A v2 peer's message is refused with an error naming both versions,
+	// and so are the retired kinds (v1's episode-end summary, v2's batch
+	// of opens) under the current version.
+	if _, err := Kind([]byte{2, byte(KindControl)}); err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Errorf("v2 message: err = %v, want one naming version 2 and version 3", err)
 	}
-	if _, err := Kind([]byte{Version, 3}); err == nil {
-		t.Error("retired kind 3 accepted")
+	for _, retired := range []byte{3, 8} {
+		if _, err := Kind([]byte{Version, retired}); err == nil {
+			t.Errorf("retired kind %d accepted", retired)
+		}
 	}
 	if _, err := Kind([]byte{Version, 99}); err == nil {
 		t.Error("bad kind did not error")

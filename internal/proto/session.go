@@ -1,8 +1,8 @@
 // Session-multiplexed framing: an Envelope tags every message with a
 // session ID so one transport.Conn carries many concurrent episodes.
-// Session 0 is the connection's control channel — the server's Hello, the
-// client's OpenEpisodeBatch — and never names an episode (client session
-// IDs start at 1).
+// Session 0 carries only the server's Hello and never names an episode
+// (client session IDs start at 1): every message of an episode, its open
+// included, travels on that episode's session.
 
 package proto
 
@@ -107,8 +107,8 @@ func CheckEpisodeConfig(c sim.EpisodeConfig) error {
 	return nil
 }
 
-// EncodeOpenEpisode serializes one episode's scenario with its kind tag;
-// it travels only embedded in an OpenEpisodeBatch entry.
+// EncodeOpenEpisode serializes one episode's scenario with its kind tag:
+// the first message on the session it opens.
 func EncodeOpenEpisode(c *sim.EpisodeConfig) []byte {
 	buf := make([]byte, 0, 2+4+4+8+1+2+2+8+8)
 	buf = append(buf, Version, byte(KindOpenEpisode))

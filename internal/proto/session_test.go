@@ -65,9 +65,6 @@ var kindCases = []struct {
 	{KindEpisodeResult, "EpisodeResult",
 		EncodeEpisodeResult(&sim.Result{Status: 2, Frames: 9, DistanceM: 12.5}),
 		func(b []byte) error { _, err := DecodeEpisodeResult(b); return err }},
-	{KindOpenEpisodeBatch, "OpenEpisodeBatch",
-		EncodeOpenEpisodeBatch([]OpenBatchEntry{{SID: 1, Config: sim.EpisodeConfig{Seed: 7}}}),
-		func(b []byte) error { _, err := DecodeOpenEpisodeBatch(b); return err }},
 	{KindSensorFrameDelta, "SensorFrameDelta",
 		func() []byte {
 			prev := &SensorFrame{ImageW: 4, ImageH: 4, Pixels: make([]byte, 48)}
@@ -105,7 +102,7 @@ func TestEnvelopeCarriesEveryKind(t *testing.T) {
 }
 
 // docRow matches one row of the message table in the campaign README's
-// "Wire protocol v2" section: | number | `Name` | ...
+// "Wire protocol v3" section: | number | `Name` | ...
 var docRow = regexp.MustCompile("(?m)^\\| (\\d+) \\| `(\\w+)` \\|")
 
 // TestKindTableMatchesDocs keeps the protocol to one table: the kinds Kind
@@ -187,14 +184,6 @@ func TestOpenEpisodeRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeOpenEpisode(append(EncodeOpenEpisode(in), 0)); err == nil {
 		t.Error("open-episode with a trailing byte accepted")
-	}
-	// The same open, padded inside its batch entry's length prefix.
-	batch := EncodeOpenEpisodeBatch([]OpenBatchEntry{{SID: 1, Config: *in}})
-	padded := append([]byte(nil), batch[:8]...)
-	padded = appendUint32(padded, uint32(len(batch)-12+2))
-	padded = append(append(padded, batch[12:]...), 0, 0)
-	if _, err := DecodeOpenEpisodeBatch(padded); err == nil {
-		t.Error("batch entry with trailing bytes after its open accepted")
 	}
 }
 

@@ -69,20 +69,11 @@ type Client struct {
 	maxOpen     int
 	deltaFrames int
 
-	openCh chan *openReq
-	done   chan struct{}
+	done chan struct{}
 	// helloCh is closed when the server's hello arrives; worldHash is
 	// written before that and never after.
 	helloCh   chan struct{}
 	worldHash uint64
-}
-
-// openReq is one episode open queued for the coalescing send loop; errc
-// (buffered) carries the send's outcome back to the episode goroutine.
-type openReq struct {
-	sid  uint32
-	cfg  sim.EpisodeConfig
-	errc chan error
 }
 
 // NewClient wraps a connection and starts the demultiplexing receive loop.
@@ -92,12 +83,10 @@ func NewClient(conn transport.Conn) *Client {
 	c := &Client{
 		conn:     conn,
 		sessions: make(map[uint32]*session),
-		openCh:   make(chan *openReq, 256),
 		done:     make(chan struct{}),
 		helloCh:  make(chan struct{}),
 	}
 	go c.recvLoop()
-	go c.sendLoop()
 	return c
 }
 
@@ -275,76 +264,6 @@ func (c *Client) closedErr() error {
 	return ErrClientClosed
 }
 
-// sendOpen queues one episode open for the coalescing send loop and waits
-// for the outcome of the send that carried it.
-func (c *Client) sendOpen(sid uint32, cfg sim.EpisodeConfig) error {
-	req := &openReq{sid: sid, cfg: cfg, errc: make(chan error, 1)}
-	select {
-	case c.openCh <- req:
-	case <-c.done:
-		return c.closedErr()
-	}
-	select {
-	case err := <-req.errc:
-		return err
-	case <-c.done:
-		// The send loop may have picked the request up just before the
-		// shutdown; prefer its verdict when one is already waiting.
-		select {
-		case err := <-req.errc:
-			return err
-		default:
-			return c.closedErr()
-		}
-	}
-}
-
-// openBatchLimit bounds how many queued opens one OpenEpisodeBatch carries
-// — deep enough to soak up a worker pool's burst of concurrent opens,
-// small against proto.MaxBatchOpens.
-const openBatchLimit = 8
-
-// sendLoop is the open coalescer: it waits for one open, then drains —
-// without blocking, so an open is never delayed waiting for company —
-// whatever other opens the worker pool has already queued, up to
-// openBatchLimit, and sends them as one OpenEpisodeBatch on session 0.
-func (c *Client) sendLoop() {
-	for {
-		select {
-		case <-c.done:
-			// Fail opens that raced the shutdown.
-			for {
-				select {
-				case req := <-c.openCh:
-					req.errc <- c.closedErr()
-				default:
-					return
-				}
-			}
-		case req := <-c.openCh:
-			batch := append(make([]*openReq, 0, openBatchLimit), req)
-		drain:
-			for len(batch) < openBatchLimit {
-				select {
-				case more := <-c.openCh:
-					batch = append(batch, more)
-				default:
-					break drain
-				}
-			}
-			telemetry.ClientOpenBatch.Observe(float64(len(batch)))
-			entries := make([]proto.OpenBatchEntry, len(batch))
-			for i, r := range batch {
-				entries[i] = proto.OpenBatchEntry{SID: r.sid, Config: r.cfg}
-			}
-			err := c.conn.Send(proto.EncodeEnvelope(0, proto.EncodeOpenEpisodeBatch(entries)))
-			for _, r := range batch {
-				r.errc <- err
-			}
-		}
-	}
-}
-
 // register allocates a session ID and its demux entry.
 func (c *Client) register() (uint32, *session) {
 	c.mu.Lock()
@@ -381,7 +300,7 @@ func (c *Client) unregister(sid uint32) {
 // RunEpisode opens a session for the scenario, drives every sensor frame
 // through the Driver, and returns the server's full episode result. A
 // scenario whose integer fields do not fit the wire (proto.ErrWireRange)
-// fails before it is queued, so it never joins a batch. When the episode
+// fails before any session is opened. When the episode
 // fails on this side of the wire the server is told to drop the session,
 // so it stops simulating for nobody. Safe for concurrent use from many
 // workers.
@@ -425,7 +344,7 @@ func (c *Client) runSession(sid uint32, s *session, cfg sim.EpisodeConfig, d Dri
 	if spans {
 		tOpen = time.Now()
 	}
-	if err := c.sendOpen(sid, cfg); err != nil {
+	if err := c.conn.Send(proto.EncodeEnvelope(sid, proto.EncodeOpenEpisode(&cfg))); err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
 	d.Reset()

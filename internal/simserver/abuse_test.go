@@ -2,6 +2,9 @@ package simserver
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -90,9 +93,11 @@ func (d failingDriver) Drive(f *proto.SensorFrame) (physics.Control, error) {
 func TestProtocolAbuse(t *testing.T) {
 	w := testWorld(t)
 	open := openMsg(t, w, 1, 1, 30.0)
-	v1 := controlMsg(1, 0)
-	v1[0] = 1 // the envelope's version byte
-	batch := batchMsg(proto.OpenBatchEntry{SID: 2, Config: sim.EpisodeConfig{Seed: 2}})
+	versioned := func(v byte) []byte {
+		msg := controlMsg(1, 0)
+		msg[0] = v // the envelope's version byte
+		return msg
+	}
 
 	for _, tc := range []struct {
 		name    string
@@ -102,14 +107,14 @@ func TestProtocolAbuse(t *testing.T) {
 		{"control for an unknown session", [][]byte{controlMsg(42, 0)}, ""},
 		{"abort for an unknown session", [][]byte{proto.EncodeEnvelope(42, proto.EncodeSessionError("bye"))}, ""},
 		{"duplicate open", [][]byte{open, open}, "session 1 already open"},
-		{"open on session 0", [][]byte{batchMsg(proto.OpenBatchEntry{SID: 0})}, "session 0"},
-		{"batch on a non-zero session", [][]byte{proto.EncodeEnvelope(3, proto.EncodeOpenEpisodeBatch(nil))}, "want session 0"},
-		{"bare open outside a batch", [][]byte{proto.EncodeEnvelope(1, proto.EncodeOpenEpisode(&sim.EpisodeConfig{}))}, "unexpected kind 5"},
+		{"open on session 0", [][]byte{openEnvelope(0, sim.EpisodeConfig{})}, "session 0"},
+		{"truncated open", [][]byte{open[:len(open)-5]}, "open episode"},
+		{"kind 8 from a client", [][]byte{proto.EncodeEnvelope(0, []byte{proto.Version, 8, 0, 0})}, "unknown kind 8"},
 		{"hello from a client", [][]byte{proto.EncodeEnvelope(0, proto.EncodeHello(1))}, "unexpected kind 10"},
 		{"episode result from a client", [][]byte{proto.EncodeEnvelope(1, proto.EncodeEpisodeResult(&sim.Result{}))}, "unexpected kind 7"},
 		{"sensor frame from a client", [][]byte{proto.EncodeEnvelope(1, proto.AppendSensorFrame(nil, &proto.SensorFrame{}))}, "unexpected kind 1"},
-		{"truncated batch", [][]byte{batch[:len(batch)-5]}, "batch"},
-		{"v1-versioned message", [][]byte{v1}, "version 1, want 2"},
+		{"v1-versioned message", [][]byte{versioned(1)}, "version 1, want 3"},
+		{"v2-versioned message", [][]byte{versioned(2)}, "version 2, want 3"},
 		{"not an envelope", [][]byte{proto.AppendControl(nil, &proto.Control{})}, "not an envelope"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,41 +177,100 @@ func splitMessages(data []byte) [][]byte {
 // whole exchanges: an episode, a control overflow, an abort and reopen, a
 // duplicate open, a rejected open, traffic for unknown sessions.
 func FuzzServerDemux(f *testing.F) {
-	w := testWorld(f)
-	// Only the mission, seed and timeout reach the world: a fuzzed actor
-	// count or weather byte would make an input arbitrarily slow without
-	// touching the demux.
-	factory := func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
-		return w.NewEpisode(sim.EpisodeConfig{From: cfg.From, To: cfg.To, Seed: cfg.Seed, TimeoutSec: cfg.TimeoutSec})
-	}
+	factory := demuxFactory(testWorld(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv, clientConn, serveDone := startServer(t, factory)
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for {
-				msg, err := clientConn.Recv()
-				if err != nil {
-					return
-				}
-				transport.Recycle(msg)
-			}
-		}()
-		for _, msg := range splitMessages(data) {
-			if clientConn.Send(msg) != nil {
-				break // Serve already failed and hung up
-			}
-		}
-		clientConn.Close()
-		select {
-		case <-serveDone:
-		case <-time.After(30 * time.Second):
-			t.Fatal("Serve did not return after the peer hung up")
-		}
-		<-drained
-		waitIdle(t, srv)
+		srv, _ := serveExchange(t, factory, data)
 		if !srv.Done() {
 			t.Error("Done false after Serve returned")
 		}
 	})
+}
+
+// demuxFactory builds FuzzServerDemux's episodes. Only the mission, seed
+// and timeout reach the world: a fuzzed actor count or weather byte would
+// make an input arbitrarily slow without touching the demux.
+func demuxFactory(w *sim.World) EpisodeFactory {
+	return func(cfg sim.EpisodeConfig) (*sim.Episode, error) {
+		return w.NewEpisode(sim.EpisodeConfig{From: cfg.From, To: cfg.To, Seed: cfg.Seed, TimeoutSec: cfg.TimeoutSec})
+	}
+}
+
+// serveExchange sends the messages of data (see splitMessages) to a fresh
+// server, hangs up, and returns the drained server and Serve's verdict.
+func serveExchange(t *testing.T, factory EpisodeFactory, data []byte) (*Server, error) {
+	srv, clientConn, serveDone := startServer(t, factory)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			msg, err := clientConn.Recv()
+			if err != nil {
+				return
+			}
+			transport.Recycle(msg)
+		}
+	}()
+	for _, msg := range splitMessages(data) {
+		if clientConn.Send(msg) != nil {
+			break // Serve already failed and hung up
+		}
+	}
+	clientConn.Close()
+	var err error
+	select {
+	case err = <-serveDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Serve did not return after the peer hung up")
+	}
+	<-drained
+	waitIdle(t, srv)
+	return srv, err
+}
+
+// TestFuzzServerDemuxSeedsReachTheirPaths keeps the named seed corpus
+// meaningful across protocol versions: each seed must get past the
+// version check to the demux path it is named after, which a seed in an
+// older wire form would not.
+func TestFuzzServerDemuxSeedsReachTheirPaths(t *testing.T) {
+	factory := demuxFactory(testWorld(t))
+	for _, tc := range []struct {
+		seed    string
+		wantErr string // substring of Serve's error; "" means a clean shutdown
+		total   int    // sessions opened
+		failed  int    // sessions aborted; -1 when scheduling decides
+	}{
+		{"abort-then-reopen", "", 2, 1},
+		{"control-overflow", "", 1, -1},
+		{"duplicate-open", "session 1 already open", 1, 0},
+		{"empty-envelope", "envelope payload", 0, 0},
+		{"episode-two-controls", "", 1, -1},
+		{"factory-rejects-open", "", 1, 1},
+		{"unknown-session-traffic", "unexpected kind 10", 0, 0},
+	} {
+		t.Run(tc.seed, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzServerDemux", tc.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+			quoted, ok2 := strings.CutSuffix(quoted, ")")
+			data, err := strconv.Unquote(quoted)
+			if !ok || !ok2 || err != nil {
+				t.Fatalf("seed is not one []byte corpus entry: %v", err)
+			}
+			srv, err := serveExchange(t, factory, []byte(data))
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Errorf("Serve = %v, want a clean shutdown", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Errorf("Serve = %v, want an error containing %q", err, tc.wantErr)
+			}
+			if got := srv.TotalSessions(); got != tc.total {
+				t.Errorf("TotalSessions = %d, want %d", got, tc.total)
+			}
+			if got := srv.FailedSessions(); tc.failed >= 0 && got != tc.failed {
+				t.Errorf("FailedSessions = %d, want %d", got, tc.failed)
+			}
+		})
+	}
 }

@@ -21,9 +21,9 @@ type EpisodeFactory func(sim.EpisodeConfig) (*sim.Episode, error)
 
 // Server is the persistent, session-multiplexed simulation engine: one
 // Server serves many concurrent episodes over a single transport.Conn. Each
-// entry of an OpenEpisodeBatch spawns a session goroutine running the
-// frame/control loop, with all sessions' traffic interleaved on the shared
-// connection.
+// OpenEpisode spawns a session goroutine running the frame/control loop on
+// the session it arrived on, with all sessions' traffic interleaved on the
+// shared connection.
 //
 // This is the campaign-throughput shape the paper's sweeps need: episode
 // dispatch is O(1) in connections (one conn and, over TCP, one listener per
@@ -59,8 +59,8 @@ func NewServer(factory EpisodeFactory, worldHash uint64) *Server {
 }
 
 // Serve sends the hello, then multiplexes episodes over conn until the
-// peer closes it. Every received envelope opens sessions
-// (KindOpenEpisodeBatch), routes a control to its session goroutine, or
+// peer closes it. Every received envelope opens its session
+// (KindOpenEpisode), routes a control to its session goroutine, or
 // aborts a session the client abandoned. Serve returns nil on a clean
 // shutdown (peer closed the connection) after all in-flight sessions
 // drain.
@@ -104,20 +104,13 @@ func (s *Server) demux(conn transport.Conn) error {
 			return fmt.Errorf("simserver: session %d: %w", sid, err)
 		}
 		switch kind {
-		case proto.KindOpenEpisodeBatch:
-			// One group-committed message fans out into independent
-			// sessions.
-			if sid != 0 {
-				return fmt.Errorf("simserver: open-episode batch on session %d, want session 0", sid)
-			}
-			entries, err := proto.DecodeOpenEpisodeBatch(inner)
+		case proto.KindOpenEpisode:
+			cfg, err := proto.DecodeOpenEpisode(inner)
 			if err != nil {
-				return fmt.Errorf("simserver: batch: %w", err)
+				return fmt.Errorf("simserver: session %d: %w", sid, err)
 			}
-			for _, e := range entries {
-				if err := s.open(conn, e.SID, e.Config); err != nil {
-					return err
-				}
+			if err := s.open(conn, sid, *cfg); err != nil {
+				return err
 			}
 
 		case proto.KindControl:
@@ -195,11 +188,11 @@ func (s *Server) dropSession(sid uint32) bool {
 // construction happens inside the goroutine so heavy scenario setup never
 // blocks the demux loop, and many episodes build concurrently.
 func (s *Server) open(conn transport.Conn, sid uint32, cfg sim.EpisodeConfig) error {
+	if sid == 0 {
+		return fmt.Errorf("simserver: episode opened on session 0, the hello's session")
+	}
 	// A control per in-flight frame plus the strictly request/response
 	// loop means one slot never blocks the demux loop.
-	if sid == 0 {
-		return fmt.Errorf("simserver: episode opened on session 0, the connection's control channel")
-	}
 	ch := make(chan *proto.Control, 1)
 	s.mu.Lock()
 	if _, dup := s.sessions[sid]; dup {

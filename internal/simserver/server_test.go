@@ -15,19 +15,16 @@ import (
 	"github.com/avfi/avfi/internal/transport"
 )
 
-// openMsg encodes the session-0 batch that opens one episode on sid.
+// openMsg encodes the envelope that opens one episode on sid.
 func openMsg(t testing.TB, w *sim.World, sid uint32, seed uint64, timeoutSec float64) []byte {
 	t.Helper()
 	from, to := mission(t, w, seed)
-	return batchMsg(proto.OpenBatchEntry{SID: sid, Config: sim.EpisodeConfig{
-		From: from, To: to,
-		Seed: seed, TimeoutSec: timeoutSec,
-	}})
+	return openEnvelope(sid, sim.EpisodeConfig{From: from, To: to, Seed: seed, TimeoutSec: timeoutSec})
 }
 
-// batchMsg envelopes an OpenEpisodeBatch on session 0.
-func batchMsg(entries ...proto.OpenBatchEntry) []byte {
-	return proto.EncodeEnvelope(0, proto.EncodeOpenEpisodeBatch(entries))
+// openEnvelope envelopes cfg's open on sid.
+func openEnvelope(sid uint32, cfg sim.EpisodeConfig) []byte {
+	return proto.EncodeEnvelope(sid, proto.EncodeOpenEpisode(&cfg))
 }
 
 // controlMsg envelopes a control answering frame on sid.
@@ -342,7 +339,7 @@ func TestServeHealthAccessors(t *testing.T) {
 	}
 
 	// One failing session increments FailedSessions without ending Serve.
-	if err := clientConn.Send(batchMsg(proto.OpenBatchEntry{SID: 1, Config: sim.EpisodeConfig{Seed: 666}})); err != nil {
+	if err := clientConn.Send(openEnvelope(1, sim.EpisodeConfig{Seed: 666})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := clientConn.Recv(); err != nil { // the SessionError reply

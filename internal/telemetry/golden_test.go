@@ -21,7 +21,6 @@ func TestGoldenMetricNames(t *testing.T) {
 		`avfi_campaign_phase_seconds{phase="sink"}`,
 		"avfi_campaign_retries_total",
 		"avfi_campaign_sink_queue_depth",
-		"avfi_client_open_batch_size",
 		"avfi_client_sessions_completed_total",
 		"avfi_client_sessions_failed_total",
 		"avfi_client_sessions_in_flight",
@@ -51,7 +50,6 @@ func TestGoldenMetricNames(t *testing.T) {
 		"avfi_transport_bytes_sent_total",
 		"avfi_transport_msgs_recv_total",
 		"avfi_transport_msgs_sent_total",
-		"avfi_transport_writev_batch_size",
 		"avfi_worker_conns_active",
 		"avfi_worker_conns_total",
 	}

@@ -15,8 +15,6 @@ var (
 		"Messages written to transport connections.")
 	TransportMsgsRecv = Default.Counter("avfi_transport_msgs_recv_total",
 		"Messages read from transport connections.")
-	TransportWritevBatch = Default.Histogram("avfi_transport_writev_batch_size",
-		"Messages coalesced per vectored write (1 = unbatched send).", SizeBuckets)
 	TransportBufGets = Default.Counter("avfi_transport_buf_gets_total",
 		"Receive-buffer requests served by the transport pool.")
 	TransportBufHits = Default.Counter("avfi_transport_buf_hits_total",
@@ -52,8 +50,6 @@ var (
 		"Episode sessions that died under simulator clients (server error or lost connection).")
 	ClientInFlight = Default.Gauge("avfi_client_sessions_in_flight",
 		"Episode sessions currently multiplexed on client connections.")
-	ClientOpenBatch = Default.Histogram("avfi_client_open_batch_size",
-		"Episode opens coalesced per batched OpenEpisode flush.", SizeBuckets)
 	ServerSessionsOpened = Default.Counter("avfi_server_sessions_opened_total",
 		"Episode sessions opened by simulator servers.")
 	ServerSessionsCompleted = Default.Counter("avfi_server_sessions_completed_total",

@@ -357,7 +357,3 @@ var LatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
-
-// SizeBuckets is the default layout for small cardinalities: writev
-// batch sizes, open-batch coalescing.
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}

@@ -288,7 +288,6 @@ func (t *tcpConn) Send(msg []byte) error {
 	}
 	telemetry.TransportMsgsSent.Inc()
 	telemetry.TransportBytesSent.Add(uint64(4 + len(msg)))
-	telemetry.TransportWritevBatch.Observe(1)
 	return nil
 }
 
