@@ -3,6 +3,10 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/avfi/avfi/internal/rng"
@@ -308,4 +312,38 @@ func FuzzDecodeSensorFrameDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		_, _ = decodeDelta(buf, prev)
 	})
+}
+
+// TestFuzzDecodeSensorFrameDeltaSeedsReachTheirPaths keeps the committed
+// corpus meaningful across protocol versions: each seed must get past the
+// version check to the decoder path it was found on, which a seed in an
+// older wire form would not. The two seeds carrying sampleFrame's 4x3
+// geometry must reach the patch decoder.
+func TestFuzzDecodeSensorFrameDeltaSeedsReachTheirPaths(t *testing.T) {
+	prev := sampleFrame()
+	for _, tc := range []struct {
+		seed    string
+		wantErr string
+	}{
+		{"12dd52afba1986b5", "patch overruns 36 pixel bytes"},
+		{"380a227338188dca", "patch overruns 36 pixel bytes"},
+		{"2904a565b183273a", "geometry wants 0"},
+		{"306d1cebaf26382a", "unknown kind 48"},
+	} {
+		t.Run(tc.seed, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSensorFrameDelta", tc.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+			quoted, ok2 := strings.CutSuffix(quoted, ")")
+			data, err := strconv.Unquote(quoted)
+			if !ok || !ok2 || err != nil {
+				t.Fatalf("seed is not one []byte corpus entry: %v", err)
+			}
+			if _, err := decodeDelta([]byte(data), prev); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("decode = %v, want an error containing %q", err, tc.wantErr)
+			}
+		})
+	}
 }

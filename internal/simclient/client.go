@@ -344,6 +344,13 @@ func (c *Client) runSession(sid uint32, s *session, cfg sim.EpisodeConfig, d Dri
 	if spans {
 		tOpen = time.Now()
 	}
+	// A client whose receive loop has died may still hold an open
+	// connection; an open sent on it would start a session nobody reads.
+	select {
+	case <-c.done:
+		return nil, c.closedErr()
+	default:
+	}
 	if err := c.conn.Send(proto.EncodeEnvelope(sid, proto.EncodeOpenEpisode(&cfg))); err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}

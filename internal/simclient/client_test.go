@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/avfi/avfi/internal/physics"
 	"github.com/avfi/avfi/internal/proto"
+	"github.com/avfi/avfi/internal/sim"
 	"github.com/avfi/avfi/internal/transport"
 )
 
@@ -63,5 +65,40 @@ func TestRecvLoopOverflowDoesNotStallOtherSessions(t *testing.T) {
 	}
 	if open != 1 {
 		t.Errorf("%d sessions registered, want 1 (the live session)", open)
+	}
+}
+
+// nopDriver is a Driver for tests whose episodes never see a frame.
+type nopDriver struct{}
+
+func (nopDriver) Drive(*proto.SensorFrame) (physics.Control, error) { return physics.Control{}, nil }
+func (nopDriver) Reset()                                            {}
+
+// TestRunEpisodeOnDeadClientSendsNoOpen: a client whose receive loop has
+// died while its connection stays open must fail a new episode without
+// sending the open, or the server would simulate a session nobody reads.
+func TestRunEpisodeOnDeadClientSendsNoOpen(t *testing.T) {
+	clientEnd, serverEnd := transport.Pipe()
+	c := NewClient(clientEnd)
+	// A second session-0 message after the hello kills the receive loop.
+	for i := 0; i < 2; i++ {
+		if err := serverEnd.Send(proto.EncodeEnvelope(0, proto.EncodeHello(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-c.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("receive loop survived an unexpected session-0 message")
+	}
+
+	_, err := c.RunEpisode(sim.EpisodeConfig{}, nopDriver{})
+	if err == nil || !strings.Contains(err.Error(), "unexpected message on session 0") {
+		t.Errorf("RunEpisode = %v, want the receive loop's error", err)
+	}
+	// Recv drains anything buffered before reporting the peer's close.
+	clientEnd.Close()
+	if msg, err := serverEnd.Recv(); err == nil {
+		t.Errorf("server received %d bytes, want no open", len(msg))
 	}
 }
