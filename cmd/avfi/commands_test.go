@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/avfi/avfi"
 )
 
 // runErr runs avfi with args, discarding its output.
@@ -92,5 +98,45 @@ func TestAblateRejectsUnknownSweep(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("ablate -sweep gausian: err = %v, want it to mention %q", err, want)
 		}
+	}
+}
+
+// TestRunRefusesMismatchedAgentFile: an agent file whose weights do not fit
+// the architecture its config builds stops `avfi run` before any episode,
+// with an error naming the file and the bad layer spec.
+func TestRunRefusesMismatchedAgentFile(t *testing.T) {
+	a, err := avfi.NewAgent(avfi.AgentConfig{ImageW: 16, ImageH: 12, Conv1: 4, Conv2: 4, FeatDim: 8, MeasDim: 4, HeadHidden: 8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := a.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	// The agent file's envelope: its config and each component's weights.
+	var file struct {
+		Cfg        avfi.AgentConfig
+		Components map[string][]byte
+	}
+	if err := gob.NewDecoder(&saved).Decode(&file); err != nil {
+		t.Fatal(err)
+	}
+	file.Cfg.FeatDim /= 2
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(file); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mismatched.avfi")
+	if err := os.WriteFile(path, bad.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout strings.Builder
+	err = run(context.Background(), []string{"run", "-agent", path, "-injectors", "noinject", "-missions", "1", "-reps", "1"}, &stdout, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "bad layer spec") {
+		t.Fatalf("err = %v, want one naming %s and a bad layer spec", err, path)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("avfi run wrote results before refusing the agent: %q", stdout.String())
 	}
 }

@@ -173,7 +173,7 @@ func agentSource(path string) (avfi.AgentSource, error) {
 	defer f.Close()
 	a, err := avfi.LoadAgent(f)
 	if err != nil {
-		return avfi.AgentSource{}, err
+		return avfi.AgentSource{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return avfi.AgentSource{Agent: a}, nil
 }

@@ -249,6 +249,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Move every weight off what New draws from the file's seed: only a
+	// load that fills every component gives them back.
+	a.VisitParams(func(_ string, _ int, _ string, v *tensor.Tensor) {
+		for i := range v.Data() {
+			v.Data()[i] += 0.01
+		}
+	})
 	img := tinyImage(7, 16, 12)
 	want, err := a.Act(img, 5, world.TurnRight)
 	if err != nil {
@@ -269,6 +276,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("loaded agent acts differently: %+v vs %+v", got, want)
+	}
+	if got, want := paramsSHA256(loaded), paramsSHA256(a); got != want {
+		t.Errorf("loaded weights hash %s, saved %s", got, want)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"github.com/avfi/avfi/internal/nn"
+	"maps"
+	"slices"
 )
 
 // fileFormat is the on-disk envelope: config plus each component network's
@@ -32,7 +32,11 @@ func (a *Agent) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads an agent saved with Save.
+// Load reads an agent saved with Save. It builds the architecture that the
+// file's config describes, as New does, and fills it with the file's
+// weights, one component at a time: trunk, meas, then the heads in command
+// order. A component missing from the file, one the architecture lacks, or
+// weights that do not fit their component (nn.ErrBadSpec) fail the load.
 func Load(r io.Reader) (*Agent, error) {
 	var ff fileFormat
 	if err := gob.NewDecoder(r).Decode(&ff); err != nil {
@@ -42,25 +46,24 @@ func Load(r io.Reader) (*Agent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent: load: %w", err)
 	}
-	load := func(name string) (*nn.Network, error) {
+	nets := a.Networks()
+	for _, name := range slices.Sorted(maps.Keys(ff.Components)) {
+		if nets[name] == nil {
+			return nil, fmt.Errorf("agent: load: unknown component %q", name)
+		}
+	}
+	names := []string{"trunk", "meas"}
+	for _, cmd := range commands {
+		names = append(names, "head-"+cmd.String())
+	}
+	for _, name := range names {
 		raw, ok := ff.Components[name]
 		if !ok {
 			return nil, fmt.Errorf("agent: load: missing component %q", name)
 		}
-		return nn.Load(bytes.NewReader(raw))
-	}
-	if a.trunk, err = load("trunk"); err != nil {
-		return nil, err
-	}
-	if a.meas, err = load("meas"); err != nil {
-		return nil, err
-	}
-	for _, cmd := range commands {
-		h, err := load("head-" + cmd.String())
-		if err != nil {
-			return nil, err
+		if err := nets[name].LoadWeights(bytes.NewReader(raw)); err != nil {
+			return nil, fmt.Errorf("agent: load %s: %w", name, err)
 		}
-		a.heads[cmd] = h
 	}
 	return a, nil
 }

@@ -285,15 +285,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
-// Spec implements Layer.
-func (c *Conv2D) Spec() LayerSpec {
-	return LayerSpec{
-		Kind: "conv2d",
-		Ints: map[string]int{
-			"inC": c.inC, "inH": c.inH, "inW": c.inW,
-			"outC": c.outC, "k": c.k, "stride": c.stride, "pad": c.pad,
-		},
-		Tensors: map[string]*tensor.Tensor{"filter": c.w.Value.Clone(), "bias": c.b.Value.Clone()},
+func (c *Conv2D) spec() (string, map[string]int) {
+	return "conv2d", map[string]int{
+		"inC": c.inC, "inH": c.inH, "inW": c.inW,
+		"outC": c.outC, "k": c.k, "stride": c.stride, "pad": c.pad,
 	}
 }
 

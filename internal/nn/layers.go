@@ -11,12 +11,9 @@ import (
 // Compile-time interface checks.
 var (
 	_ Layer = (*Dense)(nil)
-	_ Layer = (*MaxPool2D)(nil)
 	_ Layer = (*Flatten)(nil)
 	_ Layer = (*ReLU)(nil)
 	_ Layer = (*Tanh)(nil)
-	_ Layer = (*Sigmoid)(nil)
-	_ Layer = (*Dropout)(nil)
 )
 
 // sized returns buf if it already has like's shape, else a new zero tensor
@@ -119,7 +116,7 @@ func (d *Dense) InitHe(r *rng.Stream) *Dense {
 	return d
 }
 
-// InitXavier applies Xavier-uniform initialization (for tanh/sigmoid).
+// InitXavier applies Xavier-uniform initialization (for tanh).
 func (d *Dense) InitXavier(r *rng.Stream) *Dense {
 	lim := math.Sqrt(6 / float64(d.in+d.out))
 	for i := range d.w.Value.Data() {
@@ -159,68 +156,13 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// Spec implements Layer.
-func (d *Dense) Spec() LayerSpec {
-	return LayerSpec{
-		Kind:    "dense",
-		Ints:    map[string]int{"in": d.in, "out": d.out},
-		Tensors: map[string]*tensor.Tensor{"weight": d.w.Value.Clone(), "bias": d.b.Value.Clone()},
-	}
+func (d *Dense) spec() (string, map[string]int) {
+	return "dense", map[string]int{"in": d.in, "out": d.out}
 }
 
 func (d *Dense) clone() Layer {
 	return &Dense{in: d.in, out: d.out, w: cloneParam(d.w), b: cloneParam(d.b), y: tensor.New(d.out)}
 }
-
-// MaxPool2D downsamples (C, H, W) by a square window.
-type MaxPool2D struct {
-	size   int
-	y      *tensor.Tensor
-	argmax []int
-	lastX  *tensor.Tensor
-	dx     *tensor.Tensor
-}
-
-// NewMaxPool2D constructs a pooling layer with the given window size.
-func NewMaxPool2D(size int) *MaxPool2D { return &MaxPool2D{size: size} }
-
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Dims() != 3 {
-		return nil, fmt.Errorf("maxpool: input %v, want (C,H,W)", x.Shape())
-	}
-	if c, oh, ow := x.Dim(0), x.Dim(1)/m.size, x.Dim(2)/m.size; m.y == nil || m.y.Dim(0) != c || m.y.Dim(1) != oh || m.y.Dim(2) != ow {
-		m.y = tensor.New(c, oh, ow)
-		m.argmax = make([]int, m.y.Len())
-	}
-	if err := tensor.MaxPool2DInto(m.y, m.argmax, x, m.size); err != nil {
-		return nil, err
-	}
-	m.lastX = x
-	return m.y, nil
-}
-
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if m.lastX == nil {
-		return nil, fmt.Errorf("maxpool: Backward before Forward")
-	}
-	m.dx = sized(m.dx, m.lastX)
-	if err := tensor.MaxPool2DBackwardInto(m.dx, grad, m.argmax); err != nil {
-		return nil, err
-	}
-	return m.dx, nil
-}
-
-// Params implements Layer.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
-// Spec implements Layer.
-func (m *MaxPool2D) Spec() LayerSpec {
-	return LayerSpec{Kind: "maxpool2d", Ints: map[string]int{"size": m.size}}
-}
-
-func (m *MaxPool2D) clone() Layer { return &MaxPool2D{size: m.size} }
 
 // Flatten copies any input into a vector.
 type Flatten struct {
@@ -256,8 +198,7 @@ func (f *Flatten) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }
 
-// Spec implements Layer.
-func (f *Flatten) Spec() LayerSpec { return LayerSpec{Kind: "flatten"} }
+func (f *Flatten) spec() (string, map[string]int) { return "flatten", nil }
 
 func (f *Flatten) clone() Layer { return &Flatten{} }
 
@@ -323,8 +264,7 @@ func (l *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Params implements Layer.
 func (l *ReLU) Params() []*Param { return nil }
 
-// Spec implements Layer.
-func (l *ReLU) Spec() LayerSpec { return LayerSpec{Kind: "relu"} }
+func (l *ReLU) spec() (string, map[string]int) { return "relu", nil }
 
 func (l *ReLU) clone() Layer { return &ReLU{} }
 
@@ -358,125 +298,6 @@ func (l *Tanh) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Params implements Layer.
 func (l *Tanh) Params() []*Param { return nil }
 
-// Spec implements Layer.
-func (l *Tanh) Spec() LayerSpec { return LayerSpec{Kind: "tanh"} }
+func (l *Tanh) spec() (string, map[string]int) { return "tanh", nil }
 
 func (l *Tanh) clone() Layer { return &Tanh{} }
-
-// Sigmoid is 1/(1+e^-x) elementwise.
-type Sigmoid struct{ elementwise }
-
-// NewSigmoid constructs a Sigmoid activation.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward implements Layer.
-func (l *Sigmoid) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y, in := l.forward(x)
-	for i, v := range in {
-		y[i] = 1 / (1 + math.Exp(-v))
-	}
-	return l.y, nil
-}
-
-// Backward implements Layer.
-func (l *Sigmoid) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	dx, g, err := l.backward("sigmoid", grad)
-	if err != nil {
-		return nil, err
-	}
-	for i, y := range l.y.Data() {
-		dx[i] = g[i] * (y * (1 - y))
-	}
-	return l.dx, nil
-}
-
-// Params implements Layer.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// Spec implements Layer.
-func (l *Sigmoid) Spec() LayerSpec { return LayerSpec{Kind: "sigmoid"} }
-
-func (l *Sigmoid) clone() Layer { return &Sigmoid{} }
-
-// Dropout randomly zeroes a fraction p of activations during training and
-// scales the survivors by 1/(1-p) (inverted dropout). At inference it is the
-// identity and returns its input itself, so what it returns then lives only
-// as long as that input does.
-type Dropout struct {
-	p      float64
-	r      *rng.Stream
-	active bool
-	// y and mask are the training-mode workspaces; masked records whether
-	// the last Forward dropped anything.
-	y      *tensor.Tensor
-	mask   []float64
-	masked bool
-	dx     *tensor.Tensor
-}
-
-// NewDropout constructs a Dropout layer with drop probability p, drawing
-// masks from r.
-func NewDropout(p float64, r *rng.Stream) *Dropout {
-	return &Dropout{p: p, r: r}
-}
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	d.masked = d.active && d.p > 0
-	if !d.masked {
-		return x, nil
-	}
-	keep := 1 - d.p
-	d.y = sized(d.y, x)
-	if len(d.mask) != x.Len() {
-		d.mask = make([]float64, x.Len())
-	}
-	y := d.y.Data()
-	for i, v := range x.Data() {
-		if d.r.Float64() < d.p {
-			y[i] = 0
-			d.mask[i] = 0
-		} else {
-			y[i] = v / keep
-			d.mask[i] = 1 / keep
-		}
-	}
-	return d.y, nil
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if !d.masked {
-		return grad, nil
-	}
-	if len(d.mask) != grad.Len() {
-		return nil, fmt.Errorf("dropout: grad %v vs mask %d", grad.Shape(), len(d.mask))
-	}
-	d.dx = sized(d.dx, grad)
-	dx := d.dx.Data()
-	for i, g := range grad.Data() {
-		dx[i] = g * d.mask[i]
-	}
-	return d.dx, nil
-}
-
-// Params implements Layer.
-func (d *Dropout) Params() []*Param { return nil }
-
-// Spec implements Layer.
-func (d *Dropout) Spec() LayerSpec {
-	return LayerSpec{Kind: "dropout", Floats: map[string]float64{"p": d.p}}
-}
-
-// clone gives the copy its own mask stream, derived from a snapshot of the
-// original's without advancing it: cloning a shared network concurrently
-// stays read-only, and two clones training side by side never race on (or
-// draw each other's values from) one stream.
-func (d *Dropout) clone() Layer {
-	cp := &Dropout{p: d.p}
-	if d.r != nil {
-		snapshot := *d.r
-		cp.r = snapshot.Split("dropout-clone")
-	}
-	return cp
-}

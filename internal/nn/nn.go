@@ -2,13 +2,24 @@
 // the AVFI driving agent, standing in for the TensorFlow/PyTorch stack
 // behind the paper's imitation-learning CNN (Codevilla et al., ICRA 2018).
 //
-// It provides the layer types the paper's Figure 1 names — convolutional
-// perception layers, fully connected layers, and a recurrent cell — plus
-// losses, SGD/Adam optimizers, deterministic initialization, gob
-// serialization, and, critically for AVFI, *parameter visitation hooks*
-// that the machine-learning fault injector uses to corrupt weights exactly
-// as the paper describes ("adding noise into the parameters of the machine
-// learning model").
+// It provides only what the agent runs: the layer types the paper's
+// Figure 1 names (convolutional perception layers, fully connected layers
+// with ReLU and tanh activations, and a recurrent cell), the Adam optimizer,
+// deterministic initialization, gob serialization of weights, and, critically
+// for AVFI, *parameter visitation hooks* that the machine-learning fault
+// injector uses to corrupt weights exactly as the paper describes ("adding
+// noise into the parameters of the machine learning model"). There are no
+// losses: the agent computes its own loss gradient and hands it to Backward.
+//
+// # Saved weights fill an architecture built from config
+//
+// Save writes each layer's kind, scalar configuration and weights.
+// LoadWeights never builds a network from a file: the caller builds the
+// architecture (the agent from its Config), and LoadWeights fills it, after
+// checking that the file describes exactly that network, layer by layer and
+// tensor by tensor. A file that does not match is refused with ErrBadSpec
+// and leaves the network as it was, so the workspaces sized at construction
+// always match the weights they compute with.
 //
 // # Workspaces: who owns which tensor, and for how long
 //
@@ -43,7 +54,8 @@ import (
 	"github.com/avfi/avfi/internal/tensor"
 )
 
-// ErrBadSpec is returned when deserializing a malformed layer spec.
+// ErrBadSpec is returned when saved weights do not describe the network
+// that LoadWeights fills.
 var ErrBadSpec = errors.New("nn: bad layer spec")
 
 // Param is a trainable parameter with its gradient accumulator.
@@ -61,8 +73,7 @@ func (p *Param) zeroGrad() { p.Grad.Zero() }
 type Layer interface {
 	// Forward computes the output into a tensor the layer owns and returns
 	// it: valid until this layer's next Forward, never to be written by the
-	// caller. The layer retains x itself (not a copy) for Backward. The one
-	// layer with nothing to compute, Dropout at inference, returns x.
+	// caller. The layer retains x itself (not a copy) for Backward.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 	// Backward consumes dLoss/dOutput for the last Forward and returns
 	// dLoss/dInput in a tensor the layer owns, valid until this layer's
@@ -71,30 +82,23 @@ type Layer interface {
 	Backward(grad *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
-	// Spec returns a serializable description of the layer including its
-	// weights.
-	Spec() LayerSpec
-	// clone returns a deep copy sharing no state: its own parameters,
-	// fresh workspaces, its own random stream.
+	// spec returns the layer's kind and scalar configuration: its LayerSpec
+	// but for the weights, which are its Params.
+	spec() (kind string, ints map[string]int)
+	// clone returns a deep copy sharing no state: its own parameters and
+	// fresh workspaces.
 	clone() Layer
 }
 
 // Network is an ordered sequence of layers.
 type Network struct {
 	layers []Layer
-	train  bool
 }
 
 // NewNetwork builds a network from layers.
 func NewNetwork(layers ...Layer) *Network {
 	return &Network{layers: layers}
 }
-
-// SetTraining toggles training mode (affects Dropout).
-func (n *Network) SetTraining(train bool) { n.train = train }
-
-// Training reports whether the network is in training mode.
-func (n *Network) Training() bool { return n.train }
 
 // Layers returns the layer slice (shared; used by fault localization).
 func (n *Network) Layers() []Layer { return n.layers }
@@ -103,9 +107,6 @@ func (n *Network) Layers() []Layer { return n.layers }
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	var err error
 	for i, l := range n.layers {
-		if d, ok := l.(*Dropout); ok {
-			d.active = n.train
-		}
 		x, err = l.Forward(x)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d (%T): %w", i, l, err)
@@ -168,23 +169,11 @@ func (n *Network) VisitParams(fn func(layer int, name string, value *tensor.Tens
 // Campaign episodes run on clones so that per-episode weight faults never
 // leak across episodes.
 func (n *Network) Clone() *Network {
-	out := &Network{layers: make([]Layer, len(n.layers)), train: n.train}
+	out := &Network{layers: make([]Layer, len(n.layers))}
 	for i, l := range n.layers {
 		out.layers[i] = l.clone()
 	}
 	return out
-}
-
-// IsFinite reports whether every parameter is finite. Weight bit-flip
-// faults can produce Inf/NaN weights; the agent's output guard consults
-// this for diagnostics.
-func (n *Network) IsFinite() bool {
-	for _, p := range n.Params() {
-		if !p.Value.IsFinite() {
-			return false
-		}
-	}
-	return true
 }
 
 func newParam(name string, shape ...int) *Param {

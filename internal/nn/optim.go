@@ -6,67 +6,6 @@ import (
 	"github.com/avfi/avfi/internal/tensor"
 )
 
-// Optimizer applies accumulated gradients to parameters.
-type Optimizer interface {
-	// Step updates every parameter from its gradient, then the caller is
-	// expected to zero the gradients.
-	Step(params []*Param)
-}
-
-// Compile-time interface checks.
-var (
-	_ Optimizer = (*SGD)(nil)
-	_ Optimizer = (*Adam)(nil)
-)
-
-// SGD is stochastic gradient descent with optional classical momentum and
-// gradient clipping.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	// ClipNorm, when > 0, rescales each parameter's gradient so its max
-	// absolute element does not exceed the value; a cheap guard against
-	// exploding gradients in the recurrent cell.
-	ClipNorm float64
-
-	velocity map[*Param]*tensor.Tensor
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Tensor)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	if o.velocity == nil {
-		o.velocity = make(map[*Param]*tensor.Tensor)
-	}
-	for _, p := range params {
-		grad := p.Grad
-		if o.ClipNorm > 0 {
-			if m := grad.MaxAbs(); m > o.ClipNorm {
-				grad = grad.Clone().ScaleInPlace(o.ClipNorm / m)
-			}
-		}
-		if o.Momentum > 0 {
-			v, ok := o.velocity[p]
-			if !ok {
-				v = tensor.New(p.Value.Shape()...)
-				o.velocity[p] = v
-			}
-			for i := range v.Data() {
-				v.Data()[i] = o.Momentum*v.Data()[i] - o.LR*grad.Data()[i]
-				p.Value.Data()[i] += v.Data()[i]
-			}
-		} else {
-			for i := range p.Value.Data() {
-				p.Value.Data()[i] -= o.LR * grad.Data()[i]
-			}
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR      float64
@@ -91,7 +30,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step updates every parameter from its accumulated gradient; the caller
+// zeroes the gradients afterwards.
 func (o *Adam) Step(params []*Param) {
 	if o.m == nil {
 		o.m = make(map[*Param]*tensor.Tensor)

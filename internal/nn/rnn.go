@@ -109,15 +109,8 @@ func (c *RNNCell) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Params implements Layer.
 func (c *RNNCell) Params() []*Param { return []*Param{c.wx, c.wh, c.b} }
 
-// Spec implements Layer.
-func (c *RNNCell) Spec() LayerSpec {
-	return LayerSpec{
-		Kind: "rnncell",
-		Ints: map[string]int{"in": c.inSize, "hidden": c.hiddenSize},
-		Tensors: map[string]*tensor.Tensor{
-			"wx": c.wx.Value.Clone(), "wh": c.wh.Value.Clone(), "bias": c.b.Value.Clone(),
-		},
-	}
+func (c *RNNCell) spec() (string, map[string]int) {
+	return "rnncell", map[string]int{"in": c.inSize, "hidden": c.hiddenSize}
 }
 
 func (c *RNNCell) clone() Layer {

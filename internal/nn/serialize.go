@@ -4,40 +4,32 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 
 	"github.com/avfi/avfi/internal/tensor"
 )
 
-// LayerSpec is the serializable description of a layer: its kind, scalar
-// configuration, and weight tensors. Networks round-trip through
-// []LayerSpec so trained agent models can be saved, shipped, and reloaded.
+// LayerSpec is the serialized form of a layer: its kind, scalar
+// configuration, and weight tensors keyed by Param name. A network saves as
+// []LayerSpec.
 type LayerSpec struct {
 	Kind    string
 	Ints    map[string]int
-	Floats  map[string]float64
 	Tensors map[string]*tensor.Tensor
-}
-
-func (s LayerSpec) intOr(key string, def int) int {
-	if v, ok := s.Ints[key]; ok {
-		return v
-	}
-	return def
-}
-
-func (s LayerSpec) needTensor(key string) (*tensor.Tensor, error) {
-	t, ok := s.Tensors[key]
-	if !ok || t == nil {
-		return nil, fmt.Errorf("%w: %q missing tensor %q", ErrBadSpec, s.Kind, key)
-	}
-	return t, nil
 }
 
 // Save writes the network (architecture + weights) to w.
 func (n *Network) Save(w io.Writer) error {
 	specs := make([]LayerSpec, len(n.layers))
 	for i, l := range n.layers {
-		specs[i] = l.Spec()
+		kind, ints := l.spec()
+		specs[i] = LayerSpec{Kind: kind, Ints: ints}
+		if ps := l.Params(); len(ps) > 0 {
+			specs[i].Tensors = make(map[string]*tensor.Tensor, len(ps))
+			for _, p := range ps {
+				specs[i].Tensors[p.Name] = p.Value
+			}
+		}
 	}
 	if err := gob.NewEncoder(w).Encode(specs); err != nil {
 		return fmt.Errorf("nn: save: %w", err)
@@ -45,110 +37,53 @@ func (n *Network) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a network saved with Save.
-func Load(r io.Reader) (*Network, error) {
+// LoadWeights reads weights saved with Save into n. The file must describe
+// n exactly: as many layers, and per layer the same kind, the same scalar
+// configuration, and one tensor per Param with its name and shape. Every
+// mismatch is an error wrapping ErrBadSpec, and n is only written once the
+// whole file has been checked, so a refused file leaves n as it was.
+func (n *Network) LoadWeights(r io.Reader) error {
 	var specs []LayerSpec
 	if err := gob.NewDecoder(r).Decode(&specs); err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
+		return fmt.Errorf("nn: load: %w", err)
 	}
-	layers := make([]Layer, len(specs))
-	for i, s := range specs {
-		l, err := buildLayer(s)
-		if err != nil {
-			return nil, fmt.Errorf("nn: load layer %d: %w", i, err)
+	if len(specs) != len(n.layers) {
+		return fmt.Errorf("%w: %d layers, want %d", ErrBadSpec, len(specs), len(n.layers))
+	}
+	for i, l := range n.layers {
+		if err := checkSpec(l, specs[i]); err != nil {
+			return fmt.Errorf("nn: load layer %d: %w", i, err)
 		}
-		layers[i] = l
 	}
-	return NewNetwork(layers...), nil
+	for i, l := range n.layers {
+		for _, p := range l.Params() {
+			copy(p.Value.Data(), specs[i].Tensors[p.Name].Data())
+		}
+	}
+	return nil
 }
 
-func buildLayer(s LayerSpec) (Layer, error) {
-	switch s.Kind {
-	case "dense":
-		in, out := s.intOr("in", 0), s.intOr("out", 0)
-		if in <= 0 || out <= 0 {
-			return nil, fmt.Errorf("%w: dense dims %dx%d", ErrBadSpec, in, out)
-		}
-		d := NewDense(in, out)
-		w, err := s.needTensor("weight")
-		if err != nil {
-			return nil, err
-		}
-		b, err := s.needTensor("bias")
-		if err != nil {
-			return nil, err
-		}
-		if !w.SameShape(d.w.Value) || !b.SameShape(d.b.Value) {
-			return nil, fmt.Errorf("%w: dense weight shapes %v/%v", ErrBadSpec, w.Shape(), b.Shape())
-		}
-		copy(d.w.Value.Data(), w.Data())
-		copy(d.b.Value.Data(), b.Data())
-		return d, nil
-
-	case "conv2d":
-		c := NewConv2D(
-			s.intOr("inC", 0), s.intOr("inH", 0), s.intOr("inW", 0),
-			s.intOr("outC", 0), s.intOr("k", 0), s.intOr("stride", 1), s.intOr("pad", 0),
-		)
-		if c.inC <= 0 || c.inH <= 0 || c.inW <= 0 || c.outC <= 0 || c.k <= 0 {
-			return nil, fmt.Errorf("%w: conv2d config %+v", ErrBadSpec, s.Ints)
-		}
-		w, err := s.needTensor("filter")
-		if err != nil {
-			return nil, err
-		}
-		b, err := s.needTensor("bias")
-		if err != nil {
-			return nil, err
-		}
-		if !w.SameShape(c.w.Value) || !b.SameShape(c.b.Value) {
-			return nil, fmt.Errorf("%w: conv2d weight shapes %v/%v", ErrBadSpec, w.Shape(), b.Shape())
-		}
-		copy(c.w.Value.Data(), w.Data())
-		copy(c.b.Value.Data(), b.Data())
-		return c, nil
-
-	case "maxpool2d":
-		size := s.intOr("size", 0)
-		if size <= 0 {
-			return nil, fmt.Errorf("%w: maxpool size %d", ErrBadSpec, size)
-		}
-		return NewMaxPool2D(size), nil
-
-	case "flatten":
-		return NewFlatten(), nil
-	case "relu":
-		return NewReLU(), nil
-	case "tanh":
-		return NewTanh(), nil
-	case "sigmoid":
-		return NewSigmoid(), nil
-
-	case "dropout":
-		p := s.Floats["p"]
-		// Dropout reloads inert (nil stream): inference never drops, and a
-		// caller that wants to continue training must supply a stream.
-		return &Dropout{p: p}, nil
-
-	case "rnncell":
-		in, hidden := s.intOr("in", 0), s.intOr("hidden", 0)
-		if in <= 0 || hidden <= 0 {
-			return nil, fmt.Errorf("%w: rnncell dims %dx%d", ErrBadSpec, in, hidden)
-		}
-		c := NewRNNCell(in, hidden)
-		for key, dst := range map[string]*Param{"wx": c.wx, "wh": c.wh, "bias": c.b} {
-			t, err := s.needTensor(key)
-			if err != nil {
-				return nil, err
-			}
-			if !t.SameShape(dst.Value) {
-				return nil, fmt.Errorf("%w: rnncell %s shape %v", ErrBadSpec, key, t.Shape())
-			}
-			copy(dst.Value.Data(), t.Data())
-		}
-		return c, nil
-
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadSpec, s.Kind)
+// checkSpec reports whether s is a saved form of l.
+func checkSpec(l Layer, s LayerSpec) error {
+	kind, ints := l.spec()
+	if s.Kind != kind {
+		return fmt.Errorf("%w: kind %q, want %q", ErrBadSpec, s.Kind, kind)
 	}
+	if !maps.Equal(s.Ints, ints) {
+		return fmt.Errorf("%w: %s config %v, want %v", ErrBadSpec, kind, s.Ints, ints)
+	}
+	ps := l.Params()
+	if len(s.Tensors) != len(ps) {
+		return fmt.Errorf("%w: %s has %d tensors, want %d", ErrBadSpec, kind, len(s.Tensors), len(ps))
+	}
+	for _, p := range ps {
+		t := s.Tensors[p.Name]
+		if t == nil {
+			return fmt.Errorf("%w: %s missing tensor %q", ErrBadSpec, kind, p.Name)
+		}
+		if !t.SameShape(p.Value) {
+			return fmt.Errorf("%w: %s tensor %q shape %v, want %v", ErrBadSpec, kind, p.Name, t.Shape(), p.Value.Shape())
+		}
+	}
+	return nil
 }

