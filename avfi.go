@@ -394,14 +394,9 @@ func DefaultPretrainSpec() PretrainSpec { return agent.DefaultPretrainSpec() }
 // it; an untrained agent drives, badly).
 func NewAgent(cfg AgentConfig) (*Agent, error) { return agent.New(cfg) }
 
-// TrainAgent trains a fresh agent on the world per the spec (no caching).
+// TrainAgent trains a fresh agent on the world per the spec.
 func TrainAgent(w *World, spec PretrainSpec) (*Agent, error) {
 	return agent.TrainNew(w, spec)
-}
-
-// PretrainedAgent returns the process-cached trained agent for the spec.
-func PretrainedAgent(w *World, spec PretrainSpec) (*Agent, error) {
-	return agent.Pretrained(w, spec)
 }
 
 // LoadAgent reads an agent saved with Agent.Save.

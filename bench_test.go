@@ -54,7 +54,7 @@ var (
 const (
 	agentFile          = "bench/testdata/agent-default.avfi"
 	agentSHA256File    = "bench/testdata/agent-default.sha256"
-	pretrainSpecDigest = "5b3959609e9fbdf23cd8b0b064e15459d24cb054c56ba9d63521f56076ca7b91"
+	pretrainSpecDigest = "287a0038813572033f4d2d5f53ef20c506f4ffb62ef966c0a5f609e5fe98ac03"
 )
 
 // loadPaperAgent reads the committed agent after checking its checksum

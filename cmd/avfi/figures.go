@@ -151,19 +151,39 @@ func printTTV(w io.Writer, rs *avfi.ResultSet, injectAt int) {
 }
 
 // baseConfig is the campaign figures and ablate vary: the default world
-// and the agent at agentPath over a missions x reps grid.
+// and the agent at agentPath over a missions x reps grid. Without a path it
+// trains the default agent here, once, for every suite of the invocation.
 func baseConfig(agentPath string, missions, reps int, seed uint64) (avfi.CampaignConfig, error) {
 	agentSrc, err := agentSource(agentPath)
 	if err != nil {
 		return avfi.CampaignConfig{}, err
 	}
-	return avfi.CampaignConfig{
+	cfg := avfi.CampaignConfig{
 		World:       avfi.DefaultWorldConfig(),
 		Agent:       agentSrc,
+		Injectors:   []avfi.InjectorSource{avfi.Injector(avfi.NoInject)},
 		Missions:    missions,
 		Repetitions: reps,
 		Seed:        seed,
-	}, nil
+	}
+	// Check the grid before training, so a bad flag fails at once. The
+	// placeholder column only satisfies Validate: each suite sets its own.
+	if err := cfg.Validate(); err != nil {
+		return avfi.CampaignConfig{}, err
+	}
+	cfg.Injectors = nil
+	if cfg.Agent.Agent == nil {
+		w, err := avfi.NewWorld(cfg.World)
+		if err != nil {
+			return avfi.CampaignConfig{}, err
+		}
+		a, err := avfi.TrainAgent(w, *cfg.Agent.Pretrain)
+		if err != nil {
+			return avfi.CampaignConfig{}, err
+		}
+		cfg.Agent = avfi.AgentSource{Agent: a}
+	}
+	return cfg, nil
 }
 
 // runSuite runs one campaign of figures or ablate, noting its shape on

@@ -37,14 +37,11 @@ func run(outDir, faultName string, every int) error {
 	if err != nil {
 		return err
 	}
-	spec := avfi.DefaultPretrainSpec()
-	fmt.Println("training the driving agent (cached per process)...")
-	driver, err := avfi.PretrainedAgent(w, spec)
+	fmt.Println("training the driving agent...")
+	agent, err := avfi.TrainAgent(w, avfi.DefaultPretrainSpec())
 	if err != nil {
 		return err
 	}
-	agent := driver.Clone()
-	agent.Reset()
 
 	// One mission across town.
 	from, to, err := w.Town().RandomMission(avfi.NewRand(7), 200)

@@ -40,7 +40,9 @@ const speedNorm = 10.0
 // commands is the fixed head order.
 var commands = []world.TurnKind{world.TurnFollow, world.TurnLeft, world.TurnRight, world.TurnStraight}
 
-// Config parameterizes the network.
+// Config parameterizes the network: the layer sizes of a feed-forward
+// agent, which keeps no state from one frame to the next, and the seed of
+// its initial weights.
 type Config struct {
 	// ImageW, ImageH must match the camera frames.
 	ImageW, ImageH int
@@ -52,11 +54,6 @@ type Config struct {
 	MeasDim int
 	// HeadHidden is each command head's hidden width.
 	HeadHidden int
-	// UseRNN inserts a recurrent cell between the trunk features and the
-	// heads, giving the agent the temporal stage in the paper's Figure 1.
-	UseRNN bool
-	// RNNHidden is the recurrent state size when UseRNN is set.
-	RNNHidden int
 	// Seed initializes weights deterministically.
 	Seed uint64
 }
@@ -81,9 +78,6 @@ func (c Config) Validate() error {
 	if c.Conv1 <= 0 || c.Conv2 <= 0 || c.FeatDim <= 0 || c.MeasDim <= 0 || c.HeadHidden <= 0 {
 		return fmt.Errorf("agent: non-positive layer size in %+v", c)
 	}
-	if c.UseRNN && c.RNNHidden <= 0 {
-		return fmt.Errorf("agent: UseRNN with RNNHidden %d", c.RNNHidden)
-	}
 	return nil
 }
 
@@ -105,13 +99,9 @@ type Agent struct {
 
 // newWorkspace sizes the input buffers of an agent with the given config.
 func (a *Agent) newWorkspace() {
-	featOut := a.cfg.FeatDim
-	if a.cfg.UseRNN {
-		featOut = a.cfg.RNNHidden
-	}
 	a.in = tensor.New(render.Channels, a.cfg.ImageH, a.cfg.ImageW)
 	a.speedIn = tensor.New(1)
-	a.z = tensor.New(featOut + a.cfg.MeasDim)
+	a.z = tensor.New(a.cfg.FeatDim + a.cfg.MeasDim)
 }
 
 // New builds an agent with freshly initialized weights.
@@ -127,7 +117,7 @@ func New(cfg Config) (*Agent, error) {
 	conv2 := nn.NewConv2D(cfg.Conv1, h1, w1, cfg.Conv2, 3, 2, 1).InitHe(r.Split("conv2"))
 	c2, h2, w2 := conv2.OutShape()
 
-	trunkLayers := []nn.Layer{
+	trunk := nn.NewNetwork(
 		conv1,
 		nn.NewReLU(),
 		conv2,
@@ -135,12 +125,7 @@ func New(cfg Config) (*Agent, error) {
 		nn.NewFlatten(),
 		nn.NewDense(c2*h2*w2, cfg.FeatDim).InitHe(r.Split("trunk-fc")),
 		nn.NewReLU(),
-	}
-	if cfg.UseRNN {
-		trunkLayers = append(trunkLayers,
-			nn.NewRNNCell(cfg.FeatDim, cfg.RNNHidden).InitXavier(r.Split("rnn")))
-	}
-	trunk := nn.NewNetwork(trunkLayers...)
+	)
 
 	meas := nn.NewNetwork(
 		nn.NewDense(1, cfg.MeasDim).InitXavier(r.Split("meas")),
@@ -177,14 +162,10 @@ func (a *Agent) Clone() *Agent {
 	return cp
 }
 
-// Reset clears recurrent state at episode boundaries.
-func (a *Agent) Reset() {
-	for _, l := range a.trunk.Layers() {
-		if c, ok := l.(*nn.RNNCell); ok {
-			c.ResetState()
-		}
-	}
-}
+// Reset does nothing: the agent keeps no state between frames, so Act
+// depends only on the weights and its arguments. It remains because the
+// benchmark module's layer trace calls it.
+func (a *Agent) Reset() {}
 
 // forward runs the full network for one frame, pix being its (3, H, W)
 // channel-major pixels in [0, 1], and returns the prediction (steer,

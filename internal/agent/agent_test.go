@@ -37,7 +37,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{ImageW: 4, ImageH: 48, Conv1: 8, Conv2: 8, FeatDim: 8, MeasDim: 4, HeadHidden: 8},
 		{ImageW: 64, ImageH: 48, Conv1: 0, Conv2: 8, FeatDim: 8, MeasDim: 4, HeadHidden: 8},
-		{ImageW: 64, ImageH: 48, Conv1: 8, Conv2: 8, FeatDim: 8, MeasDim: 4, HeadHidden: 8, UseRNN: true},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -288,14 +287,15 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestRNNAgentStateful(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.UseRNN = true
-	cfg.RNNHidden = 8
-	a, err := New(cfg)
+// TestActIsStateless: the agent carries nothing from one frame to the
+// next. The same frame twice gives bit-identical controls, and a clone that
+// has driven 20 frames acts on the next frame exactly like a fresh clone.
+func TestActIsStateless(t *testing.T) {
+	base, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := base.Clone()
 	img := tinyImage(8, 16, 12)
 	c1, err := a.Act(img, 5, world.TurnFollow)
 	if err != nil {
@@ -305,16 +305,25 @@ func TestRNNAgentStateful(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 == c2 {
-		t.Error("RNN agent produced identical outputs for consecutive frames")
+	if c1 != c2 {
+		t.Errorf("same frame twice: %+v then %+v", c1, c2)
 	}
-	a.Reset()
-	c3, err := a.Act(img, 5, world.TurnFollow)
+	for f := 0; f < 20; f++ {
+		if _, err := a.Act(tinyImage(uint64(100+f), 16, 12), float64(f%9), commands[f%len(commands)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := tinyImage(99, 16, 12)
+	want, err := base.Clone().Act(next, 3, world.TurnRight)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != c3 {
-		t.Error("Reset did not restore initial recurrent behaviour")
+	got, err := a.Act(next, 3, world.TurnRight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("after 20 frames: %+v, a fresh clone: %+v", got, want)
 	}
 }
 

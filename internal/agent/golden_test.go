@@ -69,9 +69,9 @@ func TestTrainGoldenWeights(t *testing.T) {
 			want: "aa31544355111e93e206db1a10db4c3ec245197e4d33a5285efdafca4cc1ecd6",
 		},
 		{
-			name: "rnn-odd-channels",
-			cfg:  Config{ImageW: 18, ImageH: 10, Conv1: 5, Conv2: 13, FeatDim: 12, MeasDim: 3, HeadHidden: 7, UseRNN: true, RNNHidden: 6, Seed: 6},
-			want: "864eae0e71a2a08136eb2f537558824c18946a51a8dde72fdf7723bfe2e8193d",
+			name: "odd-channels",
+			cfg:  Config{ImageW: 18, ImageH: 10, Conv1: 5, Conv2: 13, FeatDim: 12, MeasDim: 3, HeadHidden: 7, Seed: 6},
+			want: "8eea8dbe6b7b47b396a79d7f08118a9d392e185d5f591360a53bf94fe920d440",
 		},
 	}
 	tc := TrainConfig{Epochs: 2, BatchSize: 5, LR: 1e-3, SteerWeight: 1, SpeedWeight: 0.4, SpeedDropout: 0.1, BalanceCommands: true, Seed: 9}

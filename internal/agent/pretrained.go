@@ -2,15 +2,14 @@ package agent
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/avfi/avfi/internal/sim"
 )
 
-// PretrainSpec names one (world, agent, data, training) combination for the
-// process-wide pretrained cache. Campaign code, benchmarks and examples all
-// evaluate the same trained agent, so training cost is paid once per
-// process.
+// PretrainSpec is a recipe for a trained agent: the demonstration
+// missions, their collection, the network and its training. TrainNew
+// follows it on a world; the same spec on the same world trains the same
+// weights bit for bit.
 type PretrainSpec struct {
 	Missions int
 	Collect  CollectConfig
@@ -32,31 +31,8 @@ func DefaultPretrainSpec() PretrainSpec {
 	}
 }
 
-var (
-	pretrainMu    sync.Mutex
-	pretrainCache = map[string]*Agent{}
-)
-
-// Pretrained returns the trained agent for (world, spec), training it on
-// first use and caching it for the rest of the process. The returned agent
-// is shared — Clone before mutating or driving.
-func Pretrained(w *sim.World, spec PretrainSpec) (*Agent, error) {
-	key := fmt.Sprintf("%+v|world=%+v", spec, wKey(w))
-	pretrainMu.Lock()
-	defer pretrainMu.Unlock()
-	if a, ok := pretrainCache[key]; ok {
-		return a, nil
-	}
-	a, err := TrainNew(w, spec)
-	if err != nil {
-		return nil, err
-	}
-	pretrainCache[key] = a
-	return a, nil
-}
-
 // TrainNew collects demonstrations on the world and trains a fresh agent
-// (no caching).
+// sized to the world's camera (the spec's ImageW and ImageH are ignored).
 func TrainNew(w *sim.World, spec PretrainSpec) (*Agent, error) {
 	cam := w.Renderer().Config()
 	spec.Agent.ImageW = cam.Width
@@ -74,11 +50,4 @@ func TrainNew(w *sim.World, spec PretrainSpec) (*Agent, error) {
 		return nil, fmt.Errorf("agent: pretrain: %w", err)
 	}
 	return a, nil
-}
-
-// wKey summarizes a world's identity for the cache key.
-func wKey(w *sim.World) string {
-	t := w.Town()
-	return fmt.Sprintf("nodes=%d,edges=%d,buildings=%d",
-		t.Net.NodeCount(), t.Net.EdgeCount(), len(t.Buildings))
 }

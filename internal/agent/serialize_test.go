@@ -86,6 +86,14 @@ func TestLoadRejectsMalformedFiles(t *testing.T) {
 				return s
 			})
 		}, true, `load trunk: nn: load layer 1`},
+		// A file saved by an agent with a recurrent cell after the trunk:
+		// gob drops its UseRNN and RNNHidden config fields without error,
+		// so the trunk's extra layer is what must refuse it.
+		{"extra layer in trunk", func(ff *fileFormat) {
+			editSpecs(t, ff, "trunk", func(s []nn.LayerSpec) []nn.LayerSpec {
+				return append(s, nn.LayerSpec{Kind: "rnncell", Ints: map[string]int{"in": tinyConfig().FeatDim, "hidden": 6}})
+			})
+		}, true, "load trunk: nn: bad layer spec: 8 layers, want 7"},
 		{"missing head", func(ff *fileFormat) { delete(ff.Components, left) }, false, fmt.Sprintf("missing component %q", left)},
 		{"extra component", func(ff *fileFormat) { ff.Components["head-reverse"] = ff.Components[left] }, false, `unknown component "head-reverse"`},
 		{"tensor of the wrong shape", func(ff *fileFormat) {

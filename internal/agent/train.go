@@ -134,14 +134,12 @@ func trainingOrder(data []Sample, balance bool) []int {
 	return order
 }
 
-// forwardSample runs one training sample through the network from a clean
-// recurrent state (single-frame training) and returns its weighted loss with
-// the two prediction errors.
+// forwardSample runs one training sample through the network and returns
+// its weighted loss with the two prediction errors.
 func (a *Agent) forwardSample(s Sample, tc TrainConfig) (loss, dSteer, dSpeed float64, err error) {
 	if !s.Image.SameShape(a.in) {
 		return 0, 0, 0, fmt.Errorf("agent: sample image %v, want %v", s.Image.Shape(), a.in.Shape())
 	}
-	a.Reset()
 	pred, err := a.forward(s.Image.Data(), s.Speed, s.Command)
 	if err != nil {
 		return 0, 0, 0, err

@@ -12,18 +12,13 @@ import (
 	"github.com/avfi/avfi/internal/world"
 )
 
-func withRNN(cfg Config, hidden int) Config {
-	cfg.UseRNN, cfg.RNNHidden = true, hidden
-	return cfg
-}
-
 // TestAgentActZeroAllocs pins the steady state of inference: after one
 // warm-up call (the activation layers size their workspaces on first use),
 // Act allocates nothing, with telemetry collecting.
 func TestAgentActZeroAllocs(t *testing.T) {
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(false)
-	for name, cfg := range map[string]Config{"default": DefaultConfig(), "rnn": withRNN(DefaultConfig(), 16)} {
+	for name, cfg := range map[string]Config{"default": DefaultConfig()} {
 		t.Run(name, func(t *testing.T) {
 			a, err := New(cfg)
 			if err != nil {
@@ -51,7 +46,7 @@ func TestAgentActZeroAllocs(t *testing.T) {
 // a warm-up call, and must change the next control relative to an
 // uncorrupted twin.
 func TestActReadsWeightsLive(t *testing.T) {
-	base, err := New(withRNN(tinyConfig(), 6))
+	base, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +60,7 @@ func TestActReadsWeightsLive(t *testing.T) {
 			ids = append(ids, tensorID{c, name, layer})
 		}
 	})
-	if len(ids) != 6+3+2+4 { // two convs and a dense, the rnn triple, meas, the head's two denses
+	if len(ids) != 6+2+4 { // two convs and a dense, meas, the head's two denses
 		t.Fatalf("found %d parameter tensors on the left head's path: %v", len(ids), ids)
 	}
 	img := tinyImage(9, 16, 12)
@@ -101,7 +96,7 @@ func TestActReadsWeightsLive(t *testing.T) {
 // and checks each against the same frames driven serially: clones share no
 // workspace. Run under -race.
 func TestClonesDriveConcurrently(t *testing.T) {
-	for name, cfg := range map[string]Config{"default": tinyConfig(), "rnn": withRNN(tinyConfig(), 6)} {
+	for name, cfg := range map[string]Config{"default": tinyConfig()} {
 		t.Run(name, func(t *testing.T) {
 			base, err := New(cfg)
 			if err != nil {
@@ -110,7 +105,6 @@ func TestClonesDriveConcurrently(t *testing.T) {
 			const clones, frames = 2, 20
 			drive := func(a *Agent, clone int) [frames]physics.Control {
 				var out [frames]physics.Control
-				a.Reset()
 				for f := range out {
 					ctl, err := a.Act(tinyImage(uint64(100*clone+f), 16, 12), float64(f%9), commands[(clone+f)%len(commands)])
 					if err != nil {

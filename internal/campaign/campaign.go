@@ -191,7 +191,8 @@ func (p CellProgress) ViolationRate() float64 {
 }
 
 // AgentSource supplies the driving agent: either a ready instance or a
-// pretraining recipe (resolved through the process-wide cache).
+// pretraining recipe, which NewRunner or NewService trains on its own
+// world, once per Runner or Service; nothing is cached between them.
 type AgentSource struct {
 	Agent    *agent.Agent
 	Pretrain *agent.PretrainSpec
@@ -387,8 +388,8 @@ type Runner struct {
 // mission's start and goal, meters.
 const minMissionDistM = 150
 
-// NewRunner builds the world, resolves the agent (training it on first use
-// if a pretrain spec is given), and samples the missions.
+// NewRunner builds the world, resolves the agent (training it now if a
+// pretrain spec is given), and samples the missions.
 func NewRunner(cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -399,7 +400,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	a := cfg.Agent.Agent
 	if a == nil {
-		a, err = agent.Pretrained(w, *cfg.Agent.Pretrain)
+		a, err = agent.TrainNew(w, *cfg.Agent.Pretrain)
 		if err != nil {
 			return nil, err
 		}

@@ -285,6 +285,32 @@ func TestMissionsDeterministicAndExposed(t *testing.T) {
 	}
 }
 
+// TestPretrainTrainsForEachRunnersWorld: a pretrain spec is trained by each
+// Runner on its own world, so two runners sharing one spec on worlds that
+// differ only in camera size each get an agent sized to their own camera.
+func TestPretrainTrainsForEachRunnersWorld(t *testing.T) {
+	spec := agent.PretrainSpec{
+		Missions: 1,
+		Collect:  agent.DefaultCollectConfig(),
+		Train:    agent.DefaultTrainConfig(),
+		Agent:    tinyAgent(t).Config(),
+		DataSeed: 5,
+	}
+	spec.Train.Epochs = 1
+	for _, cam := range [][2]int{{16, 12}, {24, 18}} {
+		cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
+		cfg.World.Camera.Width, cfg.World.Camera.Height = cam[0], cam[1]
+		cfg.Agent = AgentSource{Pretrain: &spec}
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Agent().Config(); got.ImageW != cam[0] || got.ImageH != cam[1] {
+			t.Errorf("%dx%d world: agent sized %dx%d", cam[0], cam[1], got.ImageW, got.ImageH)
+		}
+	}
+}
+
 func TestInputFaultSuiteShape(t *testing.T) {
 	suite := InputFaultSuite()
 	if len(suite) != 6 {

@@ -41,8 +41,9 @@ type ServiceConfig struct {
 	// rejected (WorldMismatchError) rather than silently breaking
 	// bit-identity.
 	World sim.WorldConfig
-	// Agent supplies the system under test, shared by every campaign
-	// (resolved — trained, for a pretrain spec — once at service start).
+	// Agent supplies the system under test, shared by every campaign of
+	// the service. A pretrain spec is trained once, in NewService, on the
+	// service's world.
 	Agent AgentSource
 	// Parallelism bounds concurrent episodes fleet-wide, shared fairly
 	// across campaigns (0 = NumCPU).
@@ -138,7 +139,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	a := cfg.Agent.Agent
 	if a == nil {
-		a, err = agent.Pretrained(w, *cfg.Agent.Pretrain)
+		a, err = agent.TrainNew(w, *cfg.Agent.Pretrain)
 		if err != nil {
 			return nil, err
 		}

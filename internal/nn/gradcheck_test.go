@@ -31,8 +31,6 @@ func numericalGrad(t *testing.T, value *tensor.Tensor, eval func() float64) []fl
 func checkNetworkGradients(t *testing.T, net *Network, x, target *tensor.Tensor, tol float64) {
 	t.Helper()
 	eval := func() float64 {
-		// RNN state must be identical for every evaluation.
-		resetRNNStates(net)
 		pred, err := net.Forward(x.Clone())
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +41,6 @@ func checkNetworkGradients(t *testing.T, net *Network, x, target *tensor.Tensor,
 
 	// Analytic gradients.
 	net.ZeroGrad()
-	resetRNNStates(net)
 	pred, err := net.Forward(x.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -77,14 +74,6 @@ func sqErr(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 		grad.Data()[i] = scale * d
 	}
 	return sum / float64(pred.Len()), grad
-}
-
-func resetRNNStates(net *Network) {
-	for _, l := range net.Layers() {
-		if c, ok := l.(*RNNCell); ok {
-			c.ResetState()
-		}
-	}
 }
 
 func TestDenseGradient(t *testing.T) {
@@ -147,18 +136,6 @@ func TestConvStrideGradient(t *testing.T) {
 	)
 	x := randImage(r, 1, 8, 8)
 	target := randVec(r, 3)
-	checkNetworkGradients(t, net, x, target, 1e-4)
-}
-
-func TestRNNCellGradient(t *testing.T) {
-	r := rng.New(6)
-	net := NewNetwork(
-		NewDense(3, 4).InitXavier(r),
-		NewRNNCell(4, 5).InitXavier(r),
-		NewDense(5, 2).InitXavier(r),
-	)
-	x := randVec(r, 3)
-	target := randVec(r, 2)
 	checkNetworkGradients(t, net, x, target, 1e-4)
 }
 

@@ -2,14 +2,14 @@
 // the AVFI driving agent, standing in for the TensorFlow/PyTorch stack
 // behind the paper's imitation-learning CNN (Codevilla et al., ICRA 2018).
 //
-// It provides only what the agent runs: the layer types the paper's
-// Figure 1 names (convolutional perception layers, fully connected layers
-// with ReLU and tanh activations, and a recurrent cell), the Adam optimizer,
-// deterministic initialization, gob serialization of weights, and, critically
-// for AVFI, *parameter visitation hooks* that the machine-learning fault
-// injector uses to corrupt weights exactly as the paper describes ("adding
-// noise into the parameters of the machine learning model"). There are no
-// losses: the agent computes its own loss gradient and hands it to Backward.
+// It provides only what the agent runs: convolutional perception layers,
+// fully connected layers with ReLU and tanh activations, a flatten between
+// the two, the Adam optimizer, deterministic initialization, gob
+// serialization of weights, and, critically for AVFI, *parameter visitation
+// hooks* that the machine-learning fault injector uses to corrupt weights
+// exactly as the paper describes ("adding noise into the parameters of the
+// machine learning model"). There are no losses: the agent computes its own
+// loss gradient and hands it to Backward.
 //
 // # Saved weights fill an architecture built from config
 //
@@ -31,7 +31,7 @@
 // by reference, not by copy, until Backward has used it; the caller must
 // leave that tensor alone in between, which holds by construction inside a
 // Network, where each input is the previous layer's workspace. Workspaces
-// of a fixed geometry (Conv2D, Dense, RNNCell) are sized at construction,
+// of a fixed geometry (Conv2D, Dense) are sized at construction,
 // the rest on first use or when the input shape changes, and whatever only
 // Backward needs is created by the first Backward, so a network that only
 // ever infers (one clone per campaign episode) never pays for it.
@@ -99,9 +99,6 @@ type Network struct {
 func NewNetwork(layers ...Layer) *Network {
 	return &Network{layers: layers}
 }
-
-// Layers returns the layer slice (shared; used by fault localization).
-func (n *Network) Layers() []Layer { return n.layers }
 
 // Forward runs x through every layer.
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {

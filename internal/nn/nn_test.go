@@ -42,7 +42,6 @@ func TestBackwardBeforeForwardErrors(t *testing.T) {
 	layers := []Layer{
 		NewDense(2, 2), NewReLU(), NewTanh(),
 		NewFlatten(), NewConv2D(1, 4, 4, 1, 3, 1, 1),
-		NewRNNCell(2, 2),
 	}
 	for _, l := range layers {
 		if _, err := l.Backward(tensor.New(2)); err == nil {
@@ -190,7 +189,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := twin.LoadWeights(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resetRNNStates(twin)
 	got, err := twin.Forward(x)
 	if err != nil {
 		t.Fatal(err)
@@ -266,44 +264,5 @@ func TestLoadWeightsRejectsBadSpecs(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestRNNStateEvolvesAndResets(t *testing.T) {
-	r := rng.New(10)
-	cell := NewRNNCell(2, 3).InitXavier(r)
-	x := tensor.MustFromSlice([]float64{0.5, -0.25}, 2)
-
-	y1, err := cell.Forward(x.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	y1 = y1.Clone() // the cell's output buffer is overwritten by the next Forward
-	y2, err := cell.Forward(x.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range y1.Data() {
-		if y1.Data()[i] != y2.Data()[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("RNN output identical across steps; state not evolving")
-	}
-	if &y2.Data()[0] == &cell.State().Data()[0] {
-		t.Error("RNN output aliases the hidden state")
-	}
-
-	cell.ResetState()
-	y3, err := cell.Forward(x.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range y1.Data() {
-		if y1.Data()[i] != y3.Data()[i] {
-			t.Fatal("RNN reset did not restore initial behaviour")
-		}
 	}
 }

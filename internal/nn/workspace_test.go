@@ -17,8 +17,7 @@ func everyLayer(r *rng.Stream) (*Network, *tensor.Tensor) {
 		NewFlatten(),
 		NewDense(5*8*8, 6).InitXavier(r),
 		NewTanh(),
-		NewRNNCell(6, 4).InitXavier(r),
-		NewDense(4, 3).InitXavier(r),
+		NewDense(6, 3).InitXavier(r),
 	)
 	return net, randImage(r, 2, 8, 8)
 }
@@ -48,7 +47,7 @@ func TestWorkspacesAreOwnedAndNeverShared(t *testing.T) {
 	net, x := everyLayer(rng.New(23))
 	cl := net.Clone()
 	in, clIn := x, x
-	for i, l := range net.Layers() {
+	for i, l := range net.layers {
 		y1, err := l.Forward(in)
 		if err != nil {
 			t.Fatal(err)
@@ -64,15 +63,13 @@ func TestWorkspacesAreOwnedAndNeverShared(t *testing.T) {
 		if y1 == in {
 			t.Errorf("layer %d (%T): Forward returned its input", i, l)
 		}
-		if _, stateful := l.(*RNNCell); !stateful {
-			for j, v := range kept.Data() {
-				if y2.Data()[j] != v {
-					t.Fatalf("layer %d (%T): same input, different output", i, l)
-				}
+		for j, v := range kept.Data() {
+			if y2.Data()[j] != v {
+				t.Fatalf("layer %d (%T): same input, different output", i, l)
 			}
 		}
 		kept = y2.Clone()
-		clY, err := cl.Layers()[i].Forward(clIn)
+		clY, err := cl.layers[i].Forward(clIn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package simclient
 import (
 	"testing"
 
+	"github.com/avfi/avfi/internal/fault"
 	"github.com/avfi/avfi/internal/fault/sensorfault"
 	"github.com/avfi/avfi/internal/physics"
 	"github.com/avfi/avfi/internal/proto"
@@ -28,7 +29,7 @@ func frameWithLidar(t *testing.T, forward float64) *proto.SensorFrame {
 
 func TestAEBOverridesAgentControl(t *testing.T) {
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(1))
+	d := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(1)}
 	d.AEB = safety.NewAEB(physics.DefaultVehicleParams())
 	d.Reset()
 
@@ -43,14 +44,14 @@ func TestAEBOverridesAgentControl(t *testing.T) {
 
 func TestAEBInactiveWhenClear(t *testing.T) {
 	a := testAgent(t)
-	clean := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(2))
+	clean := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(2)}
 	clean.Reset()
 	want, err := clean.Drive(frameWithLidar(t, 55))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	guarded := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(2))
+	guarded := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(2)}
 	guarded.AEB = safety.NewAEB(physics.DefaultVehicleParams())
 	guarded.Reset()
 	got, err := guarded.Drive(frameWithLidar(t, 55))
@@ -64,7 +65,7 @@ func TestAEBInactiveWhenClear(t *testing.T) {
 
 func TestLidarDropoutBlindsAEB(t *testing.T) {
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), sensorfault.NewLidarDropout(), nil, nil, rng.New(3))
+	d := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(sensorfault.NewLidarDropout()), Rand: rng.New(3)}
 	d.AEB = safety.NewAEB(physics.DefaultVehicleParams())
 	d.Reset()
 
@@ -93,7 +94,7 @@ func TestLidarGhostCausesPhantomBraking(t *testing.T) {
 	a := testAgent(t)
 	ghost := sensorfault.NewLidarGhost()
 	ghost.Prob = 0.5 // aggressive, to make the test statistical quickly
-	d := NewFaultedDriver(a.Clone(), ghost, nil, nil, rng.New(4))
+	d := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(ghost), Rand: rng.New(4)}
 	d.AEB = safety.NewAEB(physics.DefaultVehicleParams())
 	d.Reset()
 
@@ -120,7 +121,7 @@ func TestAEBSeesPostFaultLidarOnly(t *testing.T) {
 	// The frame's original scan must not be mutated by the driver (the
 	// injector works on a copy).
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), sensorfault.NewLidarDropout(), nil, nil, rng.New(5))
+	d := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(sensorfault.NewLidarDropout()), Rand: rng.New(5)}
 	d.Reset()
 	f := frameWithLidar(t, 2)
 	orig := append([]float64(nil), f.Lidar...)

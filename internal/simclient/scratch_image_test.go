@@ -47,7 +47,7 @@ func TestFaultedDriverScratchImageIsRefilledEveryFrame(t *testing.T) {
 	const frames = 3
 	s := &scribbler{t: t}
 	var inputs [frames]*render.Image
-	d := NewFaultedDriver(testAgent(t).Clone(), s, nil, nil, rng.New(1))
+	d := &FaultedDriver{Agent: testAgent(t).Clone(), Roles: *fault.RolesOf(s), Rand: rng.New(1)}
 	d.Reset()
 	for i := 0; i < frames; i++ {
 		f := testFrame(t, uint32(i))
@@ -92,9 +92,9 @@ func TestScratchImageMatchesFreshImageForEveryInjector(t *testing.T) {
 		}
 		tested++
 		t.Run(name, func(t *testing.T) {
-			reused := NewFaultedDriver(base.Clone(), spec.New().(fault.InputInjector), nil, nil, rng.New(9))
+			reused := &FaultedDriver{Agent: base.Clone(), Roles: *fault.RolesOf(spec.New()), Rand: rng.New(9)}
 			reused.Reset()
-			fresh := NewFaultedDriver(base.Clone(), spec.New().(fault.InputInjector), nil, nil, rng.New(9))
+			fresh := &FaultedDriver{Agent: base.Clone(), Roles: *fault.RolesOf(spec.New()), Rand: rng.New(9)}
 			fresh.Reset()
 			for i := 0; i < frames; i++ {
 				f := frameWithLidar(t, 20)
@@ -104,7 +104,7 @@ func TestScratchImageMatchesFreshImageForEveryInjector(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				perFrame := NewFaultedDriver(fresh.Agent, fresh.Input, nil, nil, fresh.Rand)
+				perFrame := &FaultedDriver{Agent: fresh.Agent, Roles: fresh.Roles, Rand: fresh.Rand}
 				want, err := perFrame.Drive(f)
 				if err != nil {
 					t.Fatal(err)
@@ -124,7 +124,7 @@ func TestScratchImageMatchesFreshImageForEveryInjector(t *testing.T) {
 // pass that caches anything derived from the weights: a model fault applied
 // after the network has already run must still change what it computes.
 func TestModelFaultAfterWarmForwardChangesControl(t *testing.T) {
-	d := NewFaultedDriver(testAgent(t).Clone(), nil, nil, nil, rng.New(3))
+	d := &FaultedDriver{Agent: testAgent(t).Clone(), Rand: rng.New(3)}
 	d.Reset()
 	f := testFrame(t, 0)
 	before, err := d.Drive(f)

@@ -86,16 +86,6 @@ type FaultedDriver struct {
 
 var _ Driver = (*FaultedDriver)(nil)
 
-// NewFaultedDriver builds the standard pipeline. Any injector may be nil;
-// in also serves as the LIDAR role when it has one.
-func NewFaultedDriver(a *agent.Agent, in fault.InputInjector, out fault.OutputInjector, timing fault.TimingInjector, r *rng.Stream) *FaultedDriver {
-	d := &FaultedDriver{Agent: a, Roles: fault.Roles{Input: in, Output: out, Timing: timing}, Rand: r}
-	if ri := fault.RolesOf(in); ri.Lidar != nil {
-		d.Lidar = ri
-	}
-	return d
-}
-
 // ApplyModelFault corrupts the driver's agent with an ML fault injector
 // (call once, before the episode).
 func (d *FaultedDriver) ApplyModelFault(mi fault.ModelInjector, r *rng.Stream) {
@@ -106,11 +96,9 @@ func (d *FaultedDriver) ApplyModelFault(mi fault.ModelInjector, r *rng.Stream) {
 	}, r)
 }
 
-// Reset implements Driver.
-func (d *FaultedDriver) Reset() {
-	d.Agent.Reset()
-	d.Roles.Reset()
-}
+// Reset implements Driver: it resets the fault roles' per-episode state.
+// The agent keeps none.
+func (d *FaultedDriver) Reset() { d.Roles.Reset() }
 
 // Drive implements Driver: decode sensors, apply input faults, run the
 // network, apply output and timing faults.

@@ -46,7 +46,7 @@ func testFrame(t *testing.T, frameNum uint32) *proto.SensorFrame {
 
 func TestFaultedDriverNoFaultsMatchesAgent(t *testing.T) {
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(1))
+	d := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(1)}
 	d.Reset()
 	frame := testFrame(t, 0)
 
@@ -69,8 +69,8 @@ func TestFaultedDriverNoFaultsMatchesAgent(t *testing.T) {
 
 func TestFaultedDriverInputFaultChangesControl(t *testing.T) {
 	a := testAgent(t)
-	clean := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(2))
-	noisy := NewFaultedDriver(a.Clone(), imagefault.NewSolidOcclusion(), nil, nil, rng.New(2))
+	clean := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(2)}
+	noisy := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(imagefault.NewSolidOcclusion()), Rand: rng.New(2)}
 	clean.Reset()
 	noisy.Reset()
 	frame := testFrame(t, 0)
@@ -91,7 +91,7 @@ func TestFaultedDriverInputFaultChangesControl(t *testing.T) {
 func TestFaultedDriverOutputFault(t *testing.T) {
 	a := testAgent(t)
 	stuck := &stuckOutput{}
-	d := NewFaultedDriver(a.Clone(), nil, stuck, nil, rng.New(3))
+	d := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(stuck), Rand: rng.New(3)}
 	d.Reset()
 	got, err := d.Drive(testFrame(t, 0))
 	if err != nil {
@@ -114,7 +114,7 @@ func (stuckOutput) InjectControl(ctl physics.Control, _ int, _ *rng.Stream) phys
 func TestFaultedDriverTimingDelay(t *testing.T) {
 	a := testAgent(t)
 	delay := timingfault.NewDelay(2)
-	d := NewFaultedDriver(a.Clone(), nil, nil, delay, rng.New(4))
+	d := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(delay), Rand: rng.New(4)}
 	d.Reset()
 
 	// Feed three distinct frames; with delay 2 the third output equals the
@@ -127,7 +127,7 @@ func TestFaultedDriverTimingDelay(t *testing.T) {
 		}
 		controls = append(controls, c)
 	}
-	ref := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(4))
+	ref := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(4)}
 	ref.Reset()
 	first, err := ref.Drive(testFrame(t, 0))
 	if err != nil {
@@ -140,7 +140,7 @@ func TestFaultedDriverTimingDelay(t *testing.T) {
 
 func TestApplyModelFaultCorruptsClone(t *testing.T) {
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(5))
+	d := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(5)}
 	noise := mlfault.NewWeightNoise()
 	noise.Sigma = 5
 	d.ApplyModelFault(noise, rng.New(6))
@@ -151,7 +151,7 @@ func TestApplyModelFaultCorruptsClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanD := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(5))
+	cleanD := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(5)}
 	clean, err := cleanD.Drive(testFrame(t, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestApplyModelFaultCorruptsClone(t *testing.T) {
 
 func TestFaultedDriverRejectsBadFrame(t *testing.T) {
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(7))
+	d := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(7)}
 	bad := testFrame(t, 0)
 	bad.Pixels = bad.Pixels[:10]
 	if _, err := d.Drive(bad); err == nil {
@@ -183,7 +183,7 @@ func TestFaultedDriverRejectsBadFrame(t *testing.T) {
 
 func TestFaultedDriverUnknownCommandSafe(t *testing.T) {
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(8))
+	d := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(8)}
 	frame := testFrame(t, 0)
 	frame.Command = 250 // corrupted on the wire
 	if _, err := d.Drive(frame); err != nil {

@@ -29,7 +29,7 @@ func TestWindowedLidarFaultChangesAEBOutcome(t *testing.T) {
 		frames = 60
 	)
 	a := testAgent(t)
-	d := NewFaultedDriver(a.Clone(), windowedDropout(start), nil, nil, rng.New(11))
+	d := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(windowedDropout(start)), Rand: rng.New(11)}
 	d.AEB = safety.NewAEB(physics.DefaultVehicleParams())
 	d.Reset()
 
@@ -64,10 +64,10 @@ func TestFaultedDriverLidarPathNoExtraAllocs(t *testing.T) {
 	// without one (the shared pipeline cost — image decode, agent forward
 	// pass — is identical on both sides).
 	a := testAgent(t)
-	plain := NewFaultedDriver(a.Clone(), nil, nil, nil, rng.New(12))
+	plain := &FaultedDriver{Agent: a.Clone(), Rand: rng.New(12)}
 	plain.AEB = safety.NewAEB(physics.DefaultVehicleParams())
 	plain.Reset()
-	faulted := NewFaultedDriver(a.Clone(), windowedDropout(0), nil, nil, rng.New(12))
+	faulted := &FaultedDriver{Agent: a.Clone(), Roles: *fault.RolesOf(windowedDropout(0)), Rand: rng.New(12)}
 	faulted.AEB = safety.NewAEB(physics.DefaultVehicleParams())
 	faulted.Reset()
 

@@ -139,65 +139,6 @@ func TestDenseMatchesMatMulReference(t *testing.T) {
 	}
 }
 
-// refRNN is the parent's RNNCell step from hidden state h.
-func refRNN(p refParams, x, h, grad *Tensor) (y, dx *Tensor) {
-	wx, wh, b := p.value[0], p.value[1], p.value[2]
-	xRow, hRow := must(x.Reshape(1, x.Len())), must(h.Reshape(1, h.Len()))
-	pre := must(MatMul(xRow, wx))
-	if err := pre.AddInPlace(must(MatMul(hRow, wh))); err != nil {
-		panic(err)
-	}
-	if err := pre.AddRowVec(b); err != nil {
-		panic(err)
-	}
-	y = must(pre.Reshape(h.Len())).Apply(math.Tanh)
-
-	dPre := grad.Clone()
-	for i, v := range y.Data() {
-		dPre.Data()[i] *= 1 - v*v
-	}
-	dPreRow := must(dPre.Reshape(1, h.Len()))
-	p.accumulate(0, must(MatMulTransA(xRow, dPreRow)))
-	p.accumulate(1, must(MatMulTransA(hRow, dPreRow)))
-	p.accumulate(2, dPre)
-	return y, must(must(MatMulTransB(dPreRow, wx)).Reshape(x.Len()))
-}
-
-func TestRNNCellMatchesMatMulReference(t *testing.T) {
-	const in, hidden = 6, 5
-	r := rng.New(77)
-	c := nn.NewRNNCell(in, hidden).InitXavier(r)
-	copy(c.Params()[2].Value.Data(), sparse(r, hidden).Data())
-	ref := mirror(c)
-	h := New(hidden)
-	for step := 0; step < 4; step++ {
-		x, grad := sparse(r, in), sparse(r, hidden)
-		if step == 3 {
-			x.Data()[2] = 0
-			for j := 0; j < hidden; j++ {
-				c.Params()[0].Value.Set(nonFinite[j%3], 2, j)
-			}
-		}
-		y, err := c.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dx, err := c.Backward(grad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantY, wantDx := refRNN(ref, x, h, grad)
-		sameBits(t, "output", y, wantY)
-		sameBits(t, "state", c.State(), wantY)
-		sameBits(t, "input grad", dx, wantDx)
-		ref.check(t, c)
-		if !y.IsFinite() {
-			t.Fatal("a corrupted weight behind a zero input reached the output")
-		}
-		h = wantY
-	}
-}
-
 // refConv is the parent's Conv2D: im2col, one matmul per direction, col2im.
 func refConv(p refParams, x, grad *Tensor, k, stride, pad int) (y, dx *Tensor) {
 	w, b := p.value[0], p.value[1]
