@@ -15,10 +15,11 @@
 //     (bit flips, stuck-at), timing (delay/drop/reorder on the control
 //     path) and machine-learning (weight noise and bit flips);
 //   - a sharded pool of persistent, session-multiplexed simulation
-//     engines: a campaign runs over one server connection per engine,
-//     with concurrent episodes interleaved as protocol sessions, least-loaded dispatch across
-//     engines (CampaignConfig.Pool), bounded retry of transient episode
-//     failures, and replacement of dead backends;
+//     engines: a campaign runs over one in-process engine or one
+//     connection per remote worker (CampaignConfig.Pool), with concurrent
+//     episodes interleaved as protocol sessions, least-loaded dispatch
+//     across engines, bounded retry of transient episode failures, and one
+//     redial of a dead worker in its own slot;
 //   - a streaming results pipeline: episode records flow through
 //     incremental per-cell aggregation and an optional RecordSink
 //     (NewBinarySink writes the durable binary record log), so a campaign
@@ -40,8 +41,8 @@
 //     shard directory), and CampaignConfig.ResumeFrom seeds a new run with
 //     it, skipping every (cell, mission, repetition) already recorded;
 //   - a distributed fleet mode: SimWorker serves episodes to remote
-//     campaigns (avfi serve), PoolConfig.Backends dials a fleet of
-//     workers round-robin with retry and dead-worker replacement, and
+//     campaigns (avfi serve), PoolConfig.Backends dials one engine per
+//     worker with retry and an in-place redial of a dead worker, and
 //     ShardSinks/OpenRecordsPath/MergeRecords shard the durable episode
 //     log across independent writers — all bit-identical to the single
 //     in-process engine run for the same seed, even under a mid-campaign
@@ -150,11 +151,12 @@ type (
 	// EngineStats describes one persistent engine's work for a campaign
 	// (and, as ResultSet.Engine, the pool aggregate).
 	EngineStats = campaign.EngineStats
-	// PoolConfig shards a campaign across a pool of persistent engines and
-	// bounds per-episode retry after transient backend failures.
+	// PoolConfig shards a campaign across one engine per remote worker (or
+	// the one in-process engine) and bounds per-episode retry after
+	// transient backend failures.
 	PoolConfig = campaign.PoolConfig
 	// PoolStats reports the engine pool's work: per-engine stats, episode
-	// retries, and backend replacements.
+	// retries, and dead-slot redials.
 	PoolStats = campaign.PoolStats
 	// RecordSink consumes episode records as they complete — the streaming
 	// results path for campaigns too large to retain in memory.

@@ -18,9 +18,9 @@
 // run's injector, grid, matrix and adaptive flags fill an
 // avfi.CampaignSpec, lowered by CampaignSpec.Lower exactly as a POST
 // /campaigns body is; a flag of a mode that is off is an error. Episodes
-// ride a pool of persistent session-multiplexed engines (-engines
-// in-process, or one per -backends worker) with bounded retry and dead
-// backend replacement, bit-identical at any pool size for the same seed.
+// ride persistent session-multiplexed engines (one in-process, or one per
+// -backends worker) with bounded retry and a redial of a dead worker,
+// bit-identical at any pool size for the same seed.
 // -stream-records writes the binary record log (a directory: one
 // records-<i>.bin shard per engine slot, merged by `avfi records`);
 // without -records-csv or -json only a fixed-size digest per episode stays

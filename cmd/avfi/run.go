@@ -35,7 +35,6 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		reportsCSV = fs.String("reports-csv", "", "write per-injector reports CSV here")
 		jsonPath   = fs.String("json", "", "write the full result set as JSON here")
 		parallel   = fs.Int("parallel", 0, "concurrent episodes (0 = NumCPU)")
-		engines    = fs.Int("engines", 0, "persistent engines in the pool, each its own server+connection (0 = auto: one per -backends worker, else 1)")
 		retries    = fs.Int("retries", 0, "per-episode retries after transient engine failures")
 		streamPath = fs.String("stream-records", "", "stream per-episode records to this binary record log as they complete (a directory: one records-<i>.bin shard per engine slot); without -records-csv/-json, records are not retained in memory")
 		adaptiveOn = fs.Bool("adaptive", false, "risk-driven episode allocation instead of the exhaustive sweep")
@@ -43,7 +42,7 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		budget     = fs.Int("budget", 0, "adaptive total episode budget (0 = the full scenario grid)")
 		roundSize  = fs.Int("round", 0, "adaptive episodes per plan/observe/reallocate round (0 = auto)")
 		resumePath = fs.String("resume", "", "resume from this binary episode log (or shard directory): recorded episodes are not re-run")
-		backends   = fs.String("backends", "", "comma-separated remote worker addresses; the campaign dials these instead of spawning in-process engines")
+		backends   = fs.String("backends", "", "comma-separated remote worker addresses; the campaign dials one engine per worker instead of its in-process engine")
 		statusAddr = fs.String("status-addr", "", "serve live observability on this address (e.g. :6060): /metrics, /statusz, /healthz, /debug/pprof")
 		verbose    = fs.Bool("v", false, "verbose logging (episode retries, engine lifecycle); default logs warnings only")
 		slowEp     = fs.Duration("slow-episode", 2*time.Minute, "log a warning for episodes slower than this (0 disables)")
@@ -107,7 +106,6 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	}
 	cfg.World = avfi.DefaultWorldConfig()
 	cfg.Parallelism = *parallel
-	cfg.Pool.Engines = *engines
 	cfg.Pool.Backends = backendList
 	cfg.SlowEpisode = *slowEp
 	if cfg.Adaptive != nil {
@@ -210,7 +208,7 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	if *resumePath != "" {
 		fmt.Fprintf(stderr, "resumed: %d episodes were already on record in %s\n", resumeCount, *resumePath)
 	}
-	// Pool.Engines lists dead and replaced engines too; count live ones.
+	// Pool.Engines lists dead and redialed engines too; count live ones.
 	poolSize := 0
 	for _, es := range rs.Pool.Engines {
 		if !es.Dead && !es.Replaced {
@@ -220,7 +218,7 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	fmt.Fprintf(stderr, "engine pool: %d episodes over %d %s engine(s), up to %d multiplexed per connection\n",
 		rs.Engine.Episodes, poolSize, rs.Engine.Transport, rs.Engine.MaxConcurrentSessions)
 	if rs.Pool.Retries > 0 || rs.Pool.Replacements > 0 {
-		fmt.Fprintf(stderr, "engine pool: %d episode retries, %d engine replacements\n",
+		fmt.Fprintf(stderr, "engine pool: %d episode retries, %d engine redials\n",
 			rs.Pool.Retries, rs.Pool.Replacements)
 	}
 	if rs.Adaptive != nil {

@@ -72,15 +72,16 @@ func TestAdaptiveUniformMatchesExhaustive(t *testing.T) {
 
 // TestAdaptiveBitIdenticalAcrossPoolSizes is the adaptive determinism
 // contract: same seed, same policy ⇒ the same episode allocation and the
-// same ResultSet, whether the rounds run on one engine or a pool of four.
+// same ResultSet, whether the rounds run on the in-process engine or a
+// pool of four remote workers.
 func TestAdaptiveBitIdenticalAcrossPoolSizes(t *testing.T) {
-	run := func(engines int) *ResultSet {
+	run := func(workers int) *ResultSet {
 		cfg := tinyConfig(t, []InjectorSource{
 			Registry(fault.NoopName),
 			Registry("saltpepper"),
 		})
 		cfg.Parallelism = 4
-		cfg.Pool = PoolConfig{Engines: engines}
+		cfg.Pool = workerPool(t, workers)
 		cfg.Adaptive = &AdaptiveConfig{
 			Policy:    adaptive.UCB{},
 			Budget:    6, // partial budget: allocation actually matters
@@ -96,7 +97,7 @@ func TestAdaptiveBitIdenticalAcrossPoolSizes(t *testing.T) {
 		}
 		return rs
 	}
-	single, pooled := run(1), run(4)
+	single, pooled := run(0), run(4)
 	if !reflect.DeepEqual(single.Records, pooled.Records) {
 		t.Error("adaptive records diverged across pool sizes")
 	}
@@ -104,7 +105,7 @@ func TestAdaptiveBitIdenticalAcrossPoolSizes(t *testing.T) {
 		t.Error("adaptive reports diverged across pool sizes")
 	}
 	if !reflect.DeepEqual(single.Adaptive, pooled.Adaptive) {
-		t.Errorf("episode allocation diverged across pool sizes:\n 1 engine: %+v\n 4 engines: %+v",
+		t.Errorf("episode allocation diverged across pool sizes:\n in-process: %+v\n 4 workers: %+v",
 			single.Adaptive, pooled.Adaptive)
 	}
 	if got := len(single.Records); got != 6 {

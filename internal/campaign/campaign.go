@@ -3,12 +3,12 @@
 // engine is one simserver.Server and one simclient.Client sharing a single
 // transport.Conn for the whole campaign, and a worker pool opens episodes
 // as protocol sessions on the least-loaded engine — episode dispatch is
-// O(1) in connections and throughput shards across PoolConfig.Engines
-// backends, the shape million-episode resilience sweeps need. Finished
-// episodes stream through a results pipeline (incremental per-cell
-// aggregation plus an optional RecordSink), so a campaign can shrink
-// per-episode retention to a small fixed-size statistics digest instead of
-// full records (Config.DiscardRecords).
+// O(1) in connections and throughput shards across one engine per
+// PoolConfig.Backends worker, the shape million-episode resilience sweeps
+// need. Finished episodes stream through a results pipeline (incremental
+// per-cell aggregation plus an optional RecordSink), so a campaign can
+// shrink per-episode retention to a small fixed-size statistics digest
+// instead of full records (Config.DiscardRecords).
 //
 // Scenarios come from either the classic flat grid (injectors x missions x
 // repetitions) or a ScenarioMatrix crossing weather, traffic density, AEB
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/avfi/avfi/internal/agent"
@@ -203,9 +202,6 @@ func (c Config) Validate() error {
 	if err := c.validateSpec(); err != nil {
 		return err
 	}
-	if c.Pool.Engines < 0 {
-		return fmt.Errorf("campaign: pool engines=%d must be non-negative", c.Pool.Engines)
-	}
 	for i, addr := range c.Pool.Backends {
 		if strings.TrimSpace(addr) == "" {
 			return fmt.Errorf("campaign: pool backend %d is empty", i)
@@ -323,9 +319,9 @@ type EngineStats struct {
 	// Dead reports the engine's backend was condemned (connection lost or
 	// Serve loop exited) during the campaign.
 	Dead bool
-	// Replaced reports the pool swapped a fresh engine into this dead
-	// engine's slot. Dead && !Replaced means the slot stayed out of
-	// service (replacement budget exhausted).
+	// Replaced reports the pool redialed this dead engine's slot and a
+	// fresh engine to the same backend took it. Dead && !Replaced means the
+	// slot stayed out of service (its redial failed or the budget ran out).
 	Replaced bool
 }
 
@@ -340,7 +336,7 @@ type ResultSet struct {
 	// Engine reports the engine pool's aggregate work.
 	Engine EngineStats
 	// Pool reports the sharded engine pool in detail: per-engine stats,
-	// episode retries, and backend replacements.
+	// episode retries, and dead-slot redials.
 	Pool PoolStats
 	// Adaptive reports the round-by-round allocation of a campaign run
 	// with Config.Adaptive (nil for exhaustive sweeps).
@@ -376,8 +372,6 @@ type Runner struct {
 	missions [][2]world.NodeID
 	// cells are the resolved scenario columns.
 	cells []runCell
-	// backendSeq drives the round-robin rotation over Pool.Backends.
-	backendSeq atomic.Uint64
 	// worldHash fingerprints cfg.World for the dial-time handshake.
 	worldHash uint64
 	// status is the live progress snapshot behind Runner.Status (status.go).

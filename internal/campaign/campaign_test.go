@@ -144,7 +144,7 @@ func TestWireRangeFailsByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := r.startEngine()
+	eng, err := r.startEngine(0)
 	if err != nil {
 		t.Fatal(err)
 	}

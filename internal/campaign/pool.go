@@ -13,60 +13,50 @@ import (
 
 // PoolConfig shards a campaign across a pool of persistent engines.
 type PoolConfig struct {
-	// Engines is how many persistent engines (each its own simserver.Server,
-	// simclient.Client and connection) the campaign spreads episodes over
-	// with least-loaded dispatch. 0 or 1 runs the classic single engine —
-	// except with Backends, where 0 sizes the pool to the backend count.
-	Engines int
 	// MaxRetries bounds how many times one episode is re-dispatched after a
 	// transient failure (server-side session abort, dead engine connection)
 	// before the whole campaign fails. 0 disables retry.
 	MaxRetries int
 	// Backends, when non-empty, lists remote simulator worker addresses
-	// (see simserver.Worker / avfi -serve): instead of spawning in-process
-	// pipe engines, the pool dials these addresses round-robin, one
-	// connection per engine slot. Health checks, bounded retry and
-	// dead-engine replacement carry over unchanged — a replacement engine
-	// dials the next backend in the rotation, so one dead worker degrades
-	// the campaign onto the survivors. Episode results travel over
-	// the wire (EpisodeResult), so the worker's world configuration is the
-	// only thing that must match the campaign's for bit-identical results.
+	// (see simserver.Worker / avfi serve): instead of one in-process pipe
+	// engine, the pool holds one engine slot per address, each a single
+	// dialed connection. A slot never moves: a dead worker's slot is
+	// redialed at its own address, once per death, and stays dead if that
+	// fails, so the campaign degrades onto the surviving workers. Episode
+	// results travel over the wire (EpisodeResult), so the worker's world
+	// configuration is the only thing that must match the campaign's for
+	// bit-identical results.
 	Backends []string
 }
 
 // PoolSize resolves the number of engine slots this configuration runs
-// under the given worker parallelism (<= 0 means unbounded): Engines, or
-// one per backend when Engines is 0 with Backends set, capped at
-// parallelism (slots beyond the worker count would idle), floor 1. The
+// under the given worker parallelism (<= 0 means unbounded): one per
+// backend, capped at parallelism (slots beyond the worker count would
+// idle), floor 1 — the one in-process pipe engine without backends. The
 // scheduler sizes its pool with this; cmd/avfi sizes its shard logs with
 // it too, so shard count can only exceed actual slots when the scheduler
 // additionally clamps parallelism to a small job batch — the surplus
 // shard logs just stay empty, which merge and resume tolerate.
 func (p PoolConfig) PoolSize(parallelism int) int {
-	n := p.Engines
-	if n == 0 && len(p.Backends) > 0 {
-		n = len(p.Backends)
-	}
+	n := len(p.Backends)
 	if parallelism > 0 && n > parallelism {
 		n = parallelism
 	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(n, 1)
 }
 
 // PoolStats describes the engine pool's work for one campaign run. The
 // pool-wide episode total lives in ResultSet.Engine (the aggregate
 // EngineStats), not here.
 type PoolStats struct {
-	// Engines holds per-engine stats: live slots first (in slot order),
-	// then any engines that died mid-campaign and were replaced.
+	// Engines holds per-engine stats: the slots first (in slot order),
+	// then any engines that died mid-campaign and were redialed.
 	Engines []EngineStats
 	// Retries counts episode re-dispatches after transient failures.
 	Retries int
-	// Replacements counts engines that died and were swapped for a fresh
-	// backend.
+	// Replacements counts redials of dead slots, failed ones included:
+	// each spends one of the pool's 2n, and a failed one leaves its slot
+	// dead for the rest of the run.
 	Replacements int
 }
 
@@ -88,14 +78,15 @@ type engine struct {
 	// Pool bookkeeping; guarded by the owning pool's mutex.
 	inflight int
 	dead     bool
+	lost     error // why a dead slot is never redialed again (nil: it may be)
 }
 
-// startEngine wires one engine slot: a dialed connection to the next remote
-// backend in round-robin rotation when PoolConfig.Backends is set, or an
-// in-process server/client pair over a pipe otherwise.
-func (r *Runner) startEngine() (*engine, error) {
-	if len(r.cfg.Pool.Backends) > 0 {
-		return r.dialBackend()
+// startEngine wires engine slot i: a dialed connection to the slot's own
+// remote backend, PoolConfig.Backends[i], or the in-process server/client
+// pair over a pipe when there are no backends.
+func (r *Runner) startEngine(i int) (*engine, error) {
+	if backends := r.cfg.Pool.Backends; len(backends) > 0 {
+		return dialWorkerEngine(backends[i], r.worldHash)
 	}
 	factory := r.world.NewEpisode
 	if r.cfg.testFactoryWrap != nil {
@@ -113,11 +104,11 @@ func (r *Runner) startEngine() (*engine, error) {
 	return eng, nil
 }
 
-// backendDialTimeout bounds one backend connect. Replacement dials run
-// under the pool mutex (see replaceLocked), so a worker host that
+// backendDialTimeout bounds one backend connect. A campaign's redials run
+// under its pool mutex (see redialLocked), so a worker host that
 // blackholes packets must fail in seconds, not the OS connect timeout's
-// minutes — within this bound the pool stalls briefly, then degrades onto
-// the surviving backends.
+// minutes — within this bound the pool stalls briefly, once per death,
+// then degrades onto the surviving backends.
 const backendDialTimeout = 3 * time.Second
 
 // WorldMismatchError is returned when a dialed worker announces a world
@@ -163,16 +154,6 @@ func dialWorkerEngine(addr string, want uint64) (*engine, error) {
 		backend:   addr,
 		client:    client,
 	}, nil
-}
-
-// dialBackend starts one remote engine slot: a connection to the next
-// worker address in round-robin rotation. The rotation advances on every
-// start — including replacements — so a dead worker's slot migrates onto a
-// surviving backend instead of redialing the corpse forever.
-func (r *Runner) dialBackend() (*engine, error) {
-	backends := r.cfg.Pool.Backends
-	addr := backends[int((r.backendSeq.Add(1)-1)%uint64(len(backends)))]
-	return dialWorkerEngine(addr, r.worldHash)
 }
 
 // stats snapshots the engine's work so far, always from the client side of
@@ -233,31 +214,30 @@ func (e *engine) backendErr() error {
 	return fmt.Errorf("connection lost")
 }
 
-// enginePool shards campaign episodes over N persistent engines with
-// least-loaded dispatch. When an engine's backend dies mid-campaign the
-// pool retires it and starts a fresh engine in its slot, within a bounded
-// replacement budget, so one dead backend degrades the campaign instead of
-// killing it.
+// enginePool shards campaign episodes over N persistent engine slots with
+// least-loaded dispatch. A slot is one backend and never moves: when its
+// engine dies mid-campaign the pool redials that same backend (or starts a
+// fresh pipe engine) within a bounded budget, so one dead backend degrades
+// the campaign instead of killing it.
 type enginePool struct {
-	start func() (*engine, error)
+	// start (re)starts slot i's engine. It is nil for a Service's fleet,
+	// which redials outside the pool mutex (Service.maintain, install).
+	start func(i int) (*engine, error)
 
-	mu              sync.Mutex
-	engines         []*engine // live slots, fixed length
-	retired         []*engine // replaced engines, kept for stats and close
-	retries         int
-	replacements    int
-	maxReplacements int
+	mu         sync.Mutex
+	engines    []*engine // one per slot, in slot order
+	retired    []*engine // redialed slots' dead engines, kept for stats and close
+	retries    int
+	redials    int // attempted, failed ones included
+	maxRedials int // 2 per slot
 }
 
 // newEnginePool starts n engines. On any startup failure the already
 // started engines are torn down.
-func newEnginePool(start func() (*engine, error), n int) (*enginePool, error) {
-	if n < 1 {
-		n = 1
-	}
-	p := &enginePool{start: start, maxReplacements: 2 * n}
+func newEnginePool(start func(int) (*engine, error), n int) (*enginePool, error) {
+	p := &enginePool{start: start, maxRedials: 2 * n}
 	for i := 0; i < n; i++ {
-		e, err := start()
+		e, err := start(i)
 		if err != nil {
 			p.close()
 			return nil, fmt.Errorf("campaign: engine %d: %w", i, err)
@@ -268,9 +248,8 @@ func newEnginePool(start func() (*engine, error), n int) (*enginePool, error) {
 	return p, nil
 }
 
-// acquire returns the least-loaded live engine, first replacing any dead
-// ones within the replacement budget. A dead slot that cannot be revived
-// (budget exhausted, or the fresh backend failed to start) degrades the
+// acquire returns the least-loaded live engine, first redialing any dead
+// slot not yet given up on. A slot that cannot be revived degrades the
 // pool instead of failing it: dispatch continues on the remaining live
 // engines, and acquire errors only when none are left. The caller must
 // release the engine.
@@ -281,7 +260,7 @@ func (p *enginePool) acquire() (*engine, error) {
 	var lastErr error
 	for i, e := range p.engines {
 		if !e.healthy() {
-			ne, err := p.replaceLocked(i)
+			ne, err := p.redialLocked(i)
 			if err != nil {
 				lastErr = err
 				continue
@@ -309,34 +288,45 @@ func (p *enginePool) release(e *engine) {
 	p.mu.Unlock()
 }
 
-// fail marks an engine's backend dead; the next acquire replaces it.
+// fail marks an engine's backend dead; the next acquire redials its slot.
 func (p *enginePool) fail(e *engine) {
 	p.mu.Lock()
 	e.dead = true
 	p.mu.Unlock()
 }
 
-// addSlot grows the pool by one freshly started engine — the campaign
-// service's join path: a worker announcing itself mid-campaign becomes a
-// new live slot that the very next acquire can dispatch onto, the grow
-// direction complementing replaceLocked's dead-slot migration.
-func (p *enginePool) addSlot(e *engine) {
+// install puts a freshly dialed engine into its backend's slot, appending
+// a slot for a backend the pool has not seen, and closes the dead engine
+// it displaces — the campaign service's join and redial path, which dials
+// before calling, outside the pool mutex.
+func (p *enginePool) install(e *engine) {
 	p.mu.Lock()
-	e.id = len(p.engines) + len(p.retired)
-	p.engines = append(p.engines, e)
+	var old *engine
+	for i, cur := range p.engines {
+		if cur.backend == e.backend {
+			old, e.id, p.engines[i] = cur, i, e
+			break
+		}
+	}
+	if old == nil {
+		e.id = len(p.engines)
+		p.engines = append(p.engines, e)
+	}
 	p.mu.Unlock()
+	if old != nil {
+		_ = old.close()
+	}
 }
 
-// liveSlots counts healthy engine slots per backend address — how much of
-// the pool each remote worker is currently serving. The service's registry
-// uses it to decide which registered workers need a (re)dial.
-func (p *enginePool) liveSlots() map[string]int {
+// liveBackends reports the backend addresses whose slot holds a healthy
+// engine — the service registry's per-worker up/down view.
+func (p *enginePool) liveBackends() map[string]bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	m := make(map[string]int)
+	m := make(map[string]bool)
 	for _, e := range p.engines {
 		if e.healthy() {
-			m[e.backend]++
+			m[e.backend] = true
 		}
 	}
 	return m
@@ -350,30 +340,41 @@ func (p *enginePool) noteRetry() {
 	p.mu.Unlock()
 }
 
-// replaceLocked swaps slot i's dead engine for a fresh backend. The dead
-// engine stays in its slot if the budget is exhausted or the replacement
-// fails to start; acquire then skips it. Requires p.mu — engine startup is
-// a pipe allocation or a remote dial bounded by backendDialTimeout, both
+// redialLocked revives dead slot i in place: one fresh engine on the
+// slot's own backend. Each death gets one attempt, which spends the redial
+// budget whether or not it succeeds; when it fails, or the budget is
+// spent, the slot is lost and every later acquire skips it without
+// dialing, so a black-holed worker costs one backendDialTimeout per death.
+// A fleet pool (nil start) never dials here. Requires p.mu — engine
+// startup is a pipe allocation or a dial bounded by backendDialTimeout,
 // short against the seconds an episode runs, and backend death is
 // exceptional, so blocking the pool briefly beats unlock/relock juggling.
-func (p *enginePool) replaceLocked(i int) (*engine, error) {
+func (p *enginePool) redialLocked(i int) (*engine, error) {
 	old := p.engines[i]
 	old.dead = true
-	if p.replacements >= p.maxReplacements {
-		return nil, fmt.Errorf("campaign: engine pool: replacement budget (%d) exhausted; last backend error: %v",
-			p.maxReplacements, old.backendErr())
+	switch {
+	case old.lost != nil:
+		return nil, old.lost
+	case p.start == nil:
+		return nil, fmt.Errorf("campaign: engine %d (%s) is down: %v", i, old.desc(), old.backendErr())
+	case p.redials >= p.maxRedials:
+		old.lost = fmt.Errorf("campaign: engine pool: redial budget (%d) exhausted; last backend error: %v",
+			p.maxRedials, old.backendErr())
+		return nil, old.lost
 	}
-	ne, err := p.start()
+	p.redials++
+	telemetry.CampaignReplacements.Inc()
+	ne, err := p.start(i)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: replacing engine %d: %w", i, err)
+		old.lost = fmt.Errorf("campaign: redialing engine %d (%s): %w", i, old.desc(), err)
+		telemetry.Warnf("%v; slot stays dead (%d/%d redials used)", old.lost, p.redials, p.maxRedials)
+		return nil, old.lost
 	}
 	ne.id = i
 	p.engines[i] = ne
 	p.retired = append(p.retired, old)
-	p.replacements++
-	telemetry.CampaignReplacements.Inc()
-	telemetry.Warnf("campaign: engine %d (%s) died (%v); replaced with %s (%d/%d replacements used)",
-		i, old.desc(), old.backendErr(), ne.desc(), p.replacements, p.maxReplacements)
+	telemetry.Warnf("campaign: engine %d (%s) died (%v); redialed (%d/%d redials used)",
+		i, old.desc(), old.backendErr(), p.redials, p.maxRedials)
 	return ne, nil
 }
 
@@ -383,7 +384,7 @@ func (p *enginePool) replaceLocked(i int) (*engine, error) {
 func (p *enginePool) snapshot() (PoolStats, EngineStats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ps := PoolStats{Retries: p.retries, Replacements: p.replacements}
+	ps := PoolStats{Retries: p.retries, Replacements: p.redials}
 	var agg EngineStats
 	collect := func(e *engine, replaced bool) {
 		es := e.stats()

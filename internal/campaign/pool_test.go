@@ -20,18 +20,29 @@ import (
 	"github.com/avfi/avfi/internal/transport"
 )
 
+// workerPool is the pool of n fresh loopback workers, one engine each, or
+// the in-process pipe engine's zero PoolConfig for n == 0.
+func workerPool(t testing.TB, n int) PoolConfig {
+	if n == 0 {
+		return PoolConfig{}
+	}
+	addrs, _ := startTestWorkers(t, n)
+	return PoolConfig{Backends: addrs}
+}
+
 // TestPoolCampaignBitIdentical is the sharding determinism contract: the
-// same campaign run on a 4-engine pool must produce a ResultSet
-// bit-identical to the single-engine run — episodes are pure functions of
-// their seeds, and which engine served one is not part of the result.
+// same campaign run on a pool of 4 remote workers must produce a ResultSet
+// bit-identical to the in-process single-engine run — episodes are pure
+// functions of their seeds, and which engine served one is not part of
+// the result.
 func TestPoolCampaignBitIdentical(t *testing.T) {
-	run := func(engines int) *ResultSet {
+	run := func(workers int) *ResultSet {
 		cfg := tinyConfig(t, []InjectorSource{
 			Registry(fault.NoopName),
 			Registry("saltpepper"),
 		})
 		cfg.Parallelism = 4
-		cfg.Pool = PoolConfig{Engines: engines}
+		cfg.Pool = workerPool(t, workers)
 		r, err := NewRunner(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +53,7 @@ func TestPoolCampaignBitIdentical(t *testing.T) {
 		}
 		return rs
 	}
-	single, pooled := run(1), run(4)
+	single, pooled := run(0), run(4)
 	if !reflect.DeepEqual(single.Records, pooled.Records) {
 		t.Error("pooled records diverged from single-engine records")
 	}
@@ -98,7 +109,7 @@ func TestEpisodeRetryAfterTransientFailure(t *testing.T) {
 
 	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
 	cfg.Parallelism = 2
-	cfg.Pool = PoolConfig{Engines: 2, MaxRetries: 2}
+	cfg.Pool = PoolConfig{MaxRetries: 2}
 	var calls int
 	cfg.testFactoryWrap = failFirstOpens(1, &calls)
 	r, err := NewRunner(cfg)
@@ -133,7 +144,7 @@ func TestEpisodeRetryAfterTransientFailure(t *testing.T) {
 
 func TestEpisodeFailureFatalWithoutRetryBudget(t *testing.T) {
 	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
-	cfg.Pool = PoolConfig{Engines: 1, MaxRetries: 0}
+	cfg.Pool = PoolConfig{MaxRetries: 0}
 	var calls int
 	cfg.testFactoryWrap = failFirstOpens(1, &calls)
 	r, err := NewRunner(cfg)
@@ -224,12 +235,10 @@ func TestPoolSize(t *testing.T) {
 		parallelism int
 		want        int
 	}{
-		{"zero value is one engine", PoolConfig{}, 8, 1},
-		{"explicit engines", PoolConfig{Engines: 4}, 8, 4},
-		{"auto-sizes to backends", PoolConfig{Backends: backends}, 8, 3},
-		{"explicit engines beat backends", PoolConfig{Engines: 2, Backends: backends}, 8, 2},
+		{"no backends is one pipe engine", PoolConfig{}, 8, 1},
+		{"one per backend", PoolConfig{Backends: backends}, 8, 3},
 		{"capped by parallelism", PoolConfig{Backends: backends}, 2, 2},
-		{"unbounded parallelism", PoolConfig{Engines: 6}, 0, 6},
+		{"unbounded parallelism", PoolConfig{Backends: backends}, 0, 3},
 	}
 	for _, tc := range cases {
 		if got := tc.pool.PoolSize(tc.parallelism); got != tc.want {
@@ -240,7 +249,7 @@ func TestPoolSize(t *testing.T) {
 
 // TestEnginePoolReplacesDeadEngine drives the pool directly: a backend
 // whose connection dies is retired and a fresh engine takes its slot,
-// until the bounded replacement budget runs out.
+// until the bounded redial budget runs out.
 func TestEnginePoolReplacesDeadEngine(t *testing.T) {
 	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
 	r, err := NewRunner(cfg)
@@ -273,7 +282,7 @@ func TestEnginePoolReplacesDeadEngine(t *testing.T) {
 	}
 	rec, err := r.runEpisode(replacement, job{cellIdx: 0, mission: 0, repetition: 0})
 	if err != nil {
-		t.Fatalf("episode on replacement engine: %v", err)
+		t.Fatalf("episode on redialed engine: %v", err)
 	}
 	if rec.DurationSec <= 0 {
 		t.Errorf("replacement episode made no progress: %+v", rec)
@@ -304,16 +313,74 @@ func TestEnginePoolReplacesDeadEngine(t *testing.T) {
 		pool.fail(e)
 		pool.release(e)
 	}
-	t.Error("replacement budget never exhausted")
+	t.Error("redial budget never exhausted")
+}
+
+// TestEnginePoolFailedRedialStaysDead pins the redial rule: a dead slot is
+// redialed at its own backend once per death, and when that redial fails
+// the slot stays dead — later acquires dispatch onto the survivor without
+// dialing again, so an unreachable worker costs one dial, not one per
+// episode.
+func TestEnginePoolFailedRedialStaysDead(t *testing.T) {
+	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName)})
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts [2]int
+	down := errors.New("backend unreachable")
+	pool, err := newEnginePool(func(i int) (*engine, error) {
+		if starts[i]++; starts[i] > 1 {
+			return nil, down
+		}
+		return r.startEngine(i)
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.close()
+
+	victim := pool.engines[1]
+	victim.serverConn.Close()
+	pool.fail(victim)
+	for i := 0; i < 5; i++ {
+		e, err := pool.acquire()
+		if err != nil {
+			t.Fatalf("acquire %d with one live slot: %v", i, err)
+		}
+		if e != pool.engines[0] {
+			t.Fatalf("acquire %d handed out engine %d, want the surviving slot 0", i, e.id)
+		}
+		pool.release(e)
+	}
+	if starts != [2]int{1, 2} {
+		t.Errorf("starts per slot = %v, want [1 2] (one redial of the dead slot)", starts)
+	}
+	ps, _ := pool.snapshot()
+	if ps.Replacements != 1 {
+		t.Errorf("Replacements = %d, want the 1 failed redial", ps.Replacements)
+	}
+	if !ps.Engines[1].Dead || ps.Engines[1].Replaced || len(ps.Engines) != 2 {
+		t.Errorf("engine stats = %+v, want slot 1 dead and not replaced, nothing retired", ps.Engines)
+	}
+
+	// Once the survivor dies too and its redial fails, acquire names the
+	// failure.
+	pool.engines[0].serverConn.Close()
+	pool.fail(pool.engines[0])
+	if _, err := pool.acquire(); !errors.Is(err, down) {
+		t.Errorf("acquire with every slot lost = %v, want the redial failure", err)
+	}
 }
 
 // BenchmarkCampaignPool measures episode throughput of the same campaign
-// sharded over 1, 2 and 4 engines — in-process, and against
-// loopback-remote simulator workers (the -backends deployment shape, so
-// the wire cost of going distributed is on the same chart). Reported as
-// episodes/sec; the pool's win is demultiplexing the per-connection
-// serialization, so it grows with worker count on multi-core runners. CI's
-// bench-pool job renders this benchmark into BENCH_pool.json.
+// on the one in-process pipe engine, and against 1, 2 and 4
+// loopback-remote simulator workers (the -backends deployment shape, one
+// engine per worker, so the wire cost of going distributed is on the same
+// chart). Reported as episodes/sec. Worker processes here share the
+// benchmark's cores, so the curve is flat: on 2 CPUs remote-1/2/4 read
+// 23.2-23.8 / 24.6-25.4 / 23.7-24.5 episodes/sec. CI's bench-pool job
+// renders this benchmark into BENCH_pool.json and gates the remote rows.
 func BenchmarkCampaignPool(b *testing.B) {
 	bench := func(b *testing.B, pool PoolConfig) {
 		cfg := tinyConfig(b, []InjectorSource{
@@ -343,15 +410,10 @@ func BenchmarkCampaignPool(b *testing.B) {
 			b.ReportMetric(float64(episodes*b.N)/elapsed, "episodes/sec")
 		}
 	}
-	for _, engines := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("inproc-%d", engines), func(b *testing.B) {
-			bench(b, PoolConfig{Engines: engines})
-		})
-	}
-	for _, engines := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("remote-%d", engines), func(b *testing.B) {
-			addrs, _ := startTestWorkers(b, engines)
-			bench(b, PoolConfig{Backends: addrs})
+	b.Run("inproc-1", func(b *testing.B) { bench(b, PoolConfig{}) })
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("remote-%d", workers), func(b *testing.B) {
+			bench(b, workerPool(b, workers))
 		})
 	}
 }

@@ -314,15 +314,15 @@ func mergeShardDir(t *testing.T, dir string, n int) []byte {
 
 // TestBinaryBatchedCampaignBitIdentical is the hot-path determinism
 // contract: the same campaign streamed through a binary sink over two
-// engines with batched episode dispatch merges to the byte-identical
-// canonical stream as the single-engine baseline, with identical reports.
+// remote workers with batched episode dispatch merges to the byte-identical
+// canonical stream as the in-process baseline, with identical reports.
 func TestBinaryBatchedCampaignBitIdentical(t *testing.T) {
-	run := func(engines int) ([]byte, []metrics.Report) {
+	run := func(workers int) ([]byte, []metrics.Report) {
 		var log bytes.Buffer
 		cfg := shardBase(t)
 		cfg.DiscardRecords = true
 		cfg.Sink = NewBinarySink(&log)
-		cfg.Pool = PoolConfig{Engines: engines}
+		cfg.Pool = workerPool(t, workers)
 		r, err := NewRunner(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +333,7 @@ func TestBinaryBatchedCampaignBitIdentical(t *testing.T) {
 		}
 		return log.Bytes(), rs.Reports
 	}
-	baseLog, want := run(1)
+	baseLog, want := run(0)
 	gotLog, got := run(2)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("batched binary campaign reports diverged from the baseline")

@@ -85,7 +85,7 @@ func (r *Runner) newRunSession(maxBatch int) (*runSession, error) {
 }
 
 // runJob executes one episode, re-dispatching it (onto the then
-// least-loaded, possibly freshly replaced engine) after transient failures.
+// least-loaded, possibly freshly redialed engine) after transient failures.
 // Episodes are a pure function of their seed, so a retried episode produces
 // the identical record a first-try success would have.
 func (s *runSession) runJob(ctx context.Context, j job) (metrics.EpisodeRecord, error) {
@@ -204,8 +204,8 @@ func (s *runSession) close() error {
 func (r *Runner) Run() (*ResultSet, error) { return r.RunContext(context.Background()) }
 
 // RunContext executes the campaign on a sharded pool of persistent
-// engines (PoolConfig.Engines servers/clients/connections; one for the
-// classic single-engine shape): the full sweep, or with Config.Adaptive
+// engines (one connection per PoolConfig.Backends worker, or one
+// in-process pipe engine without backends): the full sweep, or with Config.Adaptive
 // the risk-driven round loop (adaptive.go). Every finished episode streams
 // through the results pipeline: incremental per-cell aggregation, the
 // optional RecordSink, and — unless Config.DiscardRecords — retention for
@@ -216,8 +216,8 @@ func (r *Runner) Run() (*ResultSet, error) { return r.RunContext(context.Backgro
 // finish, the remaining jobs are abandoned, and the error is returned.
 // Cancelling ctx does the same with ctx's cause. Transient failures
 // (session aborts, dead backends) are retried within PoolConfig.MaxRetries
-// and dead engines are replaced, so one lost backend costs a re-dispatch,
-// not the campaign.
+// and a dead engine's slot is redialed once, so one lost backend costs a
+// re-dispatch, not the campaign.
 func (r *Runner) RunContext(ctx context.Context) (*ResultSet, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)

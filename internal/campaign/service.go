@@ -1,7 +1,7 @@
 // The campaign control plane: a long-lived Service owning one shared
 // engine fleet that many concurrent campaigns dispatch onto. Workers
-// announce themselves to the service (and may join mid-campaign — the
-// grow direction complementing the pool's dead-slot shrink migration),
+// announce themselves to the service and may join mid-campaign; each holds
+// exactly one fleet slot, redialed in place when it dies and comes back;
 // campaigns are submitted as declarative specs and interleave fairly via
 // a round-robin dispatch gate, and results stream out of an in-memory
 // sink in either canonical record format. The HTTP face of all of this
@@ -52,9 +52,11 @@ type ServiceConfig struct {
 	// campaigns whose spec doesn't set one (0 = 3; a long-lived fleet
 	// should survive a worker dying mid-episode by default).
 	DefaultRetries int
-	// RedialInterval is how often the service re-dials registered workers
-	// with no live engine slot — backends that were down at announce time
-	// or died mid-campaign rejoin automatically (0 = 2s).
+	// RedialInterval is how often the service redials registered workers
+	// whose slot holds no live engine — workers that were down at announce
+	// time or died mid-campaign rejoin in their own slot (0 = 2s). This
+	// loop is the fleet's only redial path: until it runs, campaigns
+	// dispatch onto the surviving workers.
 	RedialInterval time.Duration
 }
 
@@ -72,7 +74,7 @@ var ErrServiceClosed = errors.New("campaign: service closed")
 var ErrUnknownCampaign = errors.New("campaign: unknown campaign id")
 
 // regWorker is one registry entry. Liveness is not stored here: a worker
-// is "up" iff the fleet pool has a healthy engine slot dialed to it.
+// is "up" iff its fleet slot holds a healthy engine.
 type regWorker struct {
 	addr    string
 	lastErr string // last dial failure ("" after a successful dial)
@@ -97,10 +99,7 @@ type serviceCampaign struct {
 
 // Service is the long-lived campaign control plane: it owns a worker
 // registry and one shared engine fleet, accepts campaign submissions, and
-// schedules their episodes fairly over the fleet. Locking order, where
-// both are needed: the fleet pool's mutex is acquired before the
-// service's (the pool's start hook dials under the pool mutex) — so no
-// Service method may call into the pool while holding s.mu.
+// schedules their episodes fairly over the fleet.
 type Service struct {
 	cfg       ServiceConfig
 	worldHash uint64
@@ -112,8 +111,7 @@ type Service struct {
 
 	mu          sync.Mutex
 	workers     map[string]*regWorker
-	workerOrder []string // registration order; dial rotation
-	dialSeq     int
+	workerOrder []string // registration order
 	campaigns   map[string]*serviceCampaign
 	order       []string // submission order
 	closed      bool
@@ -161,14 +159,11 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		campaigns: make(map[string]*serviceCampaign),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	// The fleet pool starts with zero slots and grows as workers
-	// announce; its start hook serves replaceLocked, migrating a dead
-	// slot onto the next registered worker in rotation. The replacement
-	// budget is effectively unbounded: the pool lives as long as the
-	// service, not one campaign, so a per-run budget would eventually
-	// strand a healthy fleet.
+	// The fleet pool starts with zero slots and gains one per worker
+	// that joins. It has no start hook: acquire skips a dead slot, and
+	// maintain redials it outside the pool mutex.
 	s.fleet = &sharedFleet{
-		pool:        &enginePool{start: s.dialNext, maxReplacements: 1 << 30},
+		pool:        &enginePool{},
 		gate:        newFairGate(cfg.Parallelism),
 		parallelism: cfg.Parallelism,
 	}
@@ -200,9 +195,9 @@ func (s *Service) Close() error {
 // idempotent) and dials it immediately. A worker announcing a mismatched
 // world hash is rejected outright — the registration is dropped and the
 // WorldMismatchError returned. Any other dial failure (the worker is down
-// or unreachable) keeps the registration: the worker joins the periodic
-// re-dial rotation and its first successful dial adds it to the fleet,
-// mid-campaign included.
+// or unreachable) keeps the registration: the periodic redial keeps
+// trying, and its first successful dial adds the worker's slot to the
+// fleet, mid-campaign included.
 func (s *Service) AddWorker(addr string) (WorkerInfo, error) {
 	addr = strings.TrimSpace(addr)
 	if addr == "" {
@@ -236,18 +231,12 @@ func (s *Service) AddWorker(addr string) (WorkerInfo, error) {
 
 // Workers snapshots the registry with per-worker fleet liveness.
 func (s *Service) Workers() []WorkerInfo {
-	live := s.fleet.pool.liveSlots()
+	live := s.fleet.pool.liveBackends()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]WorkerInfo, 0, len(s.workerOrder))
 	for _, addr := range s.workerOrder {
-		w := s.workers[addr]
-		out = append(out, WorkerInfo{
-			Addr:    addr,
-			Up:      live[addr] > 0,
-			Slots:   live[addr],
-			LastErr: w.lastErr,
-		})
+		out = append(out, WorkerInfo{Addr: addr, Up: live[addr], LastErr: s.workers[addr].lastErr})
 	}
 	return out
 }
@@ -256,20 +245,18 @@ func (s *Service) Workers() []WorkerInfo {
 type WorkerInfo struct {
 	// Addr is the worker's announce address.
 	Addr string `json:"addr"`
-	// Up reports the fleet holds at least one live engine slot to it.
+	// Up reports the worker's fleet slot holds a live engine.
 	Up bool `json:"up"`
-	// Slots is the number of live engine slots dialed to this worker.
-	Slots int `json:"slots"`
 	// LastErr is the most recent dial failure ("" once a dial succeeds).
 	LastErr string `json:"last_err,omitempty"`
 }
 
 // workerInfo builds one worker's API view.
 func (s *Service) workerInfo(addr string) WorkerInfo {
-	live := s.fleet.pool.liveSlots()
+	up := s.fleet.pool.liveBackends()[addr]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := WorkerInfo{Addr: addr, Up: live[addr] > 0, Slots: live[addr]}
+	info := WorkerInfo{Addr: addr, Up: up}
 	if w, ok := s.workers[addr]; ok {
 		info.LastErr = w.lastErr
 	}
@@ -293,12 +280,13 @@ func (s *Service) dropWorker(addr string) {
 	telemetry.ServiceWorkers.Set(int64(len(s.workers)))
 }
 
-// ensureWorker guarantees the fleet holds a live engine slot to addr,
-// dialing one if needed. Concurrent calls for one worker coalesce (one
-// dial in flight at a time). Returns the dial error, WorldMismatchError
-// included.
+// ensureWorker guarantees addr's fleet slot holds a live engine: if not,
+// it dials the worker outside the pool mutex and installs the engine in
+// the worker's own slot (adding the slot on its first join), closing the
+// dead engine there. Concurrent calls for one worker coalesce (one dial in
+// flight at a time). Returns the dial error, WorldMismatchError included.
 func (s *Service) ensureWorker(addr string) error {
-	if s.fleet.pool.liveSlots()[addr] > 0 {
+	if s.fleet.pool.liveBackends()[addr] {
 		return nil
 	}
 	s.mu.Lock()
@@ -325,7 +313,7 @@ func (s *Service) ensureWorker(addr string) error {
 	if err != nil {
 		return err
 	}
-	s.fleet.pool.addSlot(eng)
+	s.fleet.pool.install(eng)
 	telemetry.Infof("campaign: service: worker %s joined the fleet", addr)
 	return nil
 }
@@ -341,37 +329,10 @@ func (s *Service) dialWorker(addr string) (*engine, error) {
 	return eng, err
 }
 
-// dialNext serves the fleet pool's replaceLocked: a dead slot migrates to
-// the next registered worker in rotation. Runs under the pool mutex, so
-// it must not call back into the pool; it marks the dial outcome in the
-// registry so /workers reflects it.
-func (s *Service) dialNext() (*engine, error) {
-	s.mu.Lock()
-	if len(s.workerOrder) == 0 {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("campaign: service: no workers registered")
-	}
-	addr := s.workerOrder[s.dialSeq%len(s.workerOrder)]
-	s.dialSeq++
-	s.mu.Unlock()
-
-	eng, err := s.dialWorker(addr)
-
-	s.mu.Lock()
-	if w, ok := s.workers[addr]; ok {
-		if err != nil {
-			w.lastErr = err.Error()
-		} else {
-			w.lastErr = ""
-		}
-	}
-	s.mu.Unlock()
-	return eng, err
-}
-
-// maintain is the registry's re-dial loop: every RedialInterval it dials
-// any registered worker without a live fleet slot — covering workers that
-// were down when they announced, and workers that died and came back.
+// maintain is the fleet's redial loop, and its only one: every
+// RedialInterval it redials each registered worker whose slot holds no
+// live engine — covering workers that were down when they announced, and
+// workers that died and came back.
 func (s *Service) maintain() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.RedialInterval)
@@ -400,11 +361,11 @@ func (s *Service) maintain() {
 
 // noteWorkersUp refreshes the workers-up gauge.
 func (s *Service) noteWorkersUp() {
-	live := s.fleet.pool.liveSlots()
+	live := s.fleet.pool.liveBackends()
 	s.mu.Lock()
 	up := 0
 	for _, addr := range s.workerOrder {
-		if live[addr] > 0 {
+		if live[addr] {
 			up++
 		}
 	}
@@ -514,7 +475,7 @@ func (s *Service) awaitCapacity(ctx context.Context) error {
 	t := time.NewTicker(20 * time.Millisecond)
 	defer t.Stop()
 	for {
-		if len(s.fleet.pool.liveSlots()) > 0 {
+		if len(s.fleet.pool.liveBackends()) > 0 {
 			return nil
 		}
 		select {

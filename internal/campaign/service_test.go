@@ -161,6 +161,110 @@ func TestWorkerJoinsMidCampaign(t *testing.T) {
 	}
 }
 
+// TestWorkerFlapKeepsOneSlotPerWorker is the fleet-shape chaos invariant:
+// a worker that dies and comes back on the same address rejoins in its own
+// slot. Worker A of two is killed and restarted four times, with a
+// campaign run while it is down each time; after every flap both workers
+// are up, the fleet holds exactly one live engine per worker (no slot
+// migrated onto B, none added for A's return), nothing is retired, and
+// every campaign's records equal the solo in-process run's.
+func TestWorkerFlapKeepsOneSlotPerWorker(t *testing.T) {
+	spec := CampaignSpec{Injectors: []string{fault.NoopName}, Missions: 2, Repetitions: 1, Seed: 5}
+	baseline, err := NewRunner(specBaselineConfig(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := baseline.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := sim.NewWorld(tinyWorldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// startA serves worker A on addr and returns its kill switch.
+	startA := func(addr string) (string, func()) {
+		wk := simserver.NewWorker(w.NewEpisode, tinyWorldConfig().Hash())
+		addr, err := wk.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- wk.Serve() }()
+		var once sync.Once
+		kill := func() {
+			once.Do(func() {
+				wk.Close()
+				if err := <-done; err != nil {
+					t.Errorf("worker A Serve: %v", err)
+				}
+			})
+		}
+		t.Cleanup(kill)
+		return addr, kill
+	}
+	addrA, killA := startA("127.0.0.1:0")
+	others, _ := startTestWorkers(t, 1)
+	addrB := others[0]
+	svc := startTestService(t, []string{addrA, addrB})
+
+	// awaitUp polls the registry until worker A's liveness reads up.
+	awaitUp := func(up bool) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			ws := svc.Workers()
+			if len(ws) == 2 && ws[0].Up == up && ws[1].Up {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("workers = %+v, want A up=%v and B up", ws, up)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	// liveEngines counts the fleet's slots and live engines per backend.
+	liveEngines := func() (slots, retired int, live map[string]int) {
+		p := svc.fleet.pool
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		live = map[string]int{}
+		for _, e := range p.engines {
+			if e.healthy() {
+				live[e.backend]++
+			}
+		}
+		return len(p.engines), len(p.retired), live
+	}
+
+	awaitUp(true)
+	for flap := 1; flap <= 4; flap++ {
+		killA()
+		awaitUp(false)
+		id, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitCampaign(t, svc, id)
+		got, err := svc.Results(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want.Records) {
+			t.Errorf("flap %d: records diverged from the solo in-process run", flap)
+		}
+
+		_, killA = startA(addrA)
+		awaitUp(true)
+		slots, retired, live := liveEngines()
+		if slots != 2 || retired != 0 || live[addrA] != 1 || live[addrB] != 1 {
+			t.Errorf("flap %d: fleet has %d slots, %d retired, live engines per worker %v; want 2 slots, 0 retired, one live engine each",
+				flap, slots, retired, live)
+		}
+	}
+}
+
 // TestConcurrentCampaignsBitIdentical is the multi-tenant contract: two
 // campaigns submitted to one service interleave over a shared
 // three-worker fleet, and each produces results bit-identical to its

@@ -24,11 +24,12 @@ type CampaignStatus struct {
 	EpisodesPlanned int `json:"episodes_planned"`
 	// EpisodesDone counts fresh episodes finished so far.
 	EpisodesDone int `json:"episodes_done"`
-	// Retries and Replacements mirror PoolStats for the run in flight.
+	// Retries and Replacements (dead-slot redials) mirror PoolStats for
+	// the run in flight.
 	Retries      int `json:"retries"`
 	Replacements int `json:"replacements"`
 	// Engines is the live per-engine breakdown (client-side counters and
-	// the Backend address for remote slots), live slots then retired.
+	// the Backend address for remote slots), slots then retired.
 	Engines []EngineStats `json:"engines,omitempty"`
 	// Cells holds per-cell progress and mean episode duration — the raw
 	// signal a cost-aware allocation policy would consume.

@@ -28,7 +28,7 @@ func TestStatusScrapeUnderLoad(t *testing.T) {
 
 	cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName), Registry("gaussian")})
 	cfg.Parallelism = 2
-	cfg.Pool = PoolConfig{Engines: 2}
+	cfg.Pool = workerPool(t, 2)
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestResultsIdenticalWithTelemetry(t *testing.T) {
 		telemetry.SetEnabled(on)
 		cfg := tinyConfig(t, []InjectorSource{Registry(fault.NoopName), Registry("gaussian")})
 		cfg.Parallelism = 2
-		cfg.Pool = PoolConfig{Engines: 2}
+		cfg.Pool = workerPool(t, 2)
 		r, err := NewRunner(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -86,7 +86,7 @@ var (
 	CampaignRetries = Default.Counter("avfi_campaign_retries_total",
 		"Episode attempts retried after a transient engine failure.")
 	CampaignReplacements = Default.Counter("avfi_campaign_engine_replacements_total",
-		"Dead pool engines replaced mid-campaign.")
+		"Dead pool engine slots redialed mid-campaign, failed redials included.")
 	CampaignSinkQueue = Default.Gauge("avfi_campaign_sink_queue_depth",
 		"Episode records enqueued to sink shards and not yet drained.")
 )

@@ -2,7 +2,7 @@
 // driving agent's neural network (the stand-in for the paper's
 // imitation-learning CNN). Tensors are row-major float64 with explicit
 // shapes. The package is the storage: shape bookkeeping, in-place
-// elementwise updates, finiteness checks, gob encoding and max pooling. The
+// elementwise updates, gob encoding and max pooling. The
 // arithmetic of the layers lives in internal/nn, which writes into tensors
 // it owns and allocates nothing per call.
 //
@@ -15,7 +15,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Tensor is a dense row-major float64 array with an explicit shape.
@@ -136,29 +135,6 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 		t.data[i] *= s
 	}
 	return t
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty tensors);
-// used by gradient-explosion guards and tests.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// IsFinite reports whether every element is finite. Weight fault injection
-// can produce Inf/NaN; the agent guards its outputs with this.
-func (t *Tensor) IsFinite() bool {
-	for _, v := range t.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders small tensors fully and large ones as a shape summary.

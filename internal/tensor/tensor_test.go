@@ -193,20 +193,6 @@ func TestSumRows(t *testing.T) {
 	}
 }
 
-func TestMaxAbsIsFinite(t *testing.T) {
-	x := MustFromSlice([]float64{-5, 2, 3}, 3)
-	if x.MaxAbs() != 5 {
-		t.Errorf("MaxAbs = %v", x.MaxAbs())
-	}
-	if !x.IsFinite() {
-		t.Error("finite tensor reported non-finite")
-	}
-	x.Set(math.NaN(), 1)
-	if x.IsFinite() {
-		t.Error("NaN tensor reported finite")
-	}
-}
-
 func TestMatMulAssociativityProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
